@@ -2,19 +2,20 @@
 //
 // Two claims are pinned here:
 //
-//   1. Determinism: the merged summary of a fleet sweep is *identical* —
-//      every statistic, bit for bit — to the serial sweep over the same seed
-//      list, for every worker count, on both the per-interaction tuned
-//      engine and the well-mixed batch engine.  This is the seed-partition
-//      contract of fleet_run (records merged by trial index; trial t always
-//      runs seed_gen.fork(t)) and CI fails if it breaks at any W.
+//   1. Determinism: the merged summary of a supervised fleet sweep
+//      (measure_election_fleet) is *identical* — every statistic, bit for
+//      bit — to the in-process serial sweep over the same seed list, for
+//      every worker count, on both the per-interaction tuned engine and the
+//      well-mixed batch engine.  This is the seed-partition contract of the
+//      sweep supervisor (records merged by trial index; trial t always runs
+//      seed_gen.fork(t)) and CI fails if it breaks at any W.
 //
 //   2. Scaling: independent trials shard embarrassingly, so trials/sec
 //      should grow near-linearly with W until the host runs out of cores.
 //      On a >= 2-core host at PP_BENCH_SCALE >= 1 the W = 2 row must reach
-//      >= 1.7x the W = 1 rate; on 1-core hosts (like the reference machine,
-//      where the next multiplier is horizontal across *hosts*) the rows are
-//      informational.
+//      >= 1.7x the W = 1 rate (the serial in-process loop, no fork); on
+//      1-core hosts (like the reference machine, where the next multiplier
+//      is horizontal across *hosts*) the rows are informational.
 //
 //   3. Journal overhead: spooling every completed trial to the crash-safe
 //      .ppaj journal (fleet/journal.h) under the supervisor must cost at
@@ -93,7 +94,9 @@ int run() {
       c.trials = trials_ring;
       c.jobs = jobs;
       bench::stopwatch timer;
-      const auto summary = measure_election_fleet(runner, trials_ring, rng(7), {}, jobs);
+      const auto summary =
+          jobs == 1 ? measure_election_tuned(runner, trials_ring, rng(7), {}, 1)
+                    : measure_election_fleet(runner, trials_ring, rng(7), {}, jobs);
       c.seconds = timer.seconds();
       if (jobs == 1) baseline = summary;
       c.equal_summary = same_summary(summary, baseline);
@@ -114,9 +117,14 @@ int run() {
       c.n = n_wm;
       c.trials = trials_wm;
       c.jobs = jobs;
+      // Each row builds its own sweep inside the timer, as the serial
+      // measure_election_wellmixed does.
       bench::stopwatch timer;
       const auto summary =
-          measure_election_fleet_wellmixed(proto, n_wm, trials_wm, rng(13), {}, jobs);
+          jobs == 1
+              ? measure_election_wellmixed(proto, n_wm, trials_wm, rng(13), {}, 1)
+              : measure_election_fleet(wellmixed_sweep<fast_protocol>(proto, n_wm),
+                                       trials_wm, rng(13), {}, jobs);
       c.seconds = timer.seconds();
       if (jobs == 1) baseline = summary;
       c.equal_summary = same_summary(summary, baseline);
@@ -141,8 +149,7 @@ int run() {
     election_summary plain, journaled;
     for (int rep = 0; rep < 2; ++rep) {
       bench::stopwatch plain_timer;
-      plain = measure_election_fleet(runner, trials_ring, rng(7), {}, 2,
-                                     fleet::supervise_options{});
+      plain = measure_election_fleet(runner, trials_ring, rng(7), {}, 2);
       const double ps = plain_timer.seconds();
       if (rep == 0 || ps < sup_plain_s) sup_plain_s = ps;
 
@@ -199,8 +206,7 @@ int run() {
       // its seed generator as rng(manifest.seed).fork(2) (worker_manifest
       // contract), so the fork baseline must start from the same generator
       // for the summaries to be byte-identical.
-      forked = measure_election_fleet(runner, trials_ring, rng(7).fork(2), {},
-                                      2, fleet::supervise_options{});
+      forked = measure_election_fleet(runner, trials_ring, rng(7).fork(2), {}, 2);
       const double fs = fork_timer.seconds();
       if (rep == 0 || fs < fork_s) fork_s = fs;
 

@@ -7,13 +7,13 @@
 //   2. snapshot it into a sweep_artifact and save/load it — the load
 //      validates the rebuild byte-for-byte, so version-skewed workers fail
 //      loudly instead of silently diverging;
-//   3. run the same seed list serially and through fork-based workers and
-//      check the summaries match *exactly* (seed-partition determinism:
-//      trial t always runs seed_gen.fork(t), records merge by trial index);
-//   4. re-run under the supervisor with the flight recorder attached
-//      (src/obs/) — the same hookup `popsim --metrics F --trace F`
-//      automates — and write the metrics snapshot + Chrome trace timeline
-//      to disk.
+//   3. run the same seed list serially and through two supervised forked
+//      workers and check the summaries match *exactly* (seed-partition
+//      determinism: trial t always runs seed_gen.fork(t), records merge by
+//      trial index);
+//   4. re-run it with the flight recorder attached (src/obs/) — the same
+//      hookup `popsim --metrics F --trace F` automates — and write the
+//      metrics snapshot + Chrome trace timeline to disk.
 #include <cstdio>
 #include <string>
 
@@ -22,7 +22,6 @@
 #include "dynamics/epidemic.h"
 #include "fleet/artifact.h"
 #include "fleet/supervisor.h"
-#include "fleet/sweep.h"
 #include "graph/generators.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -67,10 +66,10 @@ int main() {
                          serial.stabilized_fraction == fleet.stabilized_fraction;
   std::printf("merged summaries identical: %s\n", identical ? "yes" : "NO");
 
-  // The same sweep once more, supervised and flight-recorded: the trace
-  // collects the supervisor timeline (spawn/assign/record/merge spans and
-  // instants, one track per worker slot), the registry the fleet.*
-  // counters.  `popsim --metrics F --trace F --jobs W` wires exactly this —
+  // The same sweep once more, flight-recorded: the trace collects the
+  // supervisor timeline (spawn/assign/record/merge spans and instants, one
+  // track per worker slot), the registry the fleet.* counters.
+  // `popsim --metrics F --trace F --jobs W` wires exactly this —
   // plus per-trial worker spans and engine.* probe rollups via exec-worker
   // sidecars, which fork-mode workers don't write.
   pp::obs::metrics_registry metrics;
@@ -78,11 +77,8 @@ int main() {
   pp::fleet::supervise_options sup;
   sup.metrics = &metrics;
   sup.trace = &trace;
-  const auto recorded = pp::summarize_election_results(
-      pp::fleet::supervised_fleet_run(
-          trials, pp::rng(7),
-          [&](std::uint64_t, pp::rng gen) { return rebuilt.run(gen, {}); }, 2,
-          sup));
+  const auto recorded =
+      pp::measure_election_fleet(rebuilt, trials, pp::rng(7), {}, 2, sup);
   const bool recorded_identical = serial.steps.mean == recorded.steps.mean;
   const std::string metrics_path = "/tmp/fleet_sweep_example_metrics.json";
   const std::string trace_path = "/tmp/fleet_sweep_example_trace.json";

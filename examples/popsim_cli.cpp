@@ -11,7 +11,7 @@
 //                          [--jobs W] [--save-artifact FILE] [fleet flags]
 //                          [--hosts HOST:PORT,...]
 //   $ ./example_popsim_cli --serve PORT [--cache-mb N]
-//   $ ./example_popsim_cli --worker MANIFEST INDEX [BASE COUNT [FAULTS]]
+//   $ ./example_popsim_cli --worker MANIFEST INDEX BASE COUNT [FAULTS]
 //
 //   family    clique | cycle | star | torus | er_dense | rr8
 //   protocol  fast | id | six | star
@@ -68,10 +68,10 @@
 //             sweep requests forever, caching verified artifacts
 //   --cache-mb  artifact cache budget for --serve in MB (default 256;
 //             least-recently-used artifacts are evicted past it)
-//   --worker  internal: run one worker's trial block of a fleet manifest,
-//             streaming length-prefixed records to stdout; the supervisor
-//             appends an explicit BASE COUNT trial range and optionally a
-//             fault spec list
+//   --worker  internal: run trials [BASE, BASE+COUNT) of a fleet
+//             manifest as supervisor slot INDEX, streaming length-prefixed
+//             records to stdout; the supervisor optionally appends a fault
+//             spec list
 //   --metrics  write a deterministic run_metrics.json-style snapshot
 //             (src/obs/metrics.h) after the sweep: fleet.* supervisor
 //             counters plus engine.* probe counters rolled up from the
@@ -132,7 +132,7 @@ int usage() {
                "       popsim --load-artifact FILE [--trials T] [--seed S]"
                " [--jobs W] [--save-artifact FILE] [--hosts HOST:PORT,...]\n"
                "       popsim --serve PORT [--cache-mb N]\n"
-               "       popsim --worker MANIFEST INDEX\n"
+               "       popsim --worker MANIFEST INDEX BASE COUNT [FAULTS]\n"
                "  family:   clique cycle star torus er_dense rr8\n"
                "  protocol: fast id six star\n"
                "  --trials  positive trial count (default 5)\n"
@@ -769,18 +769,17 @@ struct worker_obs {
   }
 };
 
-// popsim --worker MANIFEST INDEX [BASE COUNT [FAULTS]]: load the manifest +
-// artifact, rebuild and validate the sweep, and stream a trial block to
-// stdout as length-prefixed records.  Nothing else may touch stdout here.
-// The 2-argument form runs the worker_range block of a plain fleet sweep;
-// the supervisor (fleet/supervisor.h) passes an explicit [BASE, BASE+COUNT)
-// range — reassigned chunks are arbitrary — and, for a slot's first
-// worker only, a fault spec list to inject.
+// popsim --worker MANIFEST INDEX BASE COUNT [FAULTS]: load the manifest +
+// artifact, rebuild and validate the sweep, and stream trials
+// [BASE, BASE+COUNT) to stdout as length-prefixed records.  Nothing else
+// may touch stdout here.  The supervisor (fleet/supervisor.h) picks the
+// range — reassigned chunks are arbitrary — and, for a slot's first worker
+// only, appends a fault spec list to inject.
 int worker_main(int argc, char** argv) {
-  if (argc != 4 && argc != 6 && argc != 7) {
+  if (argc != 6 && argc != 7) {
     std::fprintf(stderr,
-                 "popsim: --worker needs <manifest> <index> "
-                 "[<base> <count> [<faults>]]\n");
+                 "popsim: --worker needs <manifest> <index> <base> <count> "
+                 "[<faults>]\n");
     return 2;
   }
   std::uint64_t index = 0;
@@ -790,8 +789,7 @@ int worker_main(int argc, char** argv) {
   }
   std::uint64_t base = 0;
   std::uint64_t count = 0;
-  if (argc >= 6 &&
-      (!parse_u64(argv[4], base) || !parse_u64(argv[5], count))) {
+  if (!parse_u64(argv[4], base) || !parse_u64(argv[5], count)) {
     std::fprintf(stderr,
                  "popsim: --worker base/count must be non-negative integers\n");
     return 2;
@@ -808,14 +806,9 @@ int worker_main(int argc, char** argv) {
     const auto manifest = pp::fleet::read_manifest(argv[2]);
     pp::expects(index < static_cast<std::uint64_t>(manifest.jobs),
                 "popsim --worker: index exceeds the manifest's job count");
-    if (argc >= 6) {
-      pp::expects(base <= manifest.trials && count <= manifest.trials - base,
-                  "popsim --worker: trial range exceeds the manifest's trials");
-    }
-    const pp::fleet::trial_range range =
-        argc >= 6 ? pp::fleet::trial_range{base, count}
-                  : pp::fleet::worker_range(manifest.trials, manifest.jobs,
-                                            static_cast<int>(index));
+    pp::expects(base <= manifest.trials && count <= manifest.trials - base,
+                "popsim --worker: trial range exceeds the manifest's trials");
+    const pp::fleet::trial_range range{base, count};
     const pp::fleet::fault_injector injector(faults, static_cast<int>(index));
     worker_obs obs;
     const auto artifact = pp::fleet::load_artifact(manifest.artifact_path);

@@ -14,7 +14,6 @@
 #include "engine/engine.h"
 #include "engine/wellmixed/wellmixed.h"
 #include "fleet/supervisor.h"
-#include "fleet/sweep.h"
 #include "support/parallel.h"
 #include "support/rng.h"
 #include "support/stats.h"
@@ -114,64 +113,25 @@ election_summary measure_election_tuned(const P& proto, const graph& g,
   return measure_election_tuned(runner, trials, seed_gen, options, threads);
 }
 
-// As measure_election_tuned, but sharding the trials across `jobs` worker
-// *processes* (fleet/sweep.h) instead of threads: workers inherit the
-// prepared runner copy-on-write and stream per-trial results back over
-// pipes.  Trial t still uses seed_gen.fork(t) and the merge reassembles the
-// per-trial vector by index, so the summary is byte-identical to the serial
-// (and threaded) sweep for any worker count — the seed-partition determinism
-// contract of tests/test_fleet.cpp and the CI fleet-determinism gate.
-template <compilable_protocol P>
-election_summary measure_election_fleet(const tuned_runner<P>& runner,
-                                        int trials, rng seed_gen,
-                                        const sim_options& options = {},
-                                        int jobs = 1) {
-  return summarize_election_results(fleet::fleet_run(
-      static_cast<std::uint64_t>(trials), seed_gen,
-      [&](std::uint64_t, rng gen) { return runner.run(gen, options); }, jobs));
-}
-
-// Fault-tolerant variant: as measure_election_fleet, but under the sweep
-// supervisor (fleet/supervisor.h) — crashed, hung or misbehaving workers are
-// killed and respawned with their incomplete trials, completed trials can be
-// journaled/resumed, and deterministic faults can be injected.  Trial t still
-// runs seed_gen.fork(t) wherever it lands, so the summary stays byte-identical
-// to the serial sweep through every recovery path.
-template <compilable_protocol P>
-election_summary measure_election_fleet(const tuned_runner<P>& runner,
-                                        int trials, rng seed_gen,
-                                        const sim_options& options,
+// Runs `trials` trials of a prepared sweep — anything with
+// `run(rng, const sim_options&) const`, i.e. tuned_runner or
+// wellmixed_sweep — across `jobs` worker *processes* under the sweep
+// supervisor (fleet/supervisor.h), where measure_election_tuned and
+// measure_election_wellmixed use threads.  Workers inherit the prepared
+// sweep copy-on-write and stream per-trial results back over pipes; crashed,
+// hung or misbehaving workers are killed and respawned with their incomplete
+// trials, and `sup` adds journaling/resume, fault injection and the flight
+// recorder.  Trial t runs seed_gen.fork(t) wherever it lands and the merge
+// reassembles results by trial index, so for both engines (the well-mixed
+// one is deterministic per (seed, batch size)) the summary is byte-identical
+// to the serial sweep at any worker count and through every recovery path —
+// the seed-partition contract of tests/test_fleet.cpp and the CI
+// fleet-determinism gate.
+template <typename Sweep>
+election_summary measure_election_fleet(const Sweep& sweep, int trials,
+                                        rng seed_gen, const sim_options& options,
                                         int jobs,
-                                        const fleet::supervise_options& sup) {
-  return summarize_election_results(fleet::supervised_fleet_run(
-      static_cast<std::uint64_t>(trials), seed_gen,
-      [&](std::uint64_t, rng gen) { return runner.run(gen, options); }, jobs,
-      sup));
-}
-
-// Process-sharded counterpart of measure_election_wellmixed.  The well-mixed
-// engine is deterministic per (seed, batch size), so the fleet merge is also
-// byte-identical to the serial sweep — stronger than the engine's 3σ
-// statistical contract against the per-interaction simulators.
-template <node_census_protocol P>
-election_summary measure_election_fleet_wellmixed(const P& proto, std::uint64_t n,
-                                                  int trials, rng seed_gen,
-                                                  const sim_options& options = {},
-                                                  int jobs = 1) {
-  const wellmixed_sweep<P> sweep(proto, n);
-  return summarize_election_results(fleet::fleet_run(
-      static_cast<std::uint64_t>(trials), seed_gen,
-      [&](std::uint64_t, rng gen) { return sweep.run(gen, options); }, jobs));
-}
-
-// Fault-tolerant variant of measure_election_fleet_wellmixed (see the tuned
-// overload above for the recovery semantics).
-template <node_census_protocol P>
-election_summary measure_election_fleet_wellmixed(
-    const P& proto, std::uint64_t n, int trials, rng seed_gen,
-    const sim_options& options, int jobs,
-    const fleet::supervise_options& sup) {
-  const wellmixed_sweep<P> sweep(proto, n);
+                                        const fleet::supervise_options& sup = {}) {
   return summarize_election_results(fleet::supervised_fleet_run(
       static_cast<std::uint64_t>(trials), seed_gen,
       [&](std::uint64_t, rng gen) { return sweep.run(gen, options); }, jobs,

@@ -528,7 +528,7 @@ std::vector<election_result> supervised_remote_sweep(
                              static_cast<std::uint64_t>(blob.size()));
       }
     }
-    return child_guard::child{-1, fd};
+    return detail::worker_stream{-1, fd};
   };
 
   // Host health prober (net.h): one persistent control connection per

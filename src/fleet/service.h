@@ -18,10 +18,11 @@
 // The parent process multiplexes the listening socket and all in-handshake
 // connections from one poll loop and owns the cache; each accepted sweep
 // runs in a forked child that inherits the prepared runner copy-on-write
-// (the same trick fleet_run plays) and writes record frames straight to the
-// connection.  Concurrent requests therefore stream concurrently, and a
-// child that dies mid-stream takes exactly one connection with it — the
-// client's supervisor treats it like any dead worker.
+// (the same trick supervised_fleet_run's fork launcher plays) and writes
+// record frames straight to the connection.  Concurrent requests therefore
+// stream concurrently, and a child that dies mid-stream takes exactly one
+// connection with it — the client's supervisor treats it like any dead
+// worker.
 //
 // Cache policy: entries are keyed by the artifact file checksum; total
 // cached artifact bytes are capped by `cache_mb`, evicting least-recently-

@@ -257,7 +257,7 @@ std::vector<election_result> supervise(std::uint64_t trials, rng seed_gen,
     slot_state& s = slots[static_cast<std::size_t>(i)];
     const bool inject = !s.ever_launched && !options.faults.empty();
     const bool respawn = s.waiting;  // a backoff just elapsed for this slot
-    const child_guard::child c = launch(i, chunk, inject, open_read_fds());
+    const worker_stream c = launch(i, chunk, inject, open_read_fds());
     if (trace != nullptr) {
       trace->instant(respawn ? "worker_respawn" : "worker_spawn", 0,
                      {obs::trace_arg::num("slot", static_cast<std::int64_t>(i)),
@@ -678,7 +678,7 @@ std::vector<election_result> supervised_fleet_run(
       ::_exit(status);
     }
     ::close(fds[1]);
-    return child_guard::child{pid, fds[0]};
+    return detail::worker_stream{pid, fds[0]};
   };
   return detail::supervise(trials, seed_gen, jobs, options, launch, fn,
                            "supervised_fleet_run");
@@ -754,7 +754,7 @@ std::vector<election_result> supervised_spawn_sweep(
       ::_exit(127);
     }
     ::close(fds[1]);
-    return child_guard::child{pid, fds[0]};
+    return detail::worker_stream{pid, fds[0]};
   };
   // Trial t of the sweep uses rng(seed).fork(2).fork(t), exactly the serial
   // derivation (sweep.h) — needed here for the inline degraded path.

@@ -1,6 +1,12 @@
-// Fault-tolerant fleet sweep supervisor: replaces the blocking drain loop of
-// sweep.h's fleet_run/spawn_worker_sweep with a poll()-multiplexed event
-// loop that survives worker crashes instead of aborting the sweep.
+// Fleet sweep supervisor: the one way this library runs trials across
+// worker processes.  A poll()-multiplexed event loop reads every worker's
+// record stream and survives worker crashes instead of aborting the sweep.
+// Three launchers feed it: supervised_fleet_run forks the current process
+// (workers inherit the prepared sweep copy-on-write), supervised_spawn_sweep
+// execs `popsim --worker` subprocesses that rebuild the sweep from a
+// manifest + artifact, and net.h's supervised_remote_sweep dials resident
+// daemons.  With max_retries = 0 and no inline fallback, the first worker
+// failure throws.
 //
 // Supervision state machine, per worker slot:
 //
@@ -22,6 +28,8 @@
 // .ppaj journal (journal.h) as it streams in; `resume` replays the journal
 // first and the supervisor runs only the gap.
 #pragma once
+
+#include <sys/types.h>
 
 #include <cstdint>
 #include <functional>
@@ -82,12 +90,14 @@ struct supervise_options {
   std::function<std::vector<int>()> health_tick;
 };
 
-// Fork-mode supervised sweep: as fleet_run, but workers that die (crash,
-// nonzero exit, torn record, hang past the timeout) are killed and respawned
-// with their incomplete trials, degrading to inline serial execution of the
-// remainder once the retry budget is spent.  Returns the per-trial results
-// indexed by trial; throws only on unrecoverable errors (journal mismatch,
-// fault spec naming a slot beyond `jobs`).
+// Fork-mode supervised sweep: runs `trials` trials across at most `jobs`
+// forked workers (never more workers than trials), trial t on
+// seed_gen.fork(t).  Workers that die (crash, nonzero exit, torn record,
+// hang past the timeout) are killed and respawned with their incomplete
+// trials, degrading to inline serial execution of the remainder (with `fn`)
+// once the retry budget is spent.  Returns the per-trial results indexed by
+// trial; throws on unrecoverable errors (journal mismatch, fault spec naming
+// a slot beyond `jobs`) and rethrows whatever `fn` throws inline.
 std::vector<election_result> supervised_fleet_run(std::uint64_t trials,
                                                   rng seed_gen,
                                                   const trial_fn& fn, int jobs,
@@ -113,13 +123,20 @@ void run_trial_block(trial_range range, int fd, const trial_fn& fn,
 
 namespace detail {
 
+// One launched worker: its process (reaped by the supervisor) and the fd
+// its records arrive on.
+struct worker_stream {
+  pid_t pid = -1;
+  int read_fd = -1;
+};
+
 // Launches one worker for `chunk` in slot `slot`; `inject` asks for fault
 // injection (first-generation workers only).  `open_fds` are the parent's
 // currently open record fds, which a forked child must close.  A launcher
 // may return pid == -1 when the record stream is not a child process (a
 // socket to a remote worker, net.h); returning read_fd < 0 reports a failed
 // launch, which consumes a retry like any other slot failure.
-using launch_fn = std::function<child_guard::child(
+using launch_fn = std::function<worker_stream(
     int slot, trial_range chunk, bool inject, const std::vector<int>& open_fds)>;
 
 // The shared supervision core behind supervised_fleet_run,

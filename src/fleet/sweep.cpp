@@ -1,23 +1,24 @@
 #include "fleet/sweep.h"
 
 #include <csignal>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "fleet/wire.h"
-#include "obs/log.h"
 #include "support/expects.h"
 #include "support/parse.h"
 
 namespace pp::fleet {
 
 namespace {
+
+// A real manifest is a few hundred bytes plus one path; anything this large
+// is not one.
+constexpr std::size_t kMaxManifestBytes = 64 * 1024;
 
 void write_all(int fd, const void* data, std::size_t size) {
   const auto* p = static_cast<const std::uint8_t*>(data);
@@ -35,27 +36,6 @@ void write_all(int fd, const void* data, std::size_t size) {
   }
 }
 
-// Reads exactly `size` bytes; returns false on EOF before the first byte,
-// throws on EOF mid-buffer (a torn record).
-bool read_all(int fd, void* data, std::size_t size) {
-  auto* p = static_cast<std::uint8_t*>(data);
-  std::size_t got = 0;
-  while (got < size) {
-    const ssize_t n = ::read(fd, p + got, size - got);
-    if (n < 0) {
-      ensure(errno == EINTR || errno == EAGAIN,
-             std::string("fleet: pipe read failed: ") + std::strerror(errno));
-      continue;
-    }
-    if (n == 0) {
-      ensure(got == 0, "fleet: torn record (worker died mid-write?)");
-      return false;
-    }
-    got += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 template <typename T>
 void pack(std::uint8_t*& p, T v) {
   std::memcpy(p, &v, sizeof(T));
@@ -70,106 +50,9 @@ T unpack(const std::uint8_t*& p) {
   return v;
 }
 
-// Reads one worker's record stream to EOF into the indexed result vector,
-// flagging duplicates and out-of-range indices.
-void drain_records(int fd, std::vector<election_result>& results,
-                   std::vector<std::uint8_t>& received) {
-  trial_record record;
-  while (read_trial_record(fd, record)) {
-    ensure(record.trial < results.size(), "fleet: record for an unknown trial");
-    ensure(!received[record.trial], "fleet: duplicate record for a trial");
-    received[record.trial] = 1;
-    results[record.trial] = record.result;
-  }
-}
-
-// Drains every child's pipe, reaps every child, and verifies all trials
-// arrived exactly once — shared tail of the fork and exec drivers.  On any
-// drain error the surviving children are SIGKILLed before reaping (a worker
-// blocked on a full pipe would otherwise hang the waitpid forever), and the
-// guard's destructor covers every other exit path.
-std::vector<election_result> collect(child_guard& guard, std::uint64_t trials,
-                                     const char* what) {
-  std::vector<election_result> results(trials);
-  std::vector<std::uint8_t> received(trials, 0);
-  std::string drain_error;
-  for (child_guard::child& c : guard.children()) {
-    try {
-      drain_records(c.read_fd, results, received);
-    } catch (const std::exception& e) {
-      if (drain_error.empty()) drain_error = e.what();
-    }
-    guard.close_fd(c);
-  }
-  if (!drain_error.empty()) guard.kill_all();
-  bool worker_failed = false;
-  for (child_guard::child& c : guard.children()) {
-    if (!guard.reap(c)) worker_failed = true;
-  }
-  // Report both failure modes: a drain error (torn record, version skew) is
-  // often the root cause of the worker deaths it provokes via EPIPE, so
-  // it must not be masked by the generic worker-failure message.
-  std::string failure;
-  if (worker_failed && drain_error.empty()) {
-    failure = std::string(what) + ": a worker process failed (see its stderr)";
-  } else if (worker_failed) {
-    failure = std::string(what) + ": a worker process failed (see its stderr); " +
-              drain_error;
-  } else {
-    failure = drain_error;
-  }
-  ensure(failure.empty(), failure);
-  for (std::uint64_t t = 0; t < trials; ++t) {
-    ensure(received[t] != 0, std::string(what) + ": a trial result never arrived");
-  }
-  return results;
-}
-
 }  // namespace
 
-child_guard::~child_guard() { kill_all(); }
-
-void child_guard::add(pid_t pid, int read_fd) { children_.push_back({pid, read_fd}); }
-
-void child_guard::close_fd(child& c) {
-  if (c.read_fd >= 0) {
-    ::close(c.read_fd);
-    c.read_fd = -1;
-  }
-}
-
-bool child_guard::reap(child& c) {
-  if (c.pid < 0) return true;
-  int status = 0;
-  while (::waitpid(c.pid, &status, 0) < 0 && errno == EINTR) {
-  }
-  c.pid = -1;
-  return WIFEXITED(status) && WEXITSTATUS(status) == 0;
-}
-
-void child_guard::kill_all() {
-  for (child& c : children_) {
-    close_fd(c);
-    if (c.pid >= 0) {
-      ::kill(c.pid, SIGKILL);
-      reap(c);
-    }
-  }
-}
-
 void ignore_sigpipe() { std::signal(SIGPIPE, SIG_IGN); }
-
-trial_range worker_range(std::uint64_t trials, int jobs, int worker) {
-  expects(jobs >= 1, "worker_range: jobs must be >= 1");
-  expects(worker >= 0 && worker < jobs, "worker_range: worker index out of range");
-  const std::uint64_t w = static_cast<std::uint64_t>(worker);
-  const std::uint64_t block = trials / static_cast<std::uint64_t>(jobs);
-  const std::uint64_t extra = trials % static_cast<std::uint64_t>(jobs);
-  trial_range r;
-  r.base = w * block + (w < extra ? w : extra);
-  r.count = block + (w < extra ? 1 : 0);
-  return r;
-}
 
 void encode_trial_record(const trial_record& record, std::uint8_t* out) {
   std::uint8_t* p = out;
@@ -200,72 +83,10 @@ void write_trial_record(int fd, const trial_record& record) {
   write_all(fd, buf, sizeof(buf));
 }
 
-bool read_trial_record(int fd, trial_record& out) {
-  std::uint8_t buf[wire::framed_size(kTrialRecordPayload)];
-  if (!read_all(fd, buf, wire::kLengthBytes)) return false;
-  ensure(read_all(fd, buf + wire::kLengthBytes,
-                  sizeof(buf) - wire::kLengthBytes),
-         "fleet: torn record payload");
-  wire::frame_view frame;
-  const wire::decode_status status = wire::decode_frame(
-      buf, sizeof(buf), {kTrialRecordPayload, kTrialRecordPayload}, frame);
-  ensure(status != wire::decode_status::bad_length,
-         "fleet: record length mismatch (producer/reader version skew)");
-  ensure(status == wire::decode_status::ok,
-         "fleet: record checksum mismatch (corrupt stream)");
-  out = decode_trial_record(frame.payload);
-  return true;
-}
-
-std::vector<election_result> fleet_run(std::uint64_t trials, rng seed_gen,
-                                       const trial_fn& fn, int jobs) {
-  expects(jobs >= 1, "fleet_run: jobs must be >= 1");
-  if (static_cast<std::uint64_t>(jobs) > trials) {
-    jobs = trials > 0 ? static_cast<int>(trials) : 1;
-  }
-  if (jobs == 1) {
-    std::vector<election_result> results(trials);
-    for (std::uint64_t t = 0; t < trials; ++t) {
-      results[t] = fn(t, seed_gen.fork(t));
-    }
-    return results;
-  }
-
-  child_guard guard;
-  for (int w = 0; w < jobs; ++w) {
-    int fds[2];
-    ensure(::pipe(fds) == 0, "fleet_run: pipe failed");
-    const pid_t pid = ::fork();
-    ensure(pid >= 0, "fleet_run: fork failed");
-    if (pid == 0) {
-      // Worker: compute the block, stream records, _exit without running
-      // atexit handlers (the parent owns the inherited heap; under ASan this
-      // also skips a bogus leak scan of the parent's allocations).
-      ::close(fds[0]);
-      for (const child_guard::child& c : guard.children()) ::close(c.read_fd);
-      ignore_sigpipe();
-      int status = 0;
-      try {
-        const trial_range range = worker_range(trials, jobs, w);
-        for (std::uint64_t t = range.base; t < range.base + range.count; ++t) {
-          write_trial_record(fds[1], {t, fn(t, seed_gen.fork(t))});
-        }
-      } catch (const std::exception& e) {
-        obs::logf(obs::log_level::error, "fleet worker %d: %s", w, e.what());
-        status = 1;
-      }
-      ::close(fds[1]);
-      ::_exit(status);
-    }
-    ::close(fds[1]);
-    guard.add(pid, fds[0]);
-  }
-  return collect(guard, trials, "fleet_run");
-}
-
 void write_manifest(const worker_manifest& manifest, const std::string& path) {
-  expects(manifest.artifact_path.find('\n') == std::string::npos,
-          "write_manifest: artifact path must not contain newlines");
+  expects(manifest.artifact_path.find_first_of(std::string("\n\0", 2)) ==
+              std::string::npos,
+          "write_manifest: artifact path must not contain newlines or NULs");
   std::FILE* f = std::fopen(path.c_str(), "w");
   expects(f != nullptr, "write_manifest: cannot open " + path);
   std::fprintf(f, "ppfleet-manifest v1\n");
@@ -284,22 +105,32 @@ void write_manifest(const worker_manifest& manifest, const std::string& path) {
 worker_manifest read_manifest(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "r");
   expects(f != nullptr, "read_manifest: cannot open " + path);
+  // One bounded read of the whole file, split on '\n' below: lines of any
+  // length stay whole, and a non-manifest stream (a FIFO, /dev/zero) cannot
+  // grow the buffer past the cap.  Oversized input and NUL bytes are never
+  // write_manifest output, so they are rejected before any line is parsed.
+  std::string text(kMaxManifestBytes + 1, '\0');
+  text.resize(std::fread(text.data(), 1, text.size(), f));
+  std::fclose(f);
   worker_manifest m;
-  char line[4096];
   bool saw_header = false;
   bool saw_artifact = false;
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    std::string s(line);
-    if (!s.empty() && s.back() == '\n') s.pop_back();
+  bool valid = text.size() <= kMaxManifestBytes &&
+               text.find('\0') == std::string::npos;
+  for (std::size_t start = 0; valid && start < text.size();) {
+    std::size_t end = text.find('\n', start);
+    if (end == std::string::npos) end = text.size();
+    const std::string s = text.substr(start, end - start);
+    start = end + 1;
     if (s.empty()) continue;
     if (!saw_header) {
-      if (s != "ppfleet-manifest v1") break;
-      saw_header = true;
+      valid = s == "ppfleet-manifest v1";
+      saw_header = valid;
       continue;
     }
     const std::size_t eq = s.find('=');
     if (eq == std::string::npos) {
-      saw_header = false;  // malformed line: reject below
+      valid = false;  // malformed line
       break;
     }
     const std::string key = s.substr(0, eq);
@@ -329,50 +160,12 @@ worker_manifest read_manifest(const std::string& path) {
       m.scheduler =
           value == "silent" ? scheduler_kind::silent : scheduler_kind::step;
     } else {
-      saw_header = false;  // unknown key or bad value: reject below
-      break;
+      valid = false;  // unknown key or bad value
     }
   }
-  std::fclose(f);
-  expects(saw_header && saw_artifact,
+  expects(valid && saw_header && saw_artifact,
           "read_manifest: " + path + " is not a valid fleet manifest");
   return m;
-}
-
-void run_worker_block(const worker_manifest& manifest, int index, int fd,
-                      const trial_fn& fn, const rng& seed_gen) {
-  const trial_range range = worker_range(manifest.trials, manifest.jobs, index);
-  for (std::uint64_t t = range.base; t < range.base + range.count; ++t) {
-    write_trial_record(fd, {t, fn(t, seed_gen.fork(t))});
-  }
-}
-
-std::vector<election_result> spawn_worker_sweep(const std::string& exe,
-                                                const std::string& manifest_path,
-                                                const worker_manifest& manifest) {
-  expects(manifest.jobs >= 1, "spawn_worker_sweep: jobs must be >= 1");
-  child_guard guard;
-  for (int w = 0; w < manifest.jobs; ++w) {
-    int fds[2];
-    ensure(::pipe(fds) == 0, "spawn_worker_sweep: pipe failed");
-    const pid_t pid = ::fork();
-    ensure(pid >= 0, "spawn_worker_sweep: fork failed");
-    if (pid == 0) {
-      ::close(fds[0]);
-      for (const child_guard::child& c : guard.children()) ::close(c.read_fd);
-      ::dup2(fds[1], STDOUT_FILENO);
-      ::close(fds[1]);
-      const std::string index = std::to_string(w);
-      ::execl(exe.c_str(), exe.c_str(), "--worker", manifest_path.c_str(),
-              index.c_str(), static_cast<char*>(nullptr));
-      obs::logf(obs::log_level::error, "spawn_worker_sweep: exec %s failed: %s",
-                exe.c_str(), std::strerror(errno));
-      ::_exit(127);
-    }
-    ::close(fds[1]);
-    guard.add(pid, fds[0]);
-  }
-  return collect(guard, manifest.trials, "spawn_worker_sweep");
 }
 
 std::string self_exe_path(const char* argv0) {

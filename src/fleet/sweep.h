@@ -1,26 +1,22 @@
-// Process-level fleet sweeps: many independent trials sharded across worker
-// OS processes.
+// Process-level fleet sweeps: the vocabulary shared by every worker and the
+// supervisor (supervisor.h) that runs them.
 //
 // A sweep over T trials is embarrassingly parallel — trial t's generator is
-// seed_gen.fork(t) and nothing else is shared — so the fleet driver simply
-// partitions [0, T) into contiguous blocks, runs each block in its own
-// process, and streams per-trial results back as length-prefixed records.
-// The parent reassembles the records *by trial index* before summarizing, so
-// a fleet sweep with any worker count produces exactly the per-trial result
-// vector of a serial sweep over the same seed list: for the deterministic
-// engines (per-interaction tuned runner; well-mixed at fixed batch) the
-// merged summary is byte-identical to serial.  That seed-partition
-// determinism is the contract tests/test_fleet.cpp and the CI
-// fleet-determinism step enforce.
+// seed_gen.fork(t) and nothing else is shared — so the supervisor deals
+// [0, T) out as contiguous trial chunks, runs each chunk in a worker, and
+// reads per-trial results back as checked records.  It reassembles the
+// records *by trial index* before summarizing, so a fleet sweep with any
+// worker count produces exactly the per-trial result vector of a serial
+// sweep over the same seed list: for the deterministic engines
+// (per-interaction tuned runner; well-mixed at fixed batch) the merged
+// summary is byte-identical to serial.  That seed-partition determinism is
+// the contract tests/test_fleet.cpp and the CI fleet-determinism step
+// enforce.
 //
-// Two process models share the record protocol:
-//   * fleet_run forks the current process — the prepared runner (closed
-//     table, packed endpoints) is inherited copy-on-write, so workers start
-//     instantly and share every read-only byte;
-//   * spawn_worker_sweep execs `popsim --worker <manifest> <index>`
-//     subprocesses that load_artifact and rebuild the sweep themselves —
-//     the model that generalises to other hosts (the manifest + artifact
-//     pair is the whole job description).
+// Workers come from one of the supervisor's three launchers: a forked copy
+// of the current process (the prepared sweep inherited copy-on-write), an
+// exec'd `popsim --worker` that rebuilds the sweep from the manifest below
+// plus its artifact, or a socket to a resident daemon (net.h).
 //
 // Record framing is the shared wire.h checked frame (native-endian):
 //   u32 payload length (= 29) | payload | u64 fnv1a64(payload)
@@ -34,20 +30,17 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "core/simulator.h"
 #include "support/rng.h"
 
 namespace pp::fleet {
 
-// Contiguous block of trial indices assigned to one worker: the first
-// (trials mod jobs) workers get one extra trial.
+// Contiguous block of trial indices [base, base + count): one worker's chunk.
 struct trial_range {
   std::uint64_t base = 0;
   std::uint64_t count = 0;
 };
-trial_range worker_range(std::uint64_t trials, int jobs, int worker);
 
 // One streamed result; `trial` is the global trial index.
 struct trial_record {
@@ -59,19 +52,16 @@ struct trial_record {
 // u64 trial + u64 steps + u64 distinct + i32 leader + u8 stabilized.
 inline constexpr std::uint32_t kTrialRecordPayload = 8 + 8 + 8 + 4 + 1;
 
-// Flat encode/decode of one record payload — the shared wire format of the
-// pipe protocol below, the supervisor's buffered reader (supervisor.h) and
-// the on-disk journal (journal.h).
+// Flat encode/decode of one record payload — the shared wire format of
+// worker streams, the supervisor's buffered reader (supervisor.h) and the
+// on-disk journal (journal.h).
 void encode_trial_record(const trial_record& record, std::uint8_t* out);
 trial_record decode_trial_record(const std::uint8_t* payload);
 
-// Checked-frame record IO on pipe/socket file descriptors (wire.h framing).
-// write_trial_record retries short writes; read_trial_record returns false
-// on a clean EOF at a frame boundary and throws on a torn or
-// checksum-corrupt record.  A closed read end surfaces as EPIPE (workers
+// Writes one checked-frame record to a pipe/socket fd (wire.h framing),
+// retrying short writes.  A closed read end surfaces as EPIPE (workers
 // ignore SIGPIPE), reported with strerror in the message.
 void write_trial_record(int fd, const trial_record& record);
-bool read_trial_record(int fd, trial_record& out);
 
 // Worker-process prologue: ignore SIGPIPE so a worker whose parent died
 // mid-sweep gets a loud EPIPE error (stderr + nonzero exit) instead of
@@ -79,54 +69,13 @@ bool read_trial_record(int fd, trial_record& out);
 // worker and by `popsim --worker`.
 void ignore_sigpipe();
 
-// RAII guard over spawned worker processes: any exit path that does not
-// explicitly reap (a throw mid-spawn or mid-drain) SIGKILLs and waitpids
-// every still-owned child and closes its pipe, so no error path leaks
-// zombies or orphans that keep writing to a dead pipe.
-class child_guard {
- public:
-  struct child {
-    pid_t pid = -1;
-    int read_fd = -1;
-  };
-
-  child_guard() = default;
-  ~child_guard();
-  child_guard(const child_guard&) = delete;
-  child_guard& operator=(const child_guard&) = delete;
-
-  void add(pid_t pid, int read_fd);
-  std::vector<child>& children() { return children_; }
-
-  // Closes a child's read fd (idempotent).
-  void close_fd(child& c);
-
-  // Blocking waitpid of one child; returns true iff it exited with status 0.
-  // The child is no longer owned afterwards.
-  bool reap(child& c);
-
-  // SIGKILL + reap every still-owned child (the error-path teardown).
-  void kill_all();
-
- private:
-  std::vector<child> children_;
-};
-
 // The per-trial work: called with the global trial index and the trial's
 // forked generator (seed_gen.fork(trial)).
 using trial_fn = std::function<election_result(std::uint64_t trial, rng gen)>;
 
-// Runs `trials` trials across `jobs` forked worker processes and returns the
-// per-trial results indexed by trial (jobs == 1 runs inline).  Worker w
-// computes the worker_range(trials, jobs, w) block; each trial t uses
-// seed_gen.fork(t), so the result vector is identical to the serial loop's.
-// Throws if a worker dies, a record is torn, or any trial fails to arrive.
-std::vector<election_result> fleet_run(std::uint64_t trials, rng seed_gen,
-                                       const trial_fn& fn, int jobs);
-
 // Job description shared with `popsim --worker` subprocesses: which artifact
-// to load and how to derive every worker's trial block and seeds.  Stored as
-// a line-based key=value text file so it is diffable and host-portable.
+// to load and how to derive every trial's seed.  Stored as a line-based
+// key=value text file so it is diffable and host-portable.
 struct worker_manifest {
   std::string artifact_path;
   std::uint64_t seed = 1;       // master seed; trial t uses rng(seed).fork(2).fork(t)
@@ -137,24 +86,16 @@ struct worker_manifest {
   // Runtime scheduler choice (core/simulator.h): step or silent.  A runtime
   // knob like max_steps — never part of the artifact.
   scheduler_kind scheduler = scheduler_kind::step;
+
+  friend bool operator==(const worker_manifest&, const worker_manifest&) = default;
 };
 
+// read_manifest reads whole lines and throws std::invalid_argument on a
+// missing header or artifact line, an unknown key, an out-of-range value, a
+// NUL byte or a file over 64 KiB; whatever it accepts survives another
+// write -> read unchanged.
 void write_manifest(const worker_manifest& manifest, const std::string& path);
 worker_manifest read_manifest(const std::string& path);
-
-// Streams worker `index`'s block of the manifest's trials to `fd` (the
-// worker half of spawn_worker_sweep; popsim --worker calls this with
-// STDOUT_FILENO).  Trial t runs fn(t, seed_gen.fork(t)).
-void run_worker_block(const worker_manifest& manifest, int index, int fd,
-                      const trial_fn& fn, const rng& seed_gen);
-
-// Spawns `manifest.jobs` subprocesses `exe --worker <manifest_path> <w>`,
-// reads their stdout record streams, and returns the per-trial results
-// indexed by trial.  Throws if a worker exits nonzero, a record is torn, or
-// any trial fails to arrive.
-std::vector<election_result> spawn_worker_sweep(const std::string& exe,
-                                                const std::string& manifest_path,
-                                                const worker_manifest& manifest);
 
 // Absolute path of the running executable (/proc/self/exe), falling back to
 // `argv0` where procfs is unavailable.

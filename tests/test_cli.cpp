@@ -93,8 +93,8 @@ TEST(CliExitCodes, InvalidInvocationsExitNonzero) {
       "--trials 5",                              // flag mode without artifact
       "--load-artifact /dev/null",               // not a PPAF file
       "--worker",                                // missing manifest + index
-      "--worker /nonexistent/manifest 0",        // unreadable manifest
-      "--worker /dev/null 0",                    // not a manifest
+      "--worker /nonexistent/manifest 0 0 1",    // unreadable manifest
+      "--worker /dev/null 0 0 1",                // not a manifest
       "--worker /dev/null 0 1",                  // base without count
       "clique 100 fast --journal",               // flag missing its value
       "clique 100 fast --resume",                // --resume without --journal

@@ -1,12 +1,14 @@
-// Fleet sweep driver (src/fleet/sweep.h): seed-partition determinism —
-// a fleet sweep's merged results are byte-identical to the serial sweep —
-// plus the record/manifest protocol, worker-failure propagation, and the
-// crash-recovery matrix of the supervisor (fault injection, journaled
-// resume, retry-budget degradation).
+// Fleet sweeps (src/fleet/sweep.h, supervisor.h): seed-partition
+// determinism — a supervised fleet sweep's merged results are byte-identical
+// to the serial sweep — plus the record/manifest protocol, worker-failure
+// propagation, and the crash-recovery matrix of the supervisor (fault
+// injection, journaled resume, retry-budget degradation).
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -22,6 +24,7 @@
 #include "fleet/journal.h"
 #include "fleet/supervisor.h"
 #include "fleet/sweep.h"
+#include "fleet/wire.h"
 #include "graph/generators.h"
 
 namespace pp::fleet {
@@ -40,23 +43,14 @@ void expect_same_summary(const election_summary& a, const election_summary& b) {
   EXPECT_EQ(a.steps.max, b.steps.max);
 }
 
-TEST(WorkerRange, PartitionsTrialsContiguouslyAndCompletely) {
-  for (const std::uint64_t trials : {0ull, 1ull, 7ull, 24ull, 100ull}) {
-    for (const int jobs : {1, 2, 3, 4, 7, 13}) {
-      std::uint64_t expected_base = 0;
-      for (int w = 0; w < jobs; ++w) {
-        const trial_range r = worker_range(trials, jobs, w);
-        EXPECT_EQ(r.base, expected_base) << trials << " trials, worker " << w;
-        expected_base += r.count;
-        // Blocks differ in size by at most one trial.
-        EXPECT_LE(r.count, trials / jobs + 1);
-      }
-      EXPECT_EQ(expected_base, trials);  // disjoint cover of [0, trials)
-    }
-  }
-  EXPECT_THROW(worker_range(10, 0, 0), std::invalid_argument);
-  EXPECT_THROW(worker_range(10, 4, 4), std::invalid_argument);
-  EXPECT_THROW(worker_range(10, 4, -1), std::invalid_argument);
+// The serial reference every fleet result is compared against: trial t runs
+// fn(t, seed_gen.fork(t)) in this process.
+std::vector<election_result> serial_sweep(std::uint64_t trials,
+                                          const rng& seed_gen,
+                                          const trial_fn& fn) {
+  std::vector<election_result> results(trials);
+  for (std::uint64_t t = 0; t < trials; ++t) results[t] = fn(t, seed_gen.fork(t));
+  return results;
 }
 
 TEST(Records, RoundTripThroughAPipe) {
@@ -75,33 +69,32 @@ TEST(Records, RoundTripThroughAPipe) {
   write_trial_record(fds[1], empty);
   close(fds[1]);
 
-  trial_record in;
-  ASSERT_TRUE(read_trial_record(fds[0], in));
-  EXPECT_EQ(in.trial, out.trial);
-  EXPECT_EQ(in.result.stabilized, out.result.stabilized);
-  EXPECT_EQ(in.result.steps, out.result.steps);
-  EXPECT_EQ(in.result.leader, out.result.leader);
-  EXPECT_EQ(in.result.distinct_states_used, out.result.distinct_states_used);
-  ASSERT_TRUE(read_trial_record(fds[0], in));
-  EXPECT_EQ(in.trial, 3u);
-  EXPECT_FALSE(in.result.stabilized);
-  EXPECT_FALSE(read_trial_record(fds[0], in));  // clean EOF
+  std::vector<std::uint8_t> bytes;
+  std::uint8_t buf[256];
+  ssize_t n = 0;
+  while ((n = read(fds[0], buf, sizeof(buf))) > 0) {
+    bytes.insert(bytes.end(), buf, buf + n);
+  }
   close(fds[0]);
-}
-
-TEST(Records, TornRecordIsRejected) {
-  int fds[2];
-  ASSERT_EQ(pipe(fds), 0);
-  const std::uint32_t length = 29;
-  ASSERT_EQ(write(fds[1], &length, sizeof(length)),
-            static_cast<ssize_t>(sizeof(length)));
-  const std::uint8_t half[10] = {};
-  ASSERT_EQ(write(fds[1], half, sizeof(half)),
-            static_cast<ssize_t>(sizeof(half)));
-  close(fds[1]);
-  trial_record r;
-  EXPECT_THROW(read_trial_record(fds[0], r), std::logic_error);
-  close(fds[0]);
+  // Decode the way the supervisor's buffered reader does.
+  std::vector<trial_record> in;
+  std::size_t off = 0;
+  wire::frame_view frame;
+  while (wire::decode_frame(bytes.data() + off, bytes.size() - off,
+                            {kTrialRecordPayload, kTrialRecordPayload},
+                            frame) == wire::decode_status::ok) {
+    in.push_back(decode_trial_record(frame.payload));
+    off += frame.frame_bytes;
+  }
+  EXPECT_EQ(off, bytes.size());  // no undecodable tail
+  ASSERT_EQ(in.size(), 2u);
+  EXPECT_EQ(in[0].trial, out.trial);
+  EXPECT_EQ(in[0].result.stabilized, out.result.stabilized);
+  EXPECT_EQ(in[0].result.steps, out.result.steps);
+  EXPECT_EQ(in[0].result.leader, out.result.leader);
+  EXPECT_EQ(in[0].result.distinct_states_used, out.result.distinct_states_used);
+  EXPECT_EQ(in[1].trial, 3u);
+  EXPECT_FALSE(in[1].result.stabilized);
 }
 
 // The core determinism contract on the per-interaction tuned engine: for
@@ -149,8 +142,8 @@ TEST(FleetRun, MergesPerTrialResultsByIndex) {
   const rng seed_gen = rng(11).fork(2);
   const trial_fn fn = [&](std::uint64_t, rng gen) { return runner.run(gen); };
 
-  const auto serial = fleet_run(12, seed_gen, fn, 1);
-  const auto fleet = fleet_run(12, seed_gen, fn, 5);
+  const auto serial = serial_sweep(12, seed_gen, fn);
+  const auto fleet = supervised_fleet_run(12, seed_gen, fn, 5, {});
   ASSERT_EQ(serial.size(), fleet.size());
   for (std::size_t t = 0; t < serial.size(); ++t) {
     EXPECT_EQ(serial[t].steps, fleet[t].steps) << "trial " << t;
@@ -169,23 +162,28 @@ TEST(FleetRun, WellmixedSweepIsByteIdenticalToSerial) {
 
   const auto serial =
       measure_election_wellmixed(proto, n, trials, rng(5).fork(2));
-  const auto fleet =
-      measure_election_fleet_wellmixed(proto, n, trials, rng(5).fork(2), {}, 4);
-  expect_same_summary(fleet, serial);
-
   // The 3σ gate of the acceptance criteria, kept explicit in case the
-  // byte-identity above is ever intentionally relaxed.
+  // byte-identity below is ever intentionally relaxed.
   const double se = serial.steps.stddev / std::sqrt(static_cast<double>(trials));
-  EXPECT_LE(std::fabs(fleet.steps.mean - serial.steps.mean),
-            3.0 * std::max(se, 1e-9));
+  const wellmixed_sweep<fast_protocol> sweep(proto, n);
+  for (const int jobs : {2, 3, 4}) {
+    const auto fleet =
+        measure_election_fleet(sweep, trials, rng(5).fork(2), {}, jobs);
+    expect_same_summary(fleet, serial);
+    EXPECT_LE(std::fabs(fleet.steps.mean - serial.steps.mean),
+              3.0 * std::max(se, 1e-9));
+  }
 }
 
+// A trial that always throws kills its worker on every respawn; once the
+// retry budget is spent the supervisor runs it inline, and the trial's own
+// exception reaches the caller.
 TEST(FleetRun, WorkerFailurePropagates) {
   const trial_fn fn = [](std::uint64_t t, rng) -> election_result {
     if (t >= 2) throw std::runtime_error("injected trial failure");
     return {};
   };
-  EXPECT_THROW(fleet_run(4, rng(1), fn, 2), std::logic_error);
+  EXPECT_THROW(supervised_fleet_run(4, rng(1), fn, 2, {}), std::runtime_error);
 }
 
 TEST(FleetRun, MoreJobsThanTrialsIsCapped) {
@@ -195,7 +193,7 @@ TEST(FleetRun, MoreJobsThanTrialsIsCapped) {
     r.steps = t;
     return r;
   };
-  const auto results = fleet_run(3, rng(1), fn, 8);
+  const auto results = supervised_fleet_run(3, rng(1), fn, 8, {});
   ASSERT_EQ(results.size(), 3u);
   for (std::uint64_t t = 0; t < 3; ++t) EXPECT_EQ(results[t].steps, t);
 }
@@ -208,15 +206,10 @@ TEST(Manifest, RoundTripsThroughDisk) {
   m.jobs = 4;
   m.max_steps = 123456789;
   m.wellmixed_batch = 77;
+  m.scheduler = scheduler_kind::silent;
   const std::string path = testing::TempDir() + "/fleet_manifest.txt";
   write_manifest(m, path);
-  const worker_manifest r = read_manifest(path);
-  EXPECT_EQ(r.artifact_path, m.artifact_path);
-  EXPECT_EQ(r.seed, m.seed);
-  EXPECT_EQ(r.trials, m.trials);
-  EXPECT_EQ(r.jobs, m.jobs);
-  EXPECT_EQ(r.max_steps, m.max_steps);
-  EXPECT_EQ(r.wellmixed_batch, m.wellmixed_batch);
+  EXPECT_EQ(read_manifest(path), m);
   std::remove(path.c_str());
 
   EXPECT_THROW(read_manifest("/nonexistent/fleet/manifest"), std::invalid_argument);
@@ -226,6 +219,11 @@ TEST(Manifest, RoundTripsThroughDisk) {
   ASSERT_NE(f, nullptr);
   std::fputs("definitely not a manifest\n", f);
   std::fclose(f);
+  EXPECT_THROW(read_manifest(junk), std::invalid_argument);
+  // So is a file past the 64 KiB cap, however well-formed its lines.
+  worker_manifest huge = m;
+  huge.artifact_path = std::string(70'000, 'p');
+  write_manifest(huge, junk);
   EXPECT_THROW(read_manifest(junk), std::invalid_argument);
   std::remove(junk.c_str());
 }
@@ -243,6 +241,137 @@ TEST(Manifest, OutOfRangeValuesAreRejectedNotWrapped) {
     EXPECT_THROW(read_manifest(path), std::invalid_argument) << bad;
     std::remove(path.c_str());
   }
+}
+
+namespace {
+
+std::string read_file(const std::string& path) {
+  std::string bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr) << path;
+  if (f == nullptr) return bytes;
+  char buf[4096];
+  std::size_t got = 0;
+  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, got);
+  std::fclose(f);
+  return bytes;
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr) << path;
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
+
+}  // namespace
+
+// The artifact line of these manifests is 4096-4105 bytes with its newline,
+// so it straddles any 4 KiB line buffer: the path must come back whole.
+TEST(Manifest, LongArtifactPathsRoundTripExactly) {
+  const std::string path = testing::TempDir() + "/fleet_long_manifest.txt";
+  for (std::size_t length = 4086; length <= 4095; ++length) {
+    worker_manifest m;
+    m.artifact_path = std::string(length, 'p');
+    m.seed = 5;
+    m.trials = 3;
+    write_manifest(m, path);
+    const worker_manifest r = read_manifest(path);
+    EXPECT_EQ(r.artifact_path.size(), length);
+    EXPECT_EQ(r, m) << length << "-byte path";
+  }
+  std::remove(path.c_str());
+}
+
+// Seeded corruption of a valid manifest: every bit flip, byte overwrite,
+// truncation and line splice must either be rejected with
+// std::invalid_argument or parse to a manifest that survives another
+// write -> read unchanged — never a crash, another exception type, or a
+// value the writer cannot reproduce (such as a path with a NUL in it).
+TEST(Manifest, SeededMutationsAreRejectedOrRoundTrip) {
+  worker_manifest m;
+  m.artifact_path = "/tmp/mutated artifact.ppaf";
+  m.seed = 0x1234abcdull;
+  m.trials = 48;
+  m.jobs = 3;
+  m.max_steps = 987654321;
+  m.wellmixed_batch = 16;
+  m.scheduler = scheduler_kind::silent;
+  const std::string valid_path = testing::TempDir() + "/fleet_valid_manifest.txt";
+  const std::string path = testing::TempDir() + "/fleet_mutated_manifest.txt";
+  const std::string again = testing::TempDir() + "/fleet_rewritten_manifest.txt";
+  write_manifest(m, valid_path);
+  const std::string valid = read_file(valid_path);
+  std::vector<std::string> lines;
+  for (std::size_t start = 0; start < valid.size();) {
+    const std::size_t end = valid.find('\n', start);
+    lines.push_back(valid.substr(start, end + 1 - start));
+    start = end + 1;
+  }
+
+  rng gen(2024);
+  std::size_t rejected = 0;
+  std::size_t accepted = 0;
+  for (int i = 0; i < 4000; ++i) {
+    std::string bytes = valid;
+    switch (i % 4) {
+      case 0: {  // flip 1-3 random bits
+        const std::uint64_t flips = 1 + gen.uniform_below(3);
+        for (std::uint64_t k = 0; k < flips; ++k) {
+          const std::uint64_t bit = gen.uniform_below(bytes.size() * 8);
+          bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+        }
+        break;
+      }
+      case 1: {  // overwrite one byte with NUL, a separator or a random byte
+        const char picks[] = {'\0', '\n', '=', '\r',
+                              static_cast<char>(gen.uniform_below(256))};
+        bytes[gen.uniform_below(bytes.size())] = picks[gen.uniform_below(5)];
+        break;
+      }
+      case 2:  // truncate anywhere, including mid-line
+        bytes.resize(gen.uniform_below(bytes.size() + 1));
+        break;
+      default: {  // splice: one random line, dropped, duplicated or moved
+        std::vector<std::string> spliced = lines;
+        const std::size_t from = gen.uniform_below(spliced.size());
+        const std::size_t to = gen.uniform_below(spliced.size() + 1);
+        const std::string line = spliced[from];
+        switch (gen.uniform_below(3)) {
+          case 0:
+            spliced.erase(spliced.begin() + static_cast<std::ptrdiff_t>(from));
+            break;
+          case 1:
+            spliced.insert(spliced.begin() + static_cast<std::ptrdiff_t>(to), line);
+            break;
+          default:
+            spliced.erase(spliced.begin() + static_cast<std::ptrdiff_t>(from));
+            spliced.insert(spliced.begin() + static_cast<std::ptrdiff_t>(
+                                                 std::min(to, spliced.size())),
+                           line);
+        }
+        bytes.clear();
+        for (const std::string& l : spliced) bytes += l;
+      }
+    }
+    write_file(path, bytes);
+    worker_manifest parsed;
+    try {
+      parsed = read_manifest(path);
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    write_manifest(parsed, again);
+    EXPECT_EQ(read_manifest(again), parsed) << "mutation " << i;
+  }
+  // Both outcomes occur, so neither branch is vacuous.
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(accepted, 0u);
+  std::remove(valid_path.c_str());
+  std::remove(path.c_str());
+  std::remove(again.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -458,7 +587,7 @@ void expect_same_results(const std::vector<election_result>& a,
 
 TEST(Supervisor, CleanSweepMatchesSerial) {
   const rng seed_gen = rng(31).fork(2);
-  const auto serial = fleet_run(17, seed_gen, synthetic_trial, 1);
+  const auto serial = serial_sweep(17, seed_gen, synthetic_trial);
   const auto supervised =
       supervised_fleet_run(17, seed_gen, synthetic_trial, 3, {});
   expect_same_results(serial, supervised);
@@ -466,7 +595,7 @@ TEST(Supervisor, CleanSweepMatchesSerial) {
 
 TEST(Supervisor, RecoversFromEveryFaultKindByteIdentically) {
   const rng seed_gen = rng(33).fork(2);
-  const auto serial = fleet_run(17, seed_gen, synthetic_trial, 1);
+  const auto serial = serial_sweep(17, seed_gen, synthetic_trial);
 
   // drop and garbage are socket-first faults (fleet/net.h) but must recover
   // on pipes too: drop degrades to an early EOF, garbage to a checksum-
@@ -494,7 +623,7 @@ TEST(Supervisor, RecoversFromEveryFaultKindByteIdentically) {
 TEST(Supervisor, JournalsEveryTrialAndResumeSkipsCompletedOnes) {
   const rng seed_gen = rng(35).fork(2);
   const std::uint64_t trials = 15;
-  const auto serial = fleet_run(trials, seed_gen, synthetic_trial, 1);
+  const auto serial = serial_sweep(trials, seed_gen, synthetic_trial);
   const std::string path = testing::TempDir() + "/supervisor_resume.ppaj";
 
   // Journal only the first 9 trials, as if the sweep was killed there.
@@ -532,7 +661,7 @@ TEST(Supervisor, JournalsEveryTrialAndResumeSkipsCompletedOnes) {
 TEST(Supervisor, CorruptedJournalRecordReRunsThatTrial) {
   const rng seed_gen = rng(37).fork(2);
   const std::uint64_t trials = 12;
-  const auto serial = fleet_run(trials, seed_gen, synthetic_trial, 1);
+  const auto serial = serial_sweep(trials, seed_gen, synthetic_trial);
   const std::string path = testing::TempDir() + "/supervisor_rot.ppaj";
   {
     journal_writer writer(path, journal_header{37, trials}, /*resume=*/false);
@@ -553,7 +682,7 @@ TEST(Supervisor, CorruptedJournalRecordReRunsThatTrial) {
 
 TEST(Supervisor, ExhaustedRetryBudgetDegradesToInlineAndCompletes) {
   const rng seed_gen = rng(39).fork(2);
-  const auto serial = fleet_run(14, seed_gen, synthetic_trial, 1);
+  const auto serial = serial_sweep(14, seed_gen, synthetic_trial);
   supervise_options options;
   options.max_retries = 0;  // the first failure exhausts the budget
   options.faults = {{fault_kind::sigkill, 0, 1}};
@@ -566,7 +695,7 @@ TEST(Supervisor, RespawnedWorkersRunCleanSoOneSpecIsOneFailure) {
   // With a nonzero retry budget and a fault on every slot, every slot fails
   // once, respawns clean, and the sweep still completes without degrading.
   const rng seed_gen = rng(41).fork(2);
-  const auto serial = fleet_run(13, seed_gen, synthetic_trial, 1);
+  const auto serial = serial_sweep(13, seed_gen, synthetic_trial);
   supervise_options options;
   options.max_retries = 2;
   options.faults = {{fault_kind::exit, 0, 0}, {fault_kind::sigkill, 1, 2}};
@@ -601,9 +730,9 @@ TEST(Supervisor, InvalidOptionsAreRejected) {
 #ifdef PP_POPSIM_CLI
 
 // End-to-end exec-mode sweep: save a real artifact, write a manifest, spawn
-// `popsim --worker` subprocesses, and compare the merged records to the
-// serial sweep — the same protocol CI's fleet-determinism step drives
-// through the CLI.
+// `popsim --worker` subprocesses under the supervisor, and compare the
+// merged records to the serial sweep — the same protocol CI's
+// fleet-determinism step drives through the CLI.
 TEST(SpawnWorkers, CliWorkersMatchSerialSweep) {
   const graph g = make_cycle(300);
   const fast_protocol proto(fast_params::practical(
@@ -622,16 +751,24 @@ TEST(SpawnWorkers, CliWorkersMatchSerialSweep) {
   const std::string manifest_path = testing::TempDir() + "/fleet_sweep.manifest";
   write_manifest(m, manifest_path);
 
-  const auto fleet = spawn_worker_sweep(PP_POPSIM_CLI, manifest_path, m);
-  const auto serial = fleet_run(
+  const auto fleet = supervised_spawn_sweep(PP_POPSIM_CLI, manifest_path, m, {});
+  const auto serial = serial_sweep(
       m.trials, rng(m.seed).fork(2),
-      [&](std::uint64_t, rng gen) { return runner.run(gen); }, 1);
-  ASSERT_EQ(fleet.size(), serial.size());
-  for (std::size_t t = 0; t < serial.size(); ++t) {
-    EXPECT_EQ(serial[t].steps, fleet[t].steps) << "trial " << t;
-    EXPECT_EQ(serial[t].leader, fleet[t].leader) << "trial " << t;
-    EXPECT_EQ(serial[t].stabilized, fleet[t].stabilized) << "trial " << t;
-  }
+      [&](std::uint64_t, rng gen) { return runner.run(gen); });
+  expect_same_results(serial, fleet);
+
+  // The worker takes only the supervisor's explicit BASE COUNT form: a bare
+  // `--worker MANIFEST INDEX` is a usage error that runs nothing and leaves
+  // stdout (the record stream) empty.
+  const std::string stdout_path = testing::TempDir() + "/fleet_worker_stdout";
+  const int status = std::system((std::string(PP_POPSIM_CLI) + " --worker " +
+                                  manifest_path + " 0 > " + stdout_path +
+                                  " 2>/dev/null")
+                                     .c_str());
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 2);
+  EXPECT_EQ(read_file(stdout_path), "");
+  std::remove(stdout_path.c_str());
   std::remove(artifact_path.c_str());
   std::remove(manifest_path.c_str());
 }
@@ -661,20 +798,23 @@ TEST(SpawnWorkers, SupervisedCliWorkersRecoverFromSigkill) {
   options.faults = {{fault_kind::sigkill, 1, 1}};
   const auto fleet =
       supervised_spawn_sweep(PP_POPSIM_CLI, manifest_path, m, options);
-  const auto serial = fleet_run(
+  const auto serial = serial_sweep(
       m.trials, rng(m.seed).fork(2),
-      [&](std::uint64_t, rng gen) { return runner.run(gen); }, 1);
+      [&](std::uint64_t, rng gen) { return runner.run(gen); });
   expect_same_results(serial, fleet);
   std::remove(artifact_path.c_str());
   std::remove(manifest_path.c_str());
 }
 
+// Every launch fails, the retry budget runs out, and with no inline fallback
+// the sweep throws instead of returning partial results.
 TEST(SpawnWorkers, MissingWorkerBinaryFailsLoudly) {
   worker_manifest m;
   m.artifact_path = "/nonexistent.ppaf";
   m.trials = 2;
   m.jobs = 1;
-  EXPECT_THROW(spawn_worker_sweep("/nonexistent/popsim", "/nonexistent/manifest", m),
+  EXPECT_THROW(supervised_spawn_sweep("/nonexistent/popsim",
+                                      "/nonexistent/manifest", m, {}),
                std::logic_error);
 }
 

@@ -129,9 +129,10 @@ class RemoteSweep : public ::testing::Test {
     manifest_.artifact_path = artifact_path_;
     manifest_.seed = 41;
     manifest_.trials = 12;
-    serial_ = fleet_run(
-        manifest_.trials, rng(manifest_.seed).fork(2),
-        [&](std::uint64_t, rng gen) { return runner_->run(gen); }, 1);
+    const rng seed_gen = rng(manifest_.seed).fork(2);
+    for (std::uint64_t t = 0; t < manifest_.trials; ++t) {
+      serial_.push_back(runner_->run(seed_gen.fork(t)));
+    }
   }
 
   void TearDown() override { std::remove(artifact_path_.c_str()); }
