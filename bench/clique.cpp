@@ -43,7 +43,7 @@ void run() {
 
     const fast_protocol fast(fast_params::practical(g, b_measured));
     // Compiled engine: same fork(t) seeds, identical results, ~5x the rate.
-    const auto fast_s = measure_election_fast(fast, g, trials, seed.fork(stream++));
+    const auto fast_s = measure_election_tuned(fast, g, trials, seed.fork(stream++));
 
     const id_protocol ident(id_protocol::suggested_k(n));
     const auto id_s = measure_election(ident, g, trials, seed.fork(stream++));

@@ -58,9 +58,9 @@ fast_params bench_fast_params(const graph& g) {
 // Times the steady-state step rate of both paths on the same seeded run.
 // Each path executes the run twice and the second execution is timed: for
 // the engine that amortises the one-time table/endpoint-array construction
-// exactly as measure_election_fast does across the trials of a sweep, and
-// both paths get equally warm caches.  The untimed first executions double
-// as the end-to-end equivalence check.
+// exactly as a sweep's shared table does across its trials, and both paths
+// get equally warm caches.  The untimed first executions double as the
+// end-to-end equivalence check.
 template <typename P>
 cell run_cell(const std::string& protocol, const std::string& graph_name,
               const P& proto, const graph& g, std::uint64_t max_steps,

@@ -71,7 +71,7 @@ void run() {
     // per interned state id instead of a hash-set probe per step.
     const auto census = run_until_stable_fast(proto, g, seed.fork(stream++),
                                               {.max_steps = UINT64_MAX, .state_census = true});
-    const auto s = measure_election_fast(proto, g, trials, seed.fork(stream++));
+    const auto s = measure_election_tuned(proto, g, trials, seed.fork(stream++));
 
     const double time_shape = bounds::corollary25_shape(n, phi);
     const double state_shape = bounds::corollary25_state_shape(n, phi);

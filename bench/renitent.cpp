@@ -40,7 +40,7 @@ void lemma38_sweep() {
     const auto b = estimate_worst_case_broadcast_time(g, bench::scaled(30), 8,
                                                       seed.fork(stream++));
     const fast_protocol proto(fast_params::practical(g, b.value));
-    const auto s = measure_election_fast(proto, g, trials, seed.fork(stream++));
+    const auto s = measure_election_tuned(proto, g, trials, seed.fork(stream++));
 
     ells.push_back(static_cast<double>(ell));
     broadcast.push_back(b.value);
@@ -74,7 +74,7 @@ void theorem39_instance() {
   const auto b = estimate_worst_case_broadcast_time(g, bench::scaled(30), 8,
                                                     seed.fork(1));
   const fast_protocol proto(fast_params::practical(g, b.value));
-  const auto s = measure_election_fast(proto, g, bench::scaled(6), seed.fork(2));
+  const auto s = measure_election_tuned(proto, g, bench::scaled(6), seed.fork(2));
 
   // Theorem 39 promises Θ(T(n)) at the size n of the *constructed* graph.
   const double n_total = static_cast<double>(g.num_nodes());

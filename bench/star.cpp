@@ -26,6 +26,7 @@
 //      class-flip walks up front and the zero-delta fast path afterwards.
 //
 // Emits BENCH_star.json next to the tables.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -82,21 +83,14 @@ struct rate {
   std::uint64_t trials = 0;
 };
 
-// Times run(t) for increasing t until both floors are met; the per-election
-// rate divides out the trial count, so reference and engine can use
-// different trial budgets.
+// Times run(t) for t < trials.  The count is fixed, not a time floor, so the
+// JSON's trial counts do not follow host speed; the per-election rate
+// divides it out, so reference and engine can use different trial budgets.
 template <typename RunFn>
-rate time_elections(RunFn&& run, double min_seconds, std::uint64_t min_trials) {
+rate time_elections(RunFn&& run, std::uint64_t trials) {
   bench::stopwatch clock;
-  std::uint64_t t = 0;
-  double elapsed = 0;
-  while (t < min_trials || elapsed < min_seconds) {
-    run(t);
-    ++t;
-    elapsed = clock.seconds();
-    if (t >= 200000) break;  // hard cap: keep degenerate hosts bounded
-  }
-  return {static_cast<double>(t) / elapsed, t};
+  for (std::uint64_t t = 0; t < trials; ++t) run(t);
+  return {static_cast<double>(trials) / clock.seconds(), trials};
 }
 
 struct star_cell {
@@ -110,11 +104,17 @@ struct star_cell {
   }
 };
 
+// Trial counts shrink with n so every cell costs about the same (~10⁷ node
+// visits on the reference side, ~10⁸ on the engine side: 100 and 1000 trials
+// at n = 10⁵), floored at 20.
 star_cell star_elections(node_id n, std::uint64_t seed) {
   const star_protocol proto;
   const graph g = make_star(n);
   star_cell c;
   c.n = n;
+  const auto trials = [&](std::uint64_t visits) {
+    return std::max<std::uint64_t>(20, visits / static_cast<std::uint64_t>(n));
+  };
 
   rng ref_seed(seed);
   const auto ref = time_elections(
@@ -122,7 +122,7 @@ star_cell star_elections(node_id n, std::uint64_t seed) {
         const auto r = run_until_stable(proto, g, ref_seed.fork(t));
         if (!r.stabilized || r.steps != 1) std::abort();  // Table 1 broken
       },
-      0.25, 20);
+      trials(10'000'000));
   c.ref_per_sec = ref.per_sec;
   c.ref_trials = ref.trials;
 
@@ -133,7 +133,7 @@ star_cell star_elections(node_id n, std::uint64_t seed) {
         const auto r = runner.run(eng_seed.fork(t));
         if (!r.stabilized || r.steps != 1) std::abort();
       },
-      0.25, 20);
+      trials(100'000'000));
   c.engine_per_sec = engine.per_sec;
   c.engine_trials = engine.trials;
   return c;

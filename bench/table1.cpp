@@ -61,7 +61,7 @@ void run() {
       // Compiled engine: identical seeded results at ~5x the step rate.
       const auto census = run_until_stable_fast(proto, g, seed.fork(stream++),
                                                 {.max_steps = UINT64_MAX, .state_census = true});
-      const auto s = measure_election_fast(proto, g, trials, seed.fork(stream++));
+      const auto s = measure_election_tuned(proto, g, trials, seed.fork(stream++));
       const double shape = b_measured * log_n;
       table.add_row({setup.name, format_number(n), "fast (Thm 24)",
                      format_number(s.steps.mean),

@@ -55,7 +55,7 @@ agreement_cell run_agreement(node_id n, int trials, std::uint64_t seed) {
   const fast_protocol proto(fast_params::practical_clique(static_cast<std::uint64_t>(n)));
   const graph g = make_clique(n);
 
-  const auto engine = measure_election_fast(proto, g, trials, rng(seed));
+  const auto engine = measure_election_tuned(proto, g, trials, rng(seed));
   const auto wm = measure_election_wellmixed(
       proto, static_cast<std::uint64_t>(n), trials, rng(seed + 1));
   c.engine_mean = engine.steps.mean;

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   std::printf("broadcast time B ~ %.0f (= %.2f · n²/2)\n", b, b / (nn * nn / 2.0));
 
   const pp::fast_protocol fast(pp::fast_params::practical(g, b));
-  const auto fast_s = pp::measure_election_fast(fast, g, 6, seed.fork(1001));
+  const auto fast_s = pp::measure_election_tuned(fast, g, 6, seed.fork(1001));
   std::printf("fast protocol (Thm 24): %.0f steps = %.1f·B = %.2f·B·lg n\n",
               fast_s.steps.mean, fast_s.steps.mean / b,
               fast_s.steps.mean / (b * std::log2(nn)));

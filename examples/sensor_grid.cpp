@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
     // Compiled engine (src/engine/): same seeded results, ~5x the step rate.
     const auto census = pp::run_until_stable_fast(
         proto, g, seed.fork(1), {.max_steps = UINT64_MAX, .state_census = true});
-    const auto s = pp::measure_election_fast(proto, g, trials, seed.fork(2));
+    const auto s = pp::measure_election_tuned(proto, g, trials, seed.fork(2));
     table.add_row({"fast space-efficient (Thm 24)",
                    pp::format_number(static_cast<double>(census.distinct_states_used)),
                    pp::format_number(s.steps.mean),

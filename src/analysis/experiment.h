@@ -49,47 +49,18 @@ election_summary measure_election(const P& proto, const graph& g, int trials,
 // sweeps fall back to per-trial lazy tables — lives in engine/engine.h next
 // to the tuned_runner that shares it.
 
-// As measure_election, but on the compiled engine (src/engine/): trial t uses
-// the same seed_gen.fork(t) generator and the engine is draw-for-draw
-// equivalent to the reference simulator, so the summary is identical — only
-// faster.  When the protocol's reachable state space closes within
-// kEngineClosureBudget the compiled table is built once and shared read-only
-// across the worker threads; otherwise each trial compiles its own table
-// lazily (still fast: only pairs that occur are materialised).
-template <compilable_protocol P>
-election_summary measure_election_fast(const P& proto, const graph& g, int trials,
-                                       rng seed_gen, const sim_options& options = {},
-                                       std::size_t threads = 0) {
-  compiled_protocol<P> compiled(proto);
-  for (node_id v = 0; v < g.num_nodes(); ++v) compiled.intern(proto.initial_state(v));
-  const bool shared = compiled.close(kEngineClosureBudget);
-  const edge_endpoints edges(g);
-
-  std::vector<election_result> results(static_cast<std::size_t>(trials));
-  parallel_for(
-      static_cast<std::size_t>(trials),
-      [&](std::size_t t) {
-        if (shared) {
-          results[t] = run_compiled(compiled, edges, g, seed_gen.fork(t), options);
-        } else {
-          compiled_protocol<P> local(proto);
-          results[t] = run_compiled(local, edges, g, seed_gen.fork(t), options);
-        }
-      },
-      threads);
-  return summarize_election_results(results);
-}
-
-// As measure_election_fast, but through the tuned packed engine
+// As measure_election, but through the tuned compiled engine
 // (engine/engine.h): the vertex order (natural / BFS / RCM relabelling) and
 // the config word width are resolved once by a shared tuned_runner, and every
-// trial reuses its packed table, packed endpoint array and relabelled graph.
-// With the default tuning's natural order the summary is bit-identical to
-// measure_election_fast (and hence to the reference simulator) per seed at
-// every width; reordered runs execute the same process on an isomorphic graph
-// — initial states and leaders ride the permutation — so every statistic's
-// *distribution* is unchanged but per-seed equality is traded for 3σ
-// statistical agreement, the same contract as the well-mixed engine.
+// trial reuses its packed table, packed endpoint array and relabelled graph
+// (or, past the closure budget, compiles its own lazy table).  Trial t uses
+// the same seed_gen.fork(t) generator, and with the default tuning's natural
+// order the engine is draw-for-draw equivalent to the reference simulator,
+// so the summary is identical to measure_election per seed at every width —
+// only faster.  Reordered runs execute the same process on an isomorphic
+// graph — initial states and leaders ride the permutation — so every
+// statistic's *distribution* is unchanged but per-seed equality is traded
+// for 3σ statistical agreement, the same contract as the well-mixed engine.
 template <compilable_protocol P>
 election_summary measure_election_tuned(const tuned_runner<P>& runner,
                                         int trials, rng seed_gen,
@@ -152,7 +123,7 @@ election_result run_election_tuned(const P& proto, const graph& g, rng gen,
 // initial multiset is built once and shared by every trial, so each trial
 // costs only the O(|Λ|)-per-batch simulation; there is no graph object and
 // no Θ(n²) edge memory, which is what lets clique sweeps reach n = 10⁸.
-// Results agree with measure_election / measure_election_fast statistically
+// Results agree with measure_election / measure_election_tuned statistically
 // (bench/wellmixed.cpp pins the 3σ agreement), not per-seed — see
 // engine/wellmixed/README.md for the batching caveat.
 template <node_census_protocol P>

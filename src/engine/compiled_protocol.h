@@ -134,6 +134,75 @@ constexpr int edge_classes_of() {
   }
 }
 
+// ----------------------------------------------------------------------------
+// Packed transition entries.
+//
+// Once a table is closed, |Λ| is known, so state ids can be stored at the
+// narrowest width that holds them: u8 when |Λ| <= 256, u16 when <= 65536, u32
+// otherwise.  The per-step table load shrinks with the ids — 4 bytes (u8,
+// census delta re-encoded as four signed nibbles), 8 bytes (u16) or the
+// original 12 (u32) — and, more importantly, so does the n-word config array
+// the engine's two random touches per step land in.  packed_entry<W> mirrors
+// compiled_protocol::entry's semantics exactly: delta_nonzero() is false iff
+// the wide entry's delta word is all-zero, and delta_of(c) returns the same
+// int8 value, so a packed run declares stability on the same step as the
+// wide run (the bit-identity the engine tests pin).
+
+// Primary template: W-wide ids + the wide entry's int8 delta array (8 bytes
+// at u16, 12 at u32).  The u8 specialization below compresses further.
+template <typename W>
+struct packed_entry {
+  W a2 = 0;
+  W b2 = 0;
+  std::array<std::int8_t, kMaxCensusCounters> delta{};
+
+  bool delta_nonzero() const {
+    std::uint32_t bits;
+    static_assert(sizeof(bits) == sizeof(delta));
+    std::memcpy(&bits, delta.data(), sizeof(bits));
+    return bits != 0;
+  }
+  std::int64_t delta_of(int c) const { return delta[static_cast<std::size_t>(c)]; }
+};
+
+template <>
+struct packed_entry<std::uint8_t> {
+  std::uint8_t a2 = 0;
+  std::uint8_t b2 = 0;
+  // Census delta as four signed nibbles (counter c occupies bits [4c, 4c+4)).
+  // A zero word means "no census change" — the same test as the wide entry's
+  // delta_bits != 0, because a nibble encodes 0 iff the delta is 0.  Nibble
+  // range is checked at pack time via deltas_fit_nibble().
+  std::uint16_t delta = 0;
+
+  static bool delta_fits(int d) { return d >= -8 && d <= 7; }
+  static std::uint16_t encode_delta(
+      const std::array<std::int8_t, kMaxCensusCounters>& d) {
+    std::uint16_t word = 0;
+    for (int c = 0; c < kMaxCensusCounters; ++c) {
+      word = static_cast<std::uint16_t>(
+          word | static_cast<std::uint16_t>(
+                     (static_cast<std::uint16_t>(d[static_cast<std::size_t>(c)]) & 0xF)
+                     << (4 * c)));
+    }
+    return word;
+  }
+
+  bool delta_nonzero() const { return delta != 0; }
+  std::int64_t delta_of(int c) const {
+    // Place the nibble in a byte's high half, then sign-extend with an
+    // arithmetic shift (well-defined since C++20).
+    const auto high = static_cast<std::uint8_t>((delta >> (4 * c)) << 4);
+    return static_cast<std::int8_t>(high) >> 4;
+  }
+};
+static_assert(sizeof(packed_entry<std::uint8_t>) == 4);
+static_assert(sizeof(packed_entry<std::uint16_t>) == 8);
+static_assert(sizeof(packed_entry<std::uint32_t>) == 12);
+
+// ----------------------------------------------------------------------------
+// The compiled table.
+
 template <compilable_protocol P>
 class compiled_protocol {
  public:
@@ -210,6 +279,18 @@ class compiled_protocol {
     const entry e = table_[static_cast<std::size_t>(a) * cap_ + b];
     if (e.a2 != kNotCompiled) [[likely]] return e;
     return compile_pair(a, b);
+  }
+
+  // The engine step loop's table interface, shared with packed_table:
+  // at() is transition() in packed u32 entry form, and census marks resize
+  // as a lazy run interns new ids.
+  packed_entry<state_id> at(state_id a, state_id b) {
+    const entry e = transition(a, b);
+    return {e.a2, e.b2, e.delta};
+  }
+  void mark(std::vector<std::uint8_t>& seen, state_id id) const {
+    if (id >= seen.size()) seen.resize(num_states(), 0);
+    seen[id] = 1;
   }
 
   // Read-only transition lookup; only valid on a closed table, where every
@@ -336,72 +417,6 @@ class compiled_protocol {
   bool closed_ = false;
 };
 
-// ----------------------------------------------------------------------------
-// Packed transition entries.
-//
-// Once a table is closed, |Λ| is known, so state ids can be stored at the
-// narrowest width that holds them: u8 when |Λ| <= 256, u16 when <= 65536, u32
-// otherwise.  The per-step table load shrinks with the ids — 4 bytes (u8,
-// census delta re-encoded as four signed nibbles), 8 bytes (u16) or the
-// original 12 (u32) — and, more importantly, so does the n-word config array
-// the engine's two random touches per step land in.  packed_entry<W> mirrors
-// compiled_protocol::entry's semantics exactly: delta_nonzero() is false iff
-// the wide entry's delta word is all-zero, and delta_of(c) returns the same
-// int8 value, so a packed run declares stability on the same step as the
-// wide run (the bit-identity the engine tests pin).
-
-// Primary template: W-wide ids + the wide entry's int8 delta array (8 bytes
-// at u16, 12 at u32).  The u8 specialization below compresses further.
-template <typename W>
-struct packed_entry {
-  W a2 = 0;
-  W b2 = 0;
-  std::array<std::int8_t, kMaxCensusCounters> delta{};
-
-  bool delta_nonzero() const {
-    std::uint32_t bits;
-    static_assert(sizeof(bits) == sizeof(delta));
-    std::memcpy(&bits, delta.data(), sizeof(bits));
-    return bits != 0;
-  }
-  std::int64_t delta_of(int c) const { return delta[static_cast<std::size_t>(c)]; }
-};
-
-template <>
-struct packed_entry<std::uint8_t> {
-  std::uint8_t a2 = 0;
-  std::uint8_t b2 = 0;
-  // Census delta as four signed nibbles (counter c occupies bits [4c, 4c+4)).
-  // A zero word means "no census change" — the same test as the wide entry's
-  // delta_bits != 0, because a nibble encodes 0 iff the delta is 0.  Nibble
-  // range is checked at pack time via deltas_fit_nibble().
-  std::uint16_t delta = 0;
-
-  static bool delta_fits(int d) { return d >= -8 && d <= 7; }
-  static std::uint16_t encode_delta(
-      const std::array<std::int8_t, kMaxCensusCounters>& d) {
-    std::uint16_t word = 0;
-    for (int c = 0; c < kMaxCensusCounters; ++c) {
-      word = static_cast<std::uint16_t>(
-          word | static_cast<std::uint16_t>(
-                     (static_cast<std::uint16_t>(d[static_cast<std::size_t>(c)]) & 0xF)
-                     << (4 * c)));
-    }
-    return word;
-  }
-
-  bool delta_nonzero() const { return delta != 0; }
-  std::int64_t delta_of(int c) const {
-    // Place the nibble in a byte's high half, then sign-extend with an
-    // arithmetic shift (well-defined since C++20).
-    const auto high = static_cast<std::uint8_t>((delta >> (4 * c)) << 4);
-    return static_cast<std::int8_t>(high) >> 4;
-  }
-};
-static_assert(sizeof(packed_entry<std::uint8_t>) == 4);
-static_assert(sizeof(packed_entry<std::uint16_t>) == 8);
-static_assert(sizeof(packed_entry<std::uint32_t>) == 12);
-
 // Immutable snapshot of a closed compiled table at word width W, laid out as
 // a dense k×k array of packed entries (k = |Λ|, no capacity padding — the
 // rows sit back to back, so the table's cache footprint is exactly
@@ -442,6 +457,11 @@ class packed_table {
   }
   std::size_t num_states() const { return k_; }
   std::size_t bytes() const { return entries_.size() * sizeof(packed_entry<W>); }
+  // The engine step loop's census-mark and fill hooks, shared with the lazy
+  // compiled_protocol: the id space is closed, so the marks are sized once
+  // up front and no pair is compiled during a run.
+  void mark(std::vector<std::uint8_t>& seen, std::size_t id) const { seen[id] = 1; }
+  std::uint64_t lazy_fills() const { return 0; }
   // Raw row-major entries (k² of them, padding-free per the static_asserts
   // above) — the bytes the fleet artifact snapshots and byte-compares.
   std::span<const packed_entry<W>> entries() const { return entries_; }

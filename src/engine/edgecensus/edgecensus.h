@@ -22,8 +22,8 @@
 //
 // Cost model: a scheduler step whose transition changes no state (the
 // overwhelming majority once a star-style protocol has settled) pays nothing
-// — the zero-delta fast path of run_compiled/run_packed covers the edge
-// census too.  A step that flips a node's class pays O(deg(v)) counter
+// — the step loop's zero-delta fast path (engine.h, behind run_compiled
+// and run_packed) covers the edge census too.  A step that flips a node's class pays O(deg(v)) counter
 // updates; on bounded-degree families that is O(1), and every node flips at
 // most (kClasses - 1) times over a run of monotone protocols like
 // star_protocol, so the total maintenance cost is O(Σ deg) = O(m) per run.

@@ -1,14 +1,13 @@
 // The batched simulation engine: compiled transition tables + a branch-free
 // scheduler fast path.
 //
-// `run_until_stable_fast` computes exactly the same election_result as the
-// reference run_until_stable (same seed ⇒ same steps, leader, stabilized and
-// census — tested step-for-step in tests/test_engine.cpp) but executes each
-// scheduler step as:
+// One step loop (detail::step_loop) computes exactly the same election_result
+// as the reference run_until_stable (same seed ⇒ same steps, leader,
+// stabilized and census — tested step-for-step in tests/test_engine.cpp) but
+// executes each scheduler step as:
 //   * one buffered Lemire draw in [0, 2m) (block_rng — no call, no modulo);
-//   * two loads from the doubled endpoint arrays (orientation is part of the
-//     index, so there is no flip branch);
-//   * one 12-byte compiled-table load and two config stores;
+//   * one endpoint-pair load, resolved to the ordered pair without a branch;
+//   * one compiled-table load and two config stores;
 //   * four integer adds onto the census totals and the stability predicate,
 //     both skipped entirely on zero-delta steps (the predicate cannot flip
 //     when the totals do not move).
@@ -17,17 +16,25 @@
 // per step; bench/engine.cpp measures the resulting speedup (≥5× on the
 // fast protocol across clique / ring / dense-random graphs).
 //
-// On top of that lazy u32 path, `run_packed` + `tuned_runner` rebuild the hot
-// loop's data layout around cache locality (bench/locality.cpp measures the
-// effect; src/engine/README.md documents the layout):
-//   * config words packed to the narrowest width holding |Λ| (u8/u16/u32),
-//     with correspondingly packed 4/8/12-byte table entries (packed_table);
-//   * a single-orientation endpoint array (half the memory of the doubled
-//     one; the draw's orientation bit becomes two conditional moves);
-//   * a two-level software-prefetch pipeline: endpoint pairs a batch-lag
-//     ahead, then the two config words of each upcoming pair;
-//   * optional BFS/RCM vertex reordering (graph/reorder.h) so the two config
+// The loop is a template over its table and its endpoint layout, entered two
+// ways (src/engine/README.md documents both layouts):
+//   * run_compiled / run_until_stable_fast — the lazily filled u32 table
+//     (compiled_protocol) over the doubled edge_endpoints array, whose draw
+//     indexes the ordered pair directly; the pair line is prefetched a
+//     batch-lag ahead;
+//   * run_packed, served by tuned_runner — a closed table packed to the
+//     narrowest width holding |Λ| (u8/u16/u32, packed_table) over the
+//     single-orientation packed_endpoints array (half the memory of the
+//     doubled one; the draw's orientation bit becomes two conditional
+//     moves), with a two-level software-prefetch pipeline (endpoint pairs a
+//     batch-lag ahead, then the two config words of each upcoming pair) and
+//     optional BFS/RCM vertex reordering (graph/reorder.h) so the two config
 //     touches of mesh-like families land on nearby cache lines.
+// The doubled layout stays as the lazy path's own: it is the baseline that
+// bench/locality.cpp's packed+RCM gate divides by and a rung of the
+// perfbench engine ladder, and moving the lazy path onto packed endpoints
+// would leave that gate measuring little but the reordering.
+//
 // At equal (seed, graph, natural order) a packed run is bit-identical to
 // run_compiled at every width — tests/test_engine_packed.cpp pins u8/u16/u32
 // against the reference.  Reordered runs execute the identical process on an
@@ -42,6 +49,7 @@
 #include <limits>
 #include <mutex>
 #include <optional>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -59,22 +67,121 @@
 
 namespace pp {
 
+// Endpoint layouts.  Each hands the step loop a `reader` — a by-value view
+// whose base pointer and edge count stay in registers across the loop's byte
+// stores — that maps a draw k ∈ [0, 2m) to its ordered pair (the same
+// pick-to-interaction mapping as edge_scheduler::next) and emits the
+// layout's prefetches over the pick batch.  Prefetches are loads and hints
+// only, so the executed trajectory is untouched; prefetching a config word
+// that an intervening step overwrites is harmless (the real load at step
+// time sees the stored value).  prefetch() is always_inline because GCC
+// otherwise may judge the out-of-line call side-effect free (a prefetch
+// writes nothing) and delete it, prefetches included.
+
 // The doubled edge list as one flat array of ordered pairs: index k < m is
 // edge k in its stored orientation, k in [m, 2m) is edge k - m flipped.  A
-// scheduler draw in [0, 2m) maps straight to pairs[k] — the same
-// pick-to-interaction mapping as edge_scheduler::next, made branch-free (no
+// scheduler draw in [0, 2m) maps straight to pairs[k] — branch-free (no
 // modulo, no orientation flip) and one cache line per step instead of two.
 struct edge_endpoints {
   explicit edge_endpoints(const graph& g);
 
   std::vector<interaction> pairs;  // size 2m
   std::uint64_t doubled() const { return static_cast<std::uint64_t>(pairs.size()); }
+
+  // Prefetches the pair line kAhead steps early.
+  struct reader {
+    static constexpr std::size_t kAhead = 16;
+    const interaction* pairs;
+    std::uint64_t two_m;
+
+    std::uint64_t draws() const { return two_m; }
+    template <typename W>
+    [[gnu::always_inline]] void prefetch(const std::uint64_t* picks,
+                                         std::size_t i, std::size_t len,
+                                         const W*) const {
+      if (i + kAhead < len) {
+        __builtin_prefetch(&pairs[picks[i + kAhead]], /*rw=*/0, /*locality=*/1);
+      }
+    }
+    std::pair<std::size_t, std::size_t> at(std::uint64_t k) const {
+      const interaction it = pairs[k];
+      return {static_cast<std::size_t>(it.initiator),
+              static_cast<std::size_t>(it.responder)};
+    }
+  };
+  reader step_reader() const { return {pairs.data(), doubled()}; }
+};
+
+// Single-orientation endpoint array at node word width N (u16 when n fits,
+// u32 otherwise).  Each edge is stored once in its canonical u < v
+// orientation; the reader folds the orientation half of the scheduler draw
+// k ∈ [0, 2m) into two conditional moves (k >= m swaps the endpoints), which
+// halves the randomly-accessed endpoint working set relative to
+// edge_endpoints' doubled array — the dominant term on sparse graphs, where
+// the pair array is 4×–8× the config array.
+template <typename N>
+struct packed_endpoints {
+  struct pair_type {
+    N a;
+    N b;
+  };
+
+  explicit packed_endpoints(const graph& g) {
+    expects(g.num_edges() >= 1,
+            "packed_endpoints: graph must have at least one edge");
+    expects(static_cast<std::uint64_t>(g.num_nodes() - 1) <=
+                static_cast<std::uint64_t>(std::numeric_limits<N>::max()),
+            "packed_endpoints: node ids do not fit the word width");
+    pairs.reserve(static_cast<std::size_t>(g.num_edges()));
+    for (const edge& e : g.edges()) {
+      pairs.push_back({static_cast<N>(e.u), static_cast<N>(e.v)});
+    }
+  }
+
+  std::vector<pair_type> pairs;  // size m, stored (u < v) orientation
+  std::size_t bytes() const { return pairs.size() * sizeof(pair_type); }
+
+  // Two-level prefetch pipeline: the pair line is requested kPairAhead steps
+  // early; once it has (likely) arrived — kConfAhead steps out — it is loaded
+  // and the two config words it names are requested in turn.
+  struct reader {
+    static constexpr std::size_t kPairAhead = 16;
+    static constexpr std::size_t kConfAhead = 8;
+    const pair_type* pairs;
+    std::uint64_t m;
+
+    std::uint64_t draws() const { return 2 * m; }
+    template <typename W>
+    [[gnu::always_inline]] void prefetch(const std::uint64_t* picks,
+                                         std::size_t i, std::size_t len,
+                                         const W* config) const {
+      if (i + kPairAhead < len) {
+        const std::uint64_t k = picks[i + kPairAhead];
+        __builtin_prefetch(&pairs[k >= m ? k - m : k], /*rw=*/0, /*locality=*/1);
+      }
+      if (i + kConfAhead < len) {
+        const std::uint64_t k = picks[i + kConfAhead];
+        // Orientation is irrelevant for the hint: both config words are
+        // touched either way.
+        const auto pr = pairs[k >= m ? k - m : k];
+        __builtin_prefetch(&config[pr.a], /*rw=*/1, /*locality=*/1);
+        __builtin_prefetch(&config[pr.b], /*rw=*/1, /*locality=*/1);
+      }
+    }
+    std::pair<std::size_t, std::size_t> at(std::uint64_t k) const {
+      const bool flip = k >= m;
+      const auto pr = pairs[flip ? k - m : k];
+      return {static_cast<std::size_t>(flip ? pr.b : pr.a),
+              static_cast<std::size_t>(flip ? pr.a : pr.b)};
+    }
+  };
+  reader step_reader() const { return {pairs.data(), pairs.size()}; }
 };
 
 // Smallest-id node with leader output in `config` — original ids when
 // `old_of_new` is given (reordered runs), run-graph ids otherwise.  Shared by
-// run_compiled and run_packed so the two epilogues cannot drift apart and
-// silently break their bit-identity contract.
+// the step loop and run_silent so their epilogues cannot drift apart and
+// silently break the bit-identity contract.
 template <typename W, typename OutputFn>
 node_id elected_leader(const std::vector<W>& config, OutputFn&& output,
                        const std::vector<node_id>* old_of_new) {
@@ -129,262 +236,13 @@ node_id elected_leader_compiled(const std::vector<W>& config,
       config, [&](W id) { return compiled.output(id); }, old_of_new);
 }
 
-// Runs one election on a prepared compiled table and endpoint arrays.
-// `compiled` fills lazily during the run; if it is closed() the run never
-// mutates it, so a single closed table (and one edge_endpoints) can be shared
-// by concurrent trials of a parameter sweep.
-//
-// `old_of_new`, when given, maps the run's node ids back to the caller's
-// (pre-relabelling) ids: node v starts in initial_state(old_of_new[v]) and
-// the reported leader is the smallest *original* id with leader output, so a
-// run on a relabelled graph is the exact original process under an
-// isomorphism.  nullptr (the default) leaves behaviour — and the PR 2
-// bit-identity with the reference simulator — untouched.
-//
-// `probe` (obs/probe.h) collects phase telemetry when Probe::enabled; with
-// the default null_probe every hook is an `if constexpr` dead branch, so the
-// instrumented loop compiles to the uninstrumented one.  Probes only read
-// the run — they never alter the draw stream, the stopping step or the
-// result (the zero-cost/determinism contract bench/obs.cpp and
-// tests/test_obs.cpp enforce).
-template <compilable_protocol P, typename Probe = obs::null_probe>
-election_result run_compiled(compiled_protocol<P>& compiled,
-                             const edge_endpoints& edges, const graph& g,
-                             rng gen, const sim_options& options = {},
-                             const std::vector<node_id>* old_of_new = nullptr,
-                             [[maybe_unused]] Probe* probe = nullptr) {
-  using traits = census_model_t<P>;
-  constexpr bool kEdgeCensus = edge_census_protocol<P>;
-  const P& proto = compiled.protocol();
-  const node_id n = g.num_nodes();
-  expects(edges.doubled() == 2 * static_cast<std::uint64_t>(g.num_edges()),
-          "run_compiled: endpoint arrays do not match the graph");
-  expects(g.num_edges() >= 1, "run_compiled: graph must have at least one edge");
-  expects(old_of_new == nullptr ||
-              old_of_new->size() == static_cast<std::size_t>(n),
-          "run_compiled: node map does not match the graph");
-
-  std::vector<std::uint32_t> config(static_cast<std::size_t>(n));
-  std::int64_t totals[kMaxCensusCounters] = {};
-  for (node_id v = 0; v < n; ++v) {
-    const node_id src = old_of_new ? (*old_of_new)[static_cast<std::size_t>(v)] : v;
-    const auto id = compiled.intern(proto.initial_state(src));
-    config[static_cast<std::size_t>(v)] = id;
-    const auto& c = compiled.contribution(id);
-    for (int i = 0; i < traits::kCounters; ++i) totals[i] += c[static_cast<std::size_t>(i)];
-  }
-
-  // Edge-census protocols track a class byte per node and the per-class-pair
-  // edge counters alongside the node totals; stability is the traits' joint
-  // predicate over both.  Counter-shaped protocols skip all of it (constexpr).
-  edge_class_census ecensus;
-  const graph_rows rows{&g};
-  if constexpr (kEdgeCensus) {
-    std::vector<std::uint8_t> cls(static_cast<std::size_t>(n));
-    for (node_id v = 0; v < n; ++v) {
-      cls[static_cast<std::size_t>(v)] =
-          compiled.state_class(config[static_cast<std::size_t>(v)]);
-    }
-    ecensus.reset(cls, g.edges());
-  }
-  if constexpr (Probe::enabled) {
-    expects(probe != nullptr, "run_compiled: enabled probe type needs a probe");
-  }
-  [[maybe_unused]] const std::uint64_t fills_at_start = compiled.lazy_fills();
-  const auto stable_now = [&] {
-    if constexpr (Probe::enabled) probe->on_predicate_evals(1);
-    if constexpr (kEdgeCensus) {
-      return traits::stable(totals, ecensus.pairs());
-    } else {
-      return traits::stable(totals);
-    }
-  };
-
-  // With the census on, distinct states are a byte-mark per interned id:
-  // every id ever written into `config` gets marked, which is exactly the
-  // set the reference simulator's unordered_set accumulates.
-  std::vector<std::uint8_t> seen;
-  const bool census = options.state_census;
-  auto mark = [&](std::uint32_t id) {
-    if (id >= seen.size()) seen.resize(compiled.num_states(), 0);
-    seen[id] = 1;
-  };
-  if (census) {
-    for (const auto id : config) mark(id);
-  }
-
-  const std::uint64_t two_m = edges.doubled();
-  const interaction* const pairs = edges.pairs.data();
-  block_rng draw(gen);
-
-  // Picks are generated a batch ahead of their use: the draw stream does not
-  // depend on the configuration, so upcoming pair-array lines can be
-  // software-prefetched while earlier steps execute, hiding the per-step
-  // cache miss on large edge lists.  The draw *order* is unchanged, so runs
-  // stay bit-identical to the reference simulator; draws generated past the
-  // stopping step are simply discarded (the generator is owned by value).
-  constexpr std::size_t kBatch = 256;
-  constexpr std::size_t kAhead = 16;
-  std::uint64_t picks[kBatch];
-
-  election_result result;
-  std::uint64_t steps = 0;
-  while (!stable_now()) {
-    if (steps >= options.max_steps) {
-      result.steps = steps;
-      if (census) {
-        for (const auto s : seen) result.distinct_states_used += s;
-      }
-      if constexpr (Probe::enabled) {
-        probe->on_table_fills(compiled.lazy_fills() - fills_at_start);
-      }
-      return result;
-    }
-    // The max_steps bound is folded into the block length, and the stability
-    // predicate is only re-evaluated after a step whose census delta is
-    // nonzero — on zero-delta steps (the overwhelming majority on
-    // sparse-token protocols) the totals cannot move, so neither the four
-    // counter adds nor the predicate run.  Edge-census protocols extend the
-    // fast path's trigger to class flips: a step that changes neither the
-    // node totals nor any node's class cannot move the pair counters either,
-    // so the joint predicate is equally skippable.  Census marks fire only
-    // for ids that actually changed: an unchanged id was marked when it was
-    // written into `config`.  All of this is observationally identical to
-    // the per-step checks (same stopping step, same marks), so seeded
-    // equivalence with the reference simulator is preserved.
-    const std::uint64_t remaining = options.max_steps - steps;
-    const std::size_t len =
-        remaining < kBatch ? static_cast<std::size_t>(remaining) : kBatch;
-    for (std::size_t i = 0; i < len; ++i) picks[i] = draw.uniform_below(two_m);
-    if constexpr (Probe::enabled) probe->on_draws(len);
-    // Step/active counts accumulate in locals and flush once per batch: a
-    // per-step read-modify-write through the probe pointer is measurable at
-    // this loop's step rate, a register add is not (bench/obs.cpp gates the
-    // enabled path at <= 10%).
-    [[maybe_unused]] const std::uint64_t probe_base = steps;
-    [[maybe_unused]] std::uint64_t probe_active = 0;
-    for (std::size_t i = 0; i < len; ++i) {
-      if (i + kAhead < len) {
-        __builtin_prefetch(&pairs[picks[i + kAhead]], /*rw=*/0, /*locality=*/1);
-      }
-      const interaction it = pairs[picks[i]];
-      const auto u = static_cast<std::size_t>(it.initiator);
-      const auto v = static_cast<std::size_t>(it.responder);
-      const auto ca = config[u];
-      const auto cb = config[v];
-      const auto e = compiled.transition(ca, cb);
-      config[u] = e.a2;
-      config[v] = e.b2;
-      ++steps;
-      if constexpr (Probe::enabled) {
-        probe_active += (e.a2 != ca || e.b2 != cb) ? 1u : 0u;
-      }
-      if (census) {
-        if (e.a2 != ca) mark(e.a2);
-        if (e.b2 != cb) mark(e.b2);
-      }
-      std::uint32_t delta_bits;
-      static_assert(sizeof(delta_bits) == sizeof(e.delta));
-      std::memcpy(&delta_bits, e.delta.data(), sizeof(delta_bits));
-      if constexpr (kEdgeCensus) {
-        bool moved = delta_bits != 0;
-        if (e.a2 != ca) {
-          moved |= ecensus.reclass(rows, u, compiled.state_class(e.a2));
-        }
-        if (e.b2 != cb) {
-          moved |= ecensus.reclass(rows, v, compiled.state_class(e.b2));
-        }
-        if (delta_bits != 0) {
-          for (int c = 0; c < traits::kCounters; ++c) {
-            totals[c] += e.delta[static_cast<std::size_t>(c)];
-          }
-        }
-        if (moved && stable_now()) break;
-      } else {
-        if (delta_bits != 0) {
-          for (int c = 0; c < traits::kCounters; ++c) {
-            totals[c] += e.delta[static_cast<std::size_t>(c)];
-          }
-          if (stable_now()) break;
-        }
-      }
-      // Sampled after the delta lands, so a sample at step s reports the
-      // census *after* s steps; the stabilizing step breaks above and is
-      // reported by the result instead.
-      if constexpr (Probe::enabled) {
-        if (probe->want_census(steps)) {
-          probe->on_census(steps, totals, traits::kCounters);
-        }
-      }
-    }
-    if constexpr (Probe::enabled) {
-      probe->on_steps(steps - probe_base, probe_active);
-    }
-  }
-
-  result.stabilized = true;
-  result.steps = steps;
-  if (census) {
-    for (const auto s : seen) result.distinct_states_used += s;
-  }
-  result.leader = elected_leader_compiled(config, compiled, old_of_new);
-  if constexpr (Probe::enabled) {
-    probe->on_table_fills(compiled.lazy_fills() - fills_at_start);
-  }
-  return result;
-}
-
-// Drop-in fast replacement for run_until_stable on compilable protocols:
-// compiles the protocol lazily and runs one election.  Same result as the
-// reference simulator for the same seed.
-template <compilable_protocol P>
-election_result run_until_stable_fast(const P& proto, const graph& g, rng gen,
-                                      const sim_options& options = {}) {
-  compiled_protocol<P> compiled(proto);
-  const edge_endpoints edges(g);
-  return run_compiled(compiled, edges, g, gen, options);
-}
-
-// ----------------------------------------------------------------------------
-// Packed configurations (the cache-locality fast path).
-
-// Single-orientation endpoint array at node word width N (u16 when n fits,
-// u32 otherwise).  Each edge is stored once in its canonical u < v
-// orientation; run_packed folds the orientation half of the scheduler draw
-// k ∈ [0, 2m) into two conditional moves (k >= m swaps the endpoints), which
-// halves the randomly-accessed endpoint working set relative to
-// edge_endpoints' doubled array — the dominant term on sparse graphs, where
-// the pair array is 4×–8× the config array.
-template <typename N>
-struct packed_endpoints {
-  struct pair_type {
-    N a;
-    N b;
-  };
-
-  explicit packed_endpoints(const graph& g) {
-    expects(g.num_edges() >= 1,
-            "packed_endpoints: graph must have at least one edge");
-    expects(static_cast<std::uint64_t>(g.num_nodes() - 1) <=
-                static_cast<std::uint64_t>(std::numeric_limits<N>::max()),
-            "packed_endpoints: node ids do not fit the word width");
-    pairs.reserve(static_cast<std::size_t>(g.num_edges()));
-    for (const edge& e : g.edges()) {
-      pairs.push_back({static_cast<N>(e.u), static_cast<N>(e.v)});
-    }
-  }
-
-  std::vector<pair_type> pairs;  // size m, stored (u < v) orientation
-  std::size_t bytes() const { return pairs.size() * sizeof(pair_type); }
-};
-
-// Sweep-shared initial state for run_packed: the initial config at word
-// width W, the census totals it implies and — for edge-census protocols —
-// the initial edge-class census.  The initial configuration of a sweep is
-// deterministic, so tuned_runner computes this once and every trial's setup
-// collapses to a few memcpys instead of n intern lookups plus an O(m) pair
-// recount — the term that dominates one-interaction elections like
-// star-on-star (bench/star.cpp).
+// The initial state a run starts from: the initial config at word width W,
+// the census totals it implies and — for edge-census protocols — the initial
+// edge-class census.  The initial configuration of a sweep is deterministic,
+// so tuned_runner computes this once and every trial's setup collapses to a
+// few memcpys instead of n intern lookups plus an O(m) pair recount — the
+// term that dominates one-interaction elections like star-on-star
+// (bench/star.cpp).
 template <typename W>
 struct packed_start {
   std::vector<W> config;
@@ -393,10 +251,10 @@ struct packed_start {
 };
 
 // Builds the initial state a run on (compiled, g, old_of_new) starts from.
-// The single definition serves tuned_runner's per-sweep precompute AND
-// run_packed's no-start fallback, so the two can never drift — the
-// "identical by construction" half of the bit-identity contract.  Requires
-// every initial state to be interned already (id_of), i.e. a prepared table.
+// The single definition serves tuned_runner's per-sweep precompute,
+// run_packed's no-start fallback and run_compiled, so they can never drift —
+// the "identical by construction" half of the bit-identity contract.
+// Requires every initial state to be interned already (id_of).
 template <typename W, compilable_protocol P>
 packed_start<W> make_packed_start(const compiled_protocol<P>& compiled,
                                   const graph& g,
@@ -425,7 +283,228 @@ packed_start<W> make_packed_start(const compiled_protocol<P>& compiled,
   return s;
 }
 
-// run_packed: the run_compiled loop over a width-packed closed table, packed
+namespace detail {
+
+// The step loop behind run_compiled and run_packed: runs one election from
+// `start` over `table` and the `edges` layout.  The table is either the
+// lazily filled compiled_protocol itself (which may grow during the run) or
+// a closed packed_table snapshot of `compiled`; `compiled` supplies roles
+// and edge classes.  `rows` is the adjacency the edge-census class-flip
+// walks load (unused by counter-shaped protocols).
+//
+// `old_of_new`, when given, maps the run's node ids back to the caller's
+// (pre-relabelling) ids for the reported leader (`start` already holds the
+// mapped initial states).
+//
+// `probe` (obs/probe.h) collects phase telemetry when Probe::enabled; with
+// the default null_probe every hook is an `if constexpr` dead branch, so the
+// instrumented loop compiles to the uninstrumented one.  Probes only read
+// the run — they never alter the draw stream, the stopping step or the
+// result (the zero-cost/determinism contract bench/obs.cpp and
+// tests/test_obs.cpp enforce).
+template <typename Table, typename Endpoints, typename Rows, typename W,
+          compilable_protocol P, typename Probe>
+election_result step_loop(const compiled_protocol<P>& compiled,
+                          Table& table, const Endpoints& edges,
+                          const Rows* rows, packed_start<W> start, rng gen,
+                          const sim_options& options,
+                          const std::vector<node_id>* old_of_new,
+                          [[maybe_unused]] Probe* probe) {
+  using traits = census_model_t<P>;
+  constexpr bool kEdgeCensus = edge_census_protocol<P>;
+  std::vector<W> config = std::move(start.config);
+  std::int64_t totals[kMaxCensusCounters] = {};
+  for (int i = 0; i < traits::kCounters; ++i) {
+    totals[i] = start.totals[static_cast<std::size_t>(i)];
+  }
+  // Edge-census protocols track a class byte per node and the per-class-pair
+  // edge counters alongside the node totals; stability is the traits' joint
+  // predicate over both.  Counter-shaped protocols skip all of it (constexpr).
+  edge_class_census ecensus;
+  if constexpr (kEdgeCensus) ecensus = std::move(start.ecensus);
+  if constexpr (Probe::enabled) {
+    expects(probe != nullptr, "step_loop: enabled probe type needs a probe");
+  }
+  [[maybe_unused]] const std::uint64_t fills_at_start = table.lazy_fills();
+  const auto stable_now = [&] {
+    if constexpr (Probe::enabled) probe->on_predicate_evals(1);
+    if constexpr (kEdgeCensus) {
+      return traits::stable(totals, ecensus.pairs());
+    } else {
+      return traits::stable(totals);
+    }
+  };
+
+  // With the census on, distinct states are a byte-mark per state id: every
+  // id ever written into `config` gets marked, which is exactly the set the
+  // reference simulator's unordered_set accumulates.
+  std::vector<std::uint8_t> seen;
+  const bool census = options.state_census;
+  if (census) {
+    seen.assign(table.num_states(), 0);
+    for (const auto id : config) seen[id] = 1;
+  }
+
+  std::uint64_t steps = 0;
+  const auto finish = [&](bool stabilized) {
+    election_result result;
+    result.stabilized = stabilized;
+    result.steps = steps;
+    if (census) {
+      for (const auto s : seen) result.distinct_states_used += s;
+    }
+    if (stabilized) {
+      result.leader = elected_leader_compiled(config, compiled, old_of_new);
+    }
+    if constexpr (Probe::enabled) {
+      probe->on_table_fills(table.lazy_fills() - fills_at_start);
+    }
+    return result;
+  };
+
+  const auto pairs = edges.step_reader();
+  const std::uint64_t draws = pairs.draws();
+  block_rng draw(gen);
+
+  // Picks are generated a batch ahead of their use: the draw stream does not
+  // depend on the configuration, so the layout can prefetch upcoming pairs
+  // while earlier steps execute, hiding the per-step cache misses on large
+  // graphs.  The draw *order* is unchanged, so runs stay bit-identical to the
+  // reference simulator; draws generated past the stopping step are simply
+  // discarded (the generator is owned by value).
+  constexpr std::size_t kBatch = 256;
+  std::uint64_t picks[kBatch];
+
+  while (!stable_now()) {
+    if (steps >= options.max_steps) return finish(false);
+    // The max_steps bound is folded into the block length, and the stability
+    // predicate is only re-evaluated after a step whose census delta is
+    // nonzero — on zero-delta steps (the overwhelming majority on
+    // sparse-token protocols) the totals cannot move, so neither the four
+    // counter adds nor the predicate run.  Edge-census protocols extend the
+    // fast path's trigger to class flips: a step that changes neither the
+    // node totals nor any node's class cannot move the pair counters either,
+    // so the joint predicate is equally skippable.  Census marks fire only
+    // for ids that actually changed: an unchanged id was marked when it was
+    // written into `config`.  All of this is observationally identical to
+    // the per-step checks (same stopping step, same marks), so seeded
+    // equivalence with the reference simulator is preserved.
+    const std::uint64_t remaining = options.max_steps - steps;
+    const std::size_t len =
+        remaining < kBatch ? static_cast<std::size_t>(remaining) : kBatch;
+    for (std::size_t i = 0; i < len; ++i) picks[i] = draw.uniform_below(draws);
+    if constexpr (Probe::enabled) probe->on_draws(len);
+    // Step/active counts accumulate in locals and flush once per batch: a
+    // per-step read-modify-write through the probe pointer is measurable at
+    // this loop's step rate, a register add is not (bench/obs.cpp gates the
+    // enabled path at <= 10%).
+    [[maybe_unused]] const std::uint64_t probe_base = steps;
+    [[maybe_unused]] std::uint64_t probe_active = 0;
+    for (std::size_t i = 0; i < len; ++i) {
+      pairs.prefetch(picks, i, len, config.data());
+      const auto [u, v] = pairs.at(picks[i]);
+      const W ca = config[u];
+      const W cb = config[v];
+      const auto e = table.at(ca, cb);
+      config[u] = e.a2;
+      config[v] = e.b2;
+      ++steps;
+      if constexpr (Probe::enabled) {
+        probe_active += (e.a2 != ca || e.b2 != cb) ? 1u : 0u;
+      }
+      if (census) {
+        if (e.a2 != ca) table.mark(seen, e.a2);
+        if (e.b2 != cb) table.mark(seen, e.b2);
+      }
+      if constexpr (kEdgeCensus) {
+        bool moved = e.delta_nonzero();
+        if (e.a2 != ca) {
+          moved |= ecensus.reclass(*rows, u, compiled.state_class(e.a2));
+        }
+        if (e.b2 != cb) {
+          moved |= ecensus.reclass(*rows, v, compiled.state_class(e.b2));
+        }
+        if (e.delta_nonzero()) {
+          for (int c = 0; c < traits::kCounters; ++c) {
+            totals[c] += e.delta_of(c);
+          }
+        }
+        if (moved && stable_now()) break;
+      } else {
+        if (e.delta_nonzero()) {
+          for (int c = 0; c < traits::kCounters; ++c) {
+            totals[c] += e.delta_of(c);
+          }
+          if (stable_now()) break;
+        }
+      }
+      // Sampled after the delta lands, so a sample at step s reports the
+      // census *after* s steps; the stabilizing step breaks above and is
+      // reported by the result instead.
+      if constexpr (Probe::enabled) {
+        if (probe->want_census(steps)) {
+          probe->on_census(steps, totals, traits::kCounters);
+        }
+      }
+    }
+    if constexpr (Probe::enabled) {
+      probe->on_steps(steps - probe_base, probe_active);
+    }
+  }
+  return finish(true);
+}
+
+}  // namespace detail
+
+// Runs one election on a compiled table and the doubled endpoint array.
+// `compiled` fills lazily during the run; if it is closed() the run never
+// mutates it, so a single closed table (and one edge_endpoints) can be shared
+// by concurrent trials of a parameter sweep.
+//
+// `old_of_new`, when given, maps the run's node ids back to the caller's
+// (pre-relabelling) ids: node v starts in initial_state(old_of_new[v]) and
+// the reported leader is the smallest *original* id with leader output, so a
+// run on a relabelled graph is the exact original process under an
+// isomorphism.  nullptr (the default) leaves behaviour — and the PR 2
+// bit-identity with the reference simulator — untouched.  `probe` is as in
+// detail::step_loop.
+template <compilable_protocol P, typename Probe = obs::null_probe>
+election_result run_compiled(compiled_protocol<P>& compiled,
+                             const edge_endpoints& edges, const graph& g,
+                             rng gen, const sim_options& options = {},
+                             const std::vector<node_id>* old_of_new = nullptr,
+                             Probe* probe = nullptr) {
+  const P& proto = compiled.protocol();
+  const node_id n = g.num_nodes();
+  expects(edges.doubled() == 2 * static_cast<std::uint64_t>(g.num_edges()),
+          "run_compiled: endpoint arrays do not match the graph");
+  expects(g.num_edges() >= 1, "run_compiled: graph must have at least one edge");
+  expects(old_of_new == nullptr ||
+              old_of_new->size() == static_cast<std::size_t>(n),
+          "run_compiled: node map does not match the graph");
+  for (node_id v = 0; v < n; ++v) {
+    compiled.intern(proto.initial_state(
+        old_of_new ? (*old_of_new)[static_cast<std::size_t>(v)] : v));
+  }
+  const graph_rows rows{&g};
+  return detail::step_loop(
+      compiled, compiled, edges, &rows,
+      make_packed_start<std::uint32_t>(compiled, g, old_of_new), gen, options,
+      old_of_new, probe);
+}
+
+// Drop-in fast replacement for run_until_stable on compilable protocols:
+// compiles the protocol lazily and runs one election.  Same result as the
+// reference simulator for the same seed.
+template <compilable_protocol P>
+election_result run_until_stable_fast(const P& proto, const graph& g, rng gen,
+                                      const sim_options& options = {}) {
+  compiled_protocol<P> compiled(proto);
+  const edge_endpoints edges(g);
+  return run_compiled(compiled, edges, g, gen, options);
+}
+
+// run_packed: the step loop over a width-packed closed table, packed
 // endpoint array and W-word config.  For the same (seed, graph, nullptr map)
 // it is bit-identical to run_compiled at every width: the draw stream, the
 // pick-to-interaction mapping, the census marks and the stability predicate
@@ -446,9 +525,7 @@ election_result run_packed(const compiled_protocol<P>& compiled,
                            const std::vector<node_id>* old_of_new = nullptr,
                            const packed_csr<N>* adjacency = nullptr,
                            const packed_start<W>* start = nullptr,
-                           [[maybe_unused]] Probe* probe = nullptr) {
-  using traits = census_model_t<P>;
-  constexpr bool kEdgeCensus = edge_census_protocol<P>;
+                           Probe* probe = nullptr) {
   const node_id n = g.num_nodes();
   expects(edges.pairs.size() == static_cast<std::size_t>(g.num_edges()),
           "run_packed: endpoint array does not match the graph");
@@ -458,156 +535,22 @@ election_result run_packed(const compiled_protocol<P>& compiled,
   expects(old_of_new == nullptr ||
               old_of_new->size() == static_cast<std::size_t>(n),
           "run_packed: node map does not match the graph");
-  if constexpr (kEdgeCensus) {
+  if constexpr (edge_census_protocol<P>) {
     expects(adjacency != nullptr &&
                 adjacency->offsets.size() == static_cast<std::size_t>(n) + 1,
             "run_packed: edge-census protocols need the graph's CSR adjacency "
             "view");
   }
-
-  // Without a caller-provided start, build the identical one locally.
-  std::optional<packed_start<W>> local_start;
-  if (start == nullptr) {
-    start = &local_start.emplace(make_packed_start<W>(compiled, g, old_of_new));
-  }
-  expects(start->config.size() == static_cast<std::size_t>(n),
+  expects(start == nullptr ||
+              start->config.size() == static_cast<std::size_t>(n),
           "run_packed: shared initial state does not match the graph");
-  std::vector<W> config = start->config;
-  std::int64_t totals[kMaxCensusCounters] = {};
-  for (int i = 0; i < traits::kCounters; ++i) {
-    totals[i] = start->totals[static_cast<std::size_t>(i)];
-  }
-  edge_class_census ecensus;
-  if constexpr (kEdgeCensus) ecensus = start->ecensus;
-  if constexpr (Probe::enabled) {
-    expects(probe != nullptr, "run_packed: enabled probe type needs a probe");
-  }
-  const auto stable_now = [&] {
-    if constexpr (Probe::enabled) probe->on_predicate_evals(1);
-    if constexpr (kEdgeCensus) {
-      return traits::stable(totals, ecensus.pairs());
-    } else {
-      return traits::stable(totals);
-    }
-  };
-
-  // The table is closed, so the id space is fixed: the census byte-marks can
-  // be sized once up front (same marks as run_compiled's lazy resize).
-  std::vector<std::uint8_t> seen;
-  const bool census = options.state_census;
-  if (census) {
-    seen.assign(table.num_states(), 0);
-    for (const auto id : config) seen[id] = 1;
-  }
-
-  const std::uint64_t m = static_cast<std::uint64_t>(edges.pairs.size());
-  const std::uint64_t two_m = 2 * m;
-  const auto* const pairs = edges.pairs.data();
-  block_rng draw(gen);
-
-  // Two-level prefetch pipeline over the precomputed pick batch: the pair
-  // line is requested kPairAhead steps early; once it has (likely) arrived —
-  // kConfAhead steps out — it is loaded and the two config words it names
-  // are requested in turn.  Everything here is loads and hints, so the
-  // executed trajectory is untouched; in particular prefetching a config
-  // word that an intervening step will overwrite is harmless (the real load
-  // at step time sees the stored value).
-  constexpr std::size_t kBatch = 256;
-  constexpr std::size_t kPairAhead = 16;
-  constexpr std::size_t kConfAhead = 8;
-  std::uint64_t picks[kBatch];
-
-  election_result result;
-  std::uint64_t steps = 0;
-  while (!stable_now()) {
-    if (steps >= options.max_steps) {
-      result.steps = steps;
-      if (census) {
-        for (const auto s : seen) result.distinct_states_used += s;
-      }
-      return result;
-    }
-    const std::uint64_t remaining = options.max_steps - steps;
-    const std::size_t len =
-        remaining < kBatch ? static_cast<std::size_t>(remaining) : kBatch;
-    for (std::size_t i = 0; i < len; ++i) picks[i] = draw.uniform_below(two_m);
-    if constexpr (Probe::enabled) probe->on_draws(len);
-    // Same batched probe accumulation as run_compiled: locals in registers,
-    // one on_steps flush per batch.
-    [[maybe_unused]] const std::uint64_t probe_base = steps;
-    [[maybe_unused]] std::uint64_t probe_active = 0;
-    for (std::size_t i = 0; i < len; ++i) {
-      if (i + kPairAhead < len) {
-        const std::uint64_t k = picks[i + kPairAhead];
-        __builtin_prefetch(&pairs[k >= m ? k - m : k], /*rw=*/0, /*locality=*/1);
-      }
-      if (i + kConfAhead < len) {
-        const std::uint64_t k = picks[i + kConfAhead];
-        // Orientation is irrelevant for the hint: both config words are
-        // touched either way.
-        const auto pr = pairs[k >= m ? k - m : k];
-        __builtin_prefetch(&config[pr.a], /*rw=*/1, /*locality=*/1);
-        __builtin_prefetch(&config[pr.b], /*rw=*/1, /*locality=*/1);
-      }
-      const std::uint64_t k = picks[i];
-      const bool flip = k >= m;
-      const auto pr = pairs[flip ? k - m : k];
-      const auto u = static_cast<std::size_t>(flip ? pr.b : pr.a);
-      const auto v = static_cast<std::size_t>(flip ? pr.a : pr.b);
-      const W ca = config[u];
-      const W cb = config[v];
-      const packed_entry<W> e = table.at(ca, cb);
-      config[u] = e.a2;
-      config[v] = e.b2;
-      ++steps;
-      if constexpr (Probe::enabled) {
-        probe_active += (e.a2 != ca || e.b2 != cb) ? 1u : 0u;
-      }
-      if (census) {
-        if (e.a2 != ca) seen[e.a2] = 1;
-        if (e.b2 != cb) seen[e.b2] = 1;
-      }
-      if constexpr (kEdgeCensus) {
-        bool moved = e.delta_nonzero();
-        if (e.a2 != ca) {
-          moved |= ecensus.reclass(*adjacency, u, compiled.state_class(e.a2));
-        }
-        if (e.b2 != cb) {
-          moved |= ecensus.reclass(*adjacency, v, compiled.state_class(e.b2));
-        }
-        if (e.delta_nonzero()) {
-          for (int c = 0; c < traits::kCounters; ++c) {
-            totals[c] += e.delta_of(c);
-          }
-        }
-        if (moved && stable_now()) break;
-      } else {
-        if (e.delta_nonzero()) {
-          for (int c = 0; c < traits::kCounters; ++c) {
-            totals[c] += e.delta_of(c);
-          }
-          if (stable_now()) break;
-        }
-      }
-      if constexpr (Probe::enabled) {
-        if (probe->want_census(steps)) {
-          probe->on_census(steps, totals, traits::kCounters);
-        }
-      }
-    }
-    if constexpr (Probe::enabled) {
-      probe->on_steps(steps - probe_base, probe_active);
-    }
-  }
-
-  result.stabilized = true;
-  result.steps = steps;
-  if (census) {
-    for (const auto s : seen) result.distinct_states_used += s;
-  }
-  result.leader = elected_leader_compiled(config, compiled, old_of_new);
-  return result;
+  // Without a caller-provided start, build the identical one locally.
+  return detail::step_loop(
+      compiled, table, edges, adjacency,
+      start ? *start : make_packed_start<W>(compiled, g, old_of_new), gen,
+      options, old_of_new, probe);
 }
+
 
 }  // namespace pp
 
@@ -642,8 +585,8 @@ struct engine_tuning {
 // table + endpoint snapshots); run() only dispatches on the stored widths,
 // so trials of a sweep share every byte of read-only state.  If the
 // reachable space exceeds the closure budget the runner degrades to the lazy
-// u32 path (packed widths need a closed table) with per-run tables,
-// preserving the measure_election_fast fallback semantics.
+// u32 path (packed widths need a closed table): run_compiled over a per-run
+// table, still bit-identical per seed at natural order.
 template <compilable_protocol P>
 class tuned_runner {
  public:

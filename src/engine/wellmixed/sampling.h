@@ -39,10 +39,18 @@ std::uint64_t binomial_inversion(Gen& gen, std::uint64_t n, double p) {
   }
 }
 
+// ln Γ(x) through the reentrant lgamma_r: std::lgamma also stores the sign
+// of Γ(x) in the global `signgam`, a data race when a threaded sweep samples
+// in several trials at once (TSan flags it); the returned value is the same.
+inline double log_gamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
 // Hörmann's BTRS transformed rejection (1993), the standard exact sampler
 // for the bulk regime.  Requires p in (0, 0.5] and n·p >= 10; the envelope
 // constants below are Hörmann's.  The acceptance test is exact (log of the
-// true ratio via lgamma), so the output law is exactly Binomial(n, p).
+// true ratio via log_gamma), so the output law is exactly Binomial(n, p).
 template <typename Gen>
 std::uint64_t binomial_btrs(Gen& gen, std::uint64_t n, double p) {
   const double dn = static_cast<double>(n);
@@ -57,7 +65,7 @@ std::uint64_t binomial_btrs(Gen& gen, std::uint64_t n, double p) {
   const double alpha = (2.83 + 5.1 / b) * spq;
   const double lpq = std::log(p / q);
   const double m = std::floor((dn + 1.0) * p);
-  const double h = std::lgamma(m + 1.0) + std::lgamma(dn - m + 1.0);
+  const double h = log_gamma(m + 1.0) + log_gamma(dn - m + 1.0);
 
   while (true) {
     double v = gen.uniform01();
@@ -81,8 +89,8 @@ std::uint64_t binomial_btrs(Gen& gen, std::uint64_t n, double p) {
     if (us < 0.013 && v > us) continue;  // numerical guard on the tails
     const double k = std::floor((2.0 * a / us + b) * u + c);
     if (k < 0.0 || k > dn) continue;
-    const double log_accept = h - std::lgamma(k + 1.0) -
-                              std::lgamma(dn - k + 1.0) + (k - m) * lpq;
+    const double log_accept = h - log_gamma(k + 1.0) -
+                              log_gamma(dn - k + 1.0) + (k - m) * lpq;
     v = std::log(v * alpha / (a / (us * us) + b));
     if (v <= log_accept) return static_cast<std::uint64_t>(k);
   }

@@ -189,6 +189,9 @@ bool decode_sweep_request(const std::uint8_t* payload, std::size_t length,
       !unpack(payload, length, off, faults_length)) {
     return false;
   }
+  // Only step (0) and silent (1) exist; any other byte is a foreign request,
+  // not a step-scheduler one (read_manifest rejects the same way).
+  if (r.scheduler > 1) return false;
   if (length - off != faults_length) return false;  // exact-size payloads only
   r.faults.assign(reinterpret_cast<const char*>(payload) + off, faults_length);
   out = std::move(r);

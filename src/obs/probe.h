@@ -1,9 +1,10 @@
 // Compile-time-gated engine probes: per-run phase telemetry with a strict
 // zero-cost contract.
 //
-// Every engine loop (run_compiled, run_packed, the wellmixed batch loop)
-// takes a `Probe` template parameter, defaulting to `null_probe`, plus a
-// trailing `Probe* probe = nullptr` argument.  Each hook call site is
+// Every engine loop (the one step loop behind run_compiled and run_packed,
+// run_silent's event loop, the wellmixed batch loop) takes a `Probe`
+// template parameter, defaulting to `null_probe`, plus a trailing
+// `Probe* probe = nullptr` argument.  Each hook call site is
 // guarded with `if constexpr (Probe::enabled)`, so with the default probe
 // the instrumentation compiles to nothing — same codegen as before the
 // probes existed (bench/obs.cpp gates the disabled path at <= 1% of the

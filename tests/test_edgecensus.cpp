@@ -239,15 +239,15 @@ TEST(EdgeCensusEquivalence, StarStabilizesInOneStepOnStarsInTheEngine) {
   }
 }
 
-TEST(EdgeCensusEquivalence, MeasureElectionFastMatchesReferenceSummary) {
+TEST(EdgeCensusEquivalence, MeasureElectionTunedMatchesReferenceSummary) {
   rng gen(41);
   const graph g = make_connected_erdos_renyi(32, 0.2, gen);
   const star_protocol proto;
   const sim_options options{.max_steps = 50000};
   const auto ref = measure_election(proto, g, 12, rng(42), options);
-  const auto fast = measure_election_fast(proto, g, 12, rng(42), options);
-  EXPECT_DOUBLE_EQ(ref.steps.mean, fast.steps.mean);
-  EXPECT_DOUBLE_EQ(ref.stabilized_fraction, fast.stabilized_fraction);
+  const auto tuned = measure_election_tuned(proto, g, 12, rng(42), options);
+  EXPECT_DOUBLE_EQ(ref.steps.mean, tuned.steps.mean);
+  EXPECT_DOUBLE_EQ(ref.stabilized_fraction, tuned.stabilized_fraction);
 }
 
 // -------------------------------------------------------- reordered layout

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/experiment.h"
 #include "core/beauquier.h"
 #include "core/fast_election.h"
 #include "core/majority.h"
@@ -188,33 +187,6 @@ TEST(EngineSharing, ClosedTableSharedAcrossRunsMatchesLazyTables) {
     ASSERT_EQ(lazy.steps, closed.steps);
     ASSERT_EQ(lazy.leader, closed.leader);
   }
-}
-
-TEST(EngineSharing, MeasureElectionFastMatchesMeasureElection) {
-  rng gen(21);
-  const graph g = make_connected_erdos_renyi(32, 0.2, gen);
-  const beauquier_protocol proto(32);
-  const auto ref = measure_election(proto, g, 12, rng(22));
-  const auto fast = measure_election_fast(proto, g, 12, rng(22));
-  EXPECT_DOUBLE_EQ(ref.steps.mean, fast.steps.mean);
-  EXPECT_DOUBLE_EQ(ref.stabilized_fraction, fast.stabilized_fraction);
-}
-
-TEST(EngineSharing, MeasureElectionFastFallsBackWhenClosureExceedsBudget) {
-  // A fast protocol with a large level range blows the closure budget; the
-  // sweep must silently fall back to per-trial lazy tables and still match
-  // the reference summary.
-  const graph g = make_clique(12);
-  fast_params params;
-  params.h = 8;
-  params.level_threshold = 600;
-  params.max_level = 60000;  // |Λ| far beyond kEngineClosureBudget
-  const fast_protocol proto(params);
-  const sim_options options{.max_steps = 20000};
-  const auto ref = measure_election(proto, g, 4, rng(23), options);
-  const auto fast = measure_election_fast(proto, g, 4, rng(23), options);
-  EXPECT_DOUBLE_EQ(ref.stabilized_fraction, fast.stabilized_fraction);
-  EXPECT_DOUBLE_EQ(ref.steps.mean, fast.steps.mean);
 }
 
 }  // namespace

@@ -205,37 +205,44 @@ TEST(PackedEngine, MaxStepsCapMatchesReference) {
   }
 }
 
-TEST(PackedEngine, ClosureBudgetFallbackMatchesLazyEngine) {
-  // A reachable space beyond the closure budget degrades to lazy u32 tables;
-  // the summary must still match measure_election / measure_election_fast.
+TEST(PackedEngine, ClosureBudgetFallbackMatchesReferencePerTrial) {
+  // A fast protocol with a large level range blows the closure budget, so
+  // tuned_runner degrades to per-run lazy u32 tables (run_compiled); every
+  // trial must still reproduce the reference simulator, census included.
   const graph g = make_clique(12);
   fast_params params;
   params.h = 8;
   params.level_threshold = 600;
-  params.max_level = 60000;
+  params.max_level = 60000;  // |Λ| far beyond kEngineClosureBudget
   const fast_protocol proto(params);
-  const sim_options options{.max_steps = 20000};
+  const sim_options options{.max_steps = 20000, .state_census = true};
   const tuned_runner<fast_protocol> runner(proto, g);
-  EXPECT_FALSE(runner.packed());
+  ASSERT_FALSE(runner.packed());
   EXPECT_EQ(runner.pack_bits(), 32);
-  const auto ref = measure_election_fast(proto, g, 4, rng(23), options);
-  const auto tuned = measure_election_tuned(proto, g, 4, rng(23), options);
-  EXPECT_DOUBLE_EQ(ref.stabilized_fraction, tuned.stabilized_fraction);
-  EXPECT_DOUBLE_EQ(ref.steps.mean, tuned.steps.mean);
+  rng seed(23);
+  for (std::uint64_t t = 0; t < 4; ++t) {
+    const auto ref = run_until_stable(proto, g, seed.fork(t), options);
+    const auto lazy = runner.run(seed.fork(t), options);
+    EXPECT_EQ(ref.stabilized, lazy.stabilized) << "trial " << t;
+    EXPECT_EQ(ref.steps, lazy.steps) << "trial " << t;
+    EXPECT_EQ(ref.leader, lazy.leader) << "trial " << t;
+    EXPECT_EQ(ref.distinct_states_used, lazy.distinct_states_used)
+        << "trial " << t;
+  }
   // ...and forcing a packed width on an unclosable table is refused.
   EXPECT_THROW(
       (tuned_runner<fast_protocol>(proto, g, {vertex_order::natural, 16})),
       std::invalid_argument);
 }
 
-TEST(PackedEngine, MeasureTunedNaturalMatchesMeasureFast) {
+TEST(PackedEngine, MeasureTunedNaturalMatchesMeasureElection) {
   rng gen(21);
   const graph g = make_connected_erdos_renyi(32, 0.2, gen);
   const beauquier_protocol proto(32);
-  const auto fast = measure_election_fast(proto, g, 12, rng(22));
+  const auto ref = measure_election(proto, g, 12, rng(22));
   const auto tuned = measure_election_tuned(proto, g, 12, rng(22));
-  EXPECT_DOUBLE_EQ(fast.steps.mean, tuned.steps.mean);
-  EXPECT_DOUBLE_EQ(fast.stabilized_fraction, tuned.stabilized_fraction);
+  EXPECT_DOUBLE_EQ(ref.steps.mean, tuned.steps.mean);
+  EXPECT_DOUBLE_EQ(ref.stabilized_fraction, tuned.stabilized_fraction);
 }
 
 TEST(PackedEngine, WorkingSetAccountingIsConsistent) {

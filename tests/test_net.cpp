@@ -81,6 +81,7 @@ TEST(NetHandshake, SweepRequestRoundTrips) {
   request.count = 250;
   request.max_steps = 123456;
   request.wellmixed_batch = 64;
+  request.scheduler = 1;  // silent
   request.faults = "drop:w7:after=2";
 
   const auto payload = net::encode_sweep_request(request);
@@ -107,6 +108,15 @@ TEST(NetHandshake, MalformedRequestsAreRejected) {
   auto wrong = payload;
   wrong[0] = static_cast<std::uint8_t>(net::msg_type::artifact_data);
   EXPECT_FALSE(net::decode_sweep_request(wrong.data(), wrong.size(), decoded));
+  // Only step (0) and silent (1) are schedulers; any other byte must fail to
+  // decode rather than run the step scheduler.
+  for (const int scheduler : {2, 255}) {
+    request.scheduler = static_cast<std::uint8_t>(scheduler);
+    const auto unknown = net::encode_sweep_request(request);
+    EXPECT_FALSE(
+        net::decode_sweep_request(unknown.data(), unknown.size(), decoded))
+        << "scheduler " << scheduler;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -202,7 +202,7 @@ template <typename P>
 void expect_agreement(const P& proto, std::uint64_t n, int trials,
                       std::uint64_t seed) {
   const graph g = make_clique(static_cast<node_id>(n));
-  const auto engine = measure_election_fast(proto, g, trials, rng(seed));
+  const auto engine = measure_election_tuned(proto, g, trials, rng(seed));
   const auto wm = measure_election_wellmixed(proto, n, trials, rng(seed + 1));
   stat_gate::expect_step_agreement(engine, wm, "wellmixed vs engine");
 }
