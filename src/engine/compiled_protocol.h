@@ -338,16 +338,20 @@ class compiled_protocol {
   // and fills every (a, b) entry.  Returns false — leaving the table usable
   // but lazy — if the closure would exceed `max_states`; returns true and
   // freezes the table otherwise.
+  //
+  // The compile order fixes every state id, and with it every table entry,
+  // artifact byte and seeded trajectory, so it must not change: each round
+  // compiles, row-major over the ids known at its start, the pairs that
+  // touch an id the previous round added.  Rows below `done` start at column
+  // `done`, so no pair is visited twice.
   bool close(std::size_t max_states) {
     std::size_t done = 0;  // all pairs over ids < done are compiled
     while (done < states_.size()) {
       if (states_.size() > max_states) return false;
       const std::size_t k = states_.size();
       for (std::size_t a = 0; a < k; ++a) {
-        for (std::size_t b = 0; b < k; ++b) {
-          if (a >= done || b >= done) {
-            transition(static_cast<state_id>(a), static_cast<state_id>(b));
-          }
+        for (std::size_t b = a < done ? done : 0; b < k; ++b) {
+          transition(static_cast<state_id>(a), static_cast<state_id>(b));
         }
       }
       done = k;
@@ -397,9 +401,8 @@ class compiled_protocol {
     std::vector<entry> new_table(new_cap * new_cap);
     const std::size_t old = std::min(states_.size() - 1, cap_);
     for (std::size_t a = 0; a < old; ++a) {
-      for (std::size_t b = 0; b < old; ++b) {
-        new_table[a * new_cap + b] = table_[a * cap_ + b];
-      }
+      std::copy_n(table_.begin() + static_cast<std::ptrdiff_t>(a * cap_), old,
+                  new_table.begin() + static_cast<std::ptrdiff_t>(a * new_cap));
     }
     cap_ = new_cap;
     table_ = std::move(new_table);

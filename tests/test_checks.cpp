@@ -1,0 +1,145 @@
+// expects/ensure (support/expects.h): a passing check never allocates, a
+// failing one throws its exception type with the caller's message; and the
+// per-draw and per-entry paths that call the checks (rng draws, tuned_runner
+// setup, artifact parse and validate) allocate O(|Λ|) times, not per call.
+//
+// This binary replaces the global operator new/delete with a counting
+// malloc/free pair, so every heap allocation in the process is counted.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <typeinfo>
+
+#include "core/fast_election.h"
+#include "engine/engine.h"
+#include "fleet/artifact.h"
+#include "graph/generators.h"
+#include "support/expects.h"
+#include "support/rng.h"
+
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Kept out of line: inlined into a caller, free() on a pointer the caller got
+// from operator new reads to GCC as a mismatched allocation pair.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+namespace pp {
+namespace {
+
+// Heap allocations made while `body` runs.
+template <typename Body>
+std::uint64_t allocations_in(Body&& body) {
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  body();
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+constexpr int kCalls = 100000;
+
+TEST(Checks, PassingChecksDoNotAllocate) {
+  volatile bool holds = true;  // read per call: the checks cannot fold away
+  EXPECT_EQ(allocations_in([&] {
+              for (int i = 0; i < kCalls; ++i) {
+                expects(holds, "expects: a message well over fifteen characters");
+              }
+            }),
+            0u);
+  EXPECT_EQ(allocations_in([&] {
+              for (int i = 0; i < kCalls; ++i) {
+                ensure(holds, "ensure: a message well over fifteen characters");
+              }
+            }),
+            0u);
+}
+
+TEST(Checks, FailingChecksThrowTheirTypeAndMessage) {
+  const std::string built = "expects: built at the call site, n = " + std::to_string(42);
+  try {
+    expects(false, "expects: a literal message");
+    FAIL() << "expects(false) returned";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "expects: a literal message");
+  }
+  try {
+    expects(false, built);
+    FAIL() << "expects(false) returned";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(e.what(), built);
+  }
+  // std::invalid_argument derives from std::logic_error, so pin the exact
+  // dynamic type of ensure's exception.
+  try {
+    ensure(false, "ensure: a literal message");
+    FAIL() << "ensure(false) returned";
+  } catch (const std::logic_error& e) {
+    EXPECT_EQ(typeid(e), typeid(std::logic_error));
+    EXPECT_STREQ(e.what(), "ensure: a literal message");
+  }
+  try {
+    ensure(false, "ensure: built at the call site, n = " + std::to_string(7));
+    FAIL() << "ensure(false) returned";
+  } catch (const std::logic_error& e) {
+    EXPECT_EQ(typeid(e), typeid(std::logic_error));
+    EXPECT_STREQ(e.what(), "ensure: built at the call site, n = 7");
+  }
+}
+
+TEST(Checks, RngDrawsDoNotAllocate) {
+  rng gen(5);
+  std::uint64_t sink = 0;
+  EXPECT_EQ(allocations_in([&] {
+              for (int i = 0; i < kCalls; ++i) sink += gen.uniform_below(977);
+            }),
+            0u);
+  EXPECT_EQ(allocations_in([&] {
+              for (int i = 0; i < kCalls; ++i) sink += gen.geometric(0.01);
+            }),
+            0u);
+  EXPECT_EQ(allocations_in([&] {
+              for (int i = 0; i < kCalls; ++i) sink += gen.bernoulli(0.3) ? 1 : 0;
+            }),
+            0u);
+  EXPECT_GT(sink, 0u);
+}
+
+// Setup allocates per state (interning, table growth), never per table entry.
+TEST(Checks, TunedSetupAndArtifactAllocateNotPerEntry) {
+  rng gen(3);
+  const graph g = make_random_regular(1000, 8, gen);
+  const fast_params params{4, 8, 32};
+  const fast_protocol proto(params);
+
+  std::optional<tuned_runner<fast_protocol>> runner;
+  const std::uint64_t setup = allocations_in([&] { runner.emplace(proto, g); });
+  ASSERT_TRUE(runner->packed());
+  const std::uint64_t states = runner->compiled().num_states();
+  EXPECT_EQ(states, 241u);
+  EXPECT_LT(setup, 4 * states + 256);
+
+  const fleet::sweep_artifact artifact =
+      fleet::make_tuned_artifact(*runner, g, "rr8", fleet::fast_desc(params));
+  const auto bytes = fleet::artifact_bytes(artifact);
+  std::optional<fleet::sweep_artifact> parsed;
+  EXPECT_LT(allocations_in([&] { parsed.emplace(fleet::artifact_from_bytes(bytes)); }),
+            64u);
+  EXPECT_TRUE(*parsed == artifact);
+  EXPECT_LT(allocations_in([&] { fleet::validate_tuned_artifact(artifact, *runner); }),
+            64u);
+}
+
+}  // namespace
+}  // namespace pp

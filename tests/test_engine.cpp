@@ -10,7 +10,9 @@
 #include "core/fast_election.h"
 #include "core/majority.h"
 #include "core/simulator.h"
+#include "core/star_protocol.h"
 #include "engine/block_rng.h"
+#include "engine/wellmixed/wellmixed.h"
 #include "graph/generators.h"
 
 namespace pp {
@@ -85,6 +87,87 @@ TEST(CompiledProtocol, InternIsStableAndDense) {
   EXPECT_EQ(compiled.num_states(), 2u);
   EXPECT_EQ(compiled.output(a), role::leader);
   EXPECT_EQ(compiled.output(b), role::follower);
+}
+
+// The round-rescan closure: every round walks every pair over the ids known
+// at its start and compiles those touching a new id.  close() must intern in
+// exactly this order, since state ids fix table entries, artifact bytes and
+// seeded trajectories.
+template <typename P>
+bool close_by_round_rescan(compiled_protocol<P>& compiled, std::size_t max_states) {
+  std::size_t done = 0;
+  while (done < compiled.num_states()) {
+    if (compiled.num_states() > max_states) return false;
+    const std::size_t k = compiled.num_states();
+    for (std::size_t a = 0; a < k; ++a) {
+      for (std::size_t b = 0; b < k; ++b) {
+        if (a >= done || b >= done) {
+          compiled.transition(static_cast<std::uint32_t>(a),
+                              static_cast<std::uint32_t>(b));
+        }
+      }
+    }
+    done = k;
+  }
+  return true;
+}
+
+template <typename P>
+void expect_closure_matches_oracle(const P& proto,
+                                   const std::vector<typename P::state_type>& seeds,
+                                   std::size_t max_states, bool fits) {
+  compiled_protocol<P> closed(proto);
+  compiled_protocol<P> oracle(proto);
+  for (const auto& s : seeds) {
+    closed.intern(s);
+    oracle.intern(s);
+  }
+  ASSERT_EQ(closed.close(max_states), fits);
+  ASSERT_EQ(close_by_round_rescan(oracle, max_states), fits);
+  ASSERT_EQ(closed.num_states(), oracle.num_states());
+  const auto k = static_cast<std::uint32_t>(closed.num_states());
+  for (std::uint32_t id = 0; id < k; ++id) {
+    ASSERT_EQ(proto.encode(closed.decode(id)), proto.encode(oracle.decode(id)))
+        << "id " << id;
+  }
+  if (!fits) return;
+  for (std::uint32_t a = 0; a < k; ++a) {
+    for (std::uint32_t b = 0; b < k; ++b) {
+      const auto& got = closed.closed_transition(a, b);
+      const auto want = oracle.transition(a, b);
+      ASSERT_EQ(got.a2, want.a2) << a << "," << b;
+      ASSERT_EQ(got.b2, want.b2) << a << "," << b;
+      ASSERT_EQ(got.delta, want.delta) << a << "," << b;
+    }
+  }
+}
+
+TEST(CompiledProtocol, ClosureMatchesRoundRescanOracle) {
+  rng gen(11);
+  const graph rr8 = make_random_regular(1000, 8, gen);
+  const fast_protocol small(fast_params{4, 8, 32});
+  std::vector<fast_protocol::state_type> rr8_seeds;
+  for (node_id v = 0; v < rr8.num_nodes(); ++v) {
+    rr8_seeds.push_back(small.initial_state(v));
+  }
+  expect_closure_matches_oracle(small, rr8_seeds, kEngineClosureBudget, true);
+  // Over budget: both stop at the start of the same round.
+  expect_closure_matches_oracle(small, rr8_seeds, 100, false);
+
+  const fast_protocol clique(fast_params::practical_clique(5000));
+  std::vector<fast_protocol::state_type> clique_seeds;
+  for (const auto& [state, count] : initial_multiset(clique, 5000)) {
+    clique_seeds.push_back(state);
+  }
+  expect_closure_matches_oracle(clique, clique_seeds, kEngineClosureBudget, true);
+
+  const star_protocol star;
+  expect_closure_matches_oracle(star, {star.initial_state(0)}, 64, true);
+
+  const beauquier_protocol bq(8);
+  std::vector<bq_state> bq_seeds;
+  for (node_id v = 0; v < 8; ++v) bq_seeds.push_back(bq.initial_state(v));
+  expect_closure_matches_oracle(bq, bq_seeds, 64, true);
 }
 
 // -------------------------------------------------- engine <-> reference
