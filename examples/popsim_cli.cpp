@@ -91,9 +91,24 @@
 // Every invalid invocation exits nonzero (2 for usage errors, 1 for runtime
 // failures) — the fleet CI gates pipe this binary and depend on it.
 //
-// Runs the chosen election, prints a summary, and emits the final
-// configuration as Graphviz DOT on request via POPSIM_DOT=1 — handy for
-// scripting sweeps beyond what the bench binaries cover.
+// Runs the chosen election and prints a summary on stdout:
+//
+//   graph: <family> n=<n> m=<edges> Δ=<max degree>
+//   engine: order=<order> pack=u<bits>[ (lazy fallback ...)][ scheduler=silent]
+//   stabilized: <percent>% of <T> trials
+//   steps: mean <m> (sd <s>, median <q50>, [q10,q90]=[<q10>, <q90>])
+//   sample leader: node <v>
+//
+// The engine line appears for the compiled engine only (protocols fast and
+// star), and the steps line only if some trial stabilized.  `sample leader`
+// is trial 0's leader (-1 if it elected none): trial 0 runs the same seed
+// fork at every --trials and --jobs, so the line costs no extra election and
+// does not depend on either flag.  --engine wellmixed prints `well-mixed
+// clique: n=<n> (...)` in place of the graph and engine lines, and, since
+// agents are exchangeable, `stabilized trials elected a unique leader` in
+// place of the sample leader.  POPSIM_DOT=1 appends the graph as Graphviz
+// DOT with the sample leader marked — handy for scripting sweeps beyond what
+// the bench binaries cover.
 #include <unistd.h>
 
 #include <cerrno>
@@ -537,8 +552,10 @@ pp::election_summary run_fleet(const std::string& artifact_path,
   return pp::summarize_election_results(results);
 }
 
+// Prints the summary, then the POPSIM_DOT=1 Graphviz dump of g with the
+// sample leader marked.
 void print_graph_summary(const pp::election_summary& summary, int trials,
-                         pp::node_id sample_leader) {
+                         const pp::graph& g) {
   std::printf("stabilized: %.0f%% of %d trials\n",
               100.0 * summary.stabilized_fraction, trials);
   if (summary.steps.count > 0) {
@@ -546,7 +563,15 @@ void print_graph_summary(const pp::election_summary& summary, int trials,
                 summary.steps.mean, summary.steps.stddev, summary.steps.median,
                 summary.steps.q10, summary.steps.q90);
   }
-  std::printf("sample leader: node %d\n", sample_leader);
+  std::printf("sample leader: node %d\n", summary.sample_leader);
+
+  if (const char* dot = std::getenv("POPSIM_DOT"); dot != nullptr && dot[0] == '1') {
+    std::vector<bool> leaders(static_cast<std::size_t>(g.num_nodes()), false);
+    if (summary.sample_leader >= 0) {
+      leaders[static_cast<std::size_t>(summary.sample_leader)] = true;
+    }
+    std::fputs(pp::to_dot(g, leaders).c_str(), stdout);
+  }
 }
 
 void print_wellmixed_summary(const pp::election_summary& summary, int trials) {
@@ -682,14 +707,7 @@ int run_tuned_mode(const pp::tuned_runner<P>& runner,
   } else {
     summary = pp::measure_election_tuned(runner, trial_count, seed.fork(2), options);
   }
-  const pp::node_id sample_leader = runner.run(seed.fork(3), options).leader;
-  print_graph_summary(summary, trial_count, sample_leader);
-
-  if (const char* dot = std::getenv("POPSIM_DOT"); dot != nullptr && dot[0] == '1') {
-    std::vector<bool> leaders(static_cast<std::size_t>(g.num_nodes()), false);
-    if (sample_leader >= 0) leaders[static_cast<std::size_t>(sample_leader)] = true;
-    std::fputs(pp::to_dot(g, leaders).c_str(), stdout);
-  }
+  print_graph_summary(summary, trial_count, g);
   return 0;
 }
 
@@ -1070,28 +1088,17 @@ int main(int argc, char** argv) {
     std::printf("graph: %s n=%d m=%lld Δ=%d\n", family_name.c_str(), g.num_nodes(),
                 static_cast<long long>(g.num_edges()), g.max_degree());
     pp::election_summary summary;
-    pp::node_id sample_leader = -1;
     if (protocol == "id") {
       const pp::id_protocol proto(pp::id_protocol::suggested_k(g.num_nodes()));
       summary = pp::measure_election(proto, g, trial_count, seed.fork(2));
-      sample_leader = pp::run_until_stable(proto, g, seed.fork(3)).leader;
     } else if (protocol == "six") {
       const pp::beauquier_protocol proto(g.num_nodes());
       summary = pp::measure_beauquier_event_driven(proto, g, trial_count,
                                                    seed.fork(2), UINT64_MAX);
-      sample_leader =
-          pp::run_beauquier_event_driven(proto, g, seed.fork(3), UINT64_MAX).leader;
     } else {
       return usage();
     }
-
-    print_graph_summary(summary, trial_count, sample_leader);
-
-    if (const char* dot = std::getenv("POPSIM_DOT"); dot != nullptr && dot[0] == '1') {
-      std::vector<bool> leaders(static_cast<std::size_t>(g.num_nodes()), false);
-      if (sample_leader >= 0) leaders[static_cast<std::size_t>(sample_leader)] = true;
-      std::fputs(pp::to_dot(g, leaders).c_str(), stdout);
-    }
+    print_graph_summary(summary, trial_count, g);
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "popsim: %s\n", e.what());

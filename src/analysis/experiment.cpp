@@ -22,6 +22,7 @@ election_summary summarize_election_results(
   summary.stabilized_fraction =
       results.empty() ? 0.0 : static_cast<double>(stabilized) / static_cast<double>(results.size());
   if (!steps.empty()) summary.steps = summarize(steps);
+  if (!results.empty()) summary.sample_leader = results.front().leader;
   return summary;
 }
 
@@ -30,26 +31,17 @@ election_summary measure_beauquier_event_driven(const beauquier_protocol& proto,
                                                 rng seed_gen,
                                                 std::uint64_t max_steps,
                                                 std::size_t threads) {
-  std::vector<bq_run_result> results(static_cast<std::size_t>(trials));
+  std::vector<election_result> results(static_cast<std::size_t>(trials));
   parallel_for(
       static_cast<std::size_t>(trials),
       [&](std::size_t t) {
-        results[t] = run_beauquier_event_driven(proto, g, seed_gen.fork(t), max_steps);
+        const bq_run_result r =
+            run_beauquier_event_driven(proto, g, seed_gen.fork(t), max_steps);
+        results[t] = {.stabilized = r.stabilized, .steps = r.steps, .leader = r.leader};
       },
       threads);
-
-  election_summary summary;
-  std::vector<double> steps;
-  int stabilized = 0;
-  for (const bq_run_result& r : results) {
-    if (r.stabilized) {
-      ++stabilized;
-      steps.push_back(static_cast<double>(r.steps));
-    }
-  }
-  summary.stabilized_fraction = static_cast<double>(stabilized) / trials;
+  election_summary summary = summarize_election_results(results);
   summary.max_states_used = 6;  // the protocol has six states by construction
-  if (!steps.empty()) summary.steps = summarize(steps);
   return summary;
 }
 

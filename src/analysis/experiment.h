@@ -25,9 +25,13 @@ struct election_summary {
   sample_summary steps;            // over stabilized trials only
   double stabilized_fraction = 0;  // trials that stabilized within max_steps
   double max_states_used = 0;      // empirical space complexity (census runs)
+  // Trial 0's leader (-1 if it elected none, or for an empty sweep).  Trial
+  // 0 always runs seed_gen.fork(0), so this is the same node at every thread
+  // or worker count, and reporting it costs no extra election.
+  node_id sample_leader = -1;
 };
 
-// Aggregates per-trial results into an election_summary.
+// Aggregates per-trial results (indexed by trial) into an election_summary.
 election_summary summarize_election_results(const std::vector<election_result>& results);
 
 // Runs `trials` independent elections of `proto` on `g` in parallel.

@@ -29,6 +29,8 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <new>
 #include <span>
 #include <type_traits>
 #include <unordered_map>
@@ -233,6 +235,13 @@ class compiled_protocol {
   // reachable state is already present, so this never mutates (and is safe
   // to call concurrently); an unreachable state on a closed table is a
   // contract violation and fails loudly.
+  //
+  // Shell invariant: the table is allocated uninitialised, and interning id
+  // s writes the not-compiled sentinel into s's shell only — the cells
+  // (a, s) for a <= s and (s, b) for b < s.  So every cell of the interned
+  // |Λ|² square is a compiled entry or the sentinel, and no lookup (every
+  // one takes two interned ids) reaches the capacity beyond it, which is
+  // never written.
   state_id intern(const state_type& s) {
     const auto found = index_.find(proto_->encode(s));
     if (found != index_.end()) return found->second;
@@ -249,6 +258,8 @@ class compiled_protocol {
       classes_.push_back(static_cast<std::uint8_t>(c));
     }
     if (states_.size() > cap_) grow();
+    for (std::size_t a = 0; a <= id; ++a) table_[a * cap_ + id] = entry{};
+    std::fill_n(table_.get() + static_cast<std::size_t>(id) * cap_, id, entry{});
     return id;
   }
 
@@ -330,8 +341,11 @@ class compiled_protocol {
     return true;
   }
 
-  // Resident bytes of the flat transition table (capacity, not just the
-  // interned prefix) — the table term of the engine's working set.
+  // Reserved bytes of the flat transition table: the full cap² capacity,
+  // not just the interned prefix — the table term of the engine's working
+  // set.  Only the |Λ|² square is ever written (see intern()), so the
+  // resident part is about num_states()² entries, rounded up to whole pages
+  // per row.
   std::size_t table_bytes() const { return cap_ * cap_ * sizeof(entry); }
 
   // Runs the pairwise reachability closure from the currently interned states
@@ -396,21 +410,32 @@ class compiled_protocol {
   }
 
   // Doubles the id capacity and re-lays the flat table out at the new pitch.
+  // Called by intern() with the new id already pushed, so the old square
+  // (every id but the last) is copied and the rest of the new table is left
+  // uninitialised for intern() to shell.
   void grow() {
     const std::size_t new_cap = cap_ == 0 ? 64 : cap_ * 2;
-    std::vector<entry> new_table(new_cap * new_cap);
-    const std::size_t old = std::min(states_.size() - 1, cap_);
+    table_storage new_table(
+        static_cast<entry*>(::operator new(new_cap * new_cap * sizeof(entry))));
+    const std::size_t old = states_.size() - 1;
     for (std::size_t a = 0; a < old; ++a) {
-      std::copy_n(table_.begin() + static_cast<std::ptrdiff_t>(a * cap_), old,
-                  new_table.begin() + static_cast<std::ptrdiff_t>(a * new_cap));
+      std::copy_n(table_.get() + a * cap_, old, new_table.get() + a * new_cap);
     }
     cap_ = new_cap;
     table_ = std::move(new_table);
   }
 
+  // entry is an aggregate, so operator new's raw storage implicitly holds
+  // entry objects; leaving it uninitialised keeps the untouched capacity off
+  // the resident set (a fresh anonymous mapping is never faulted in).
+  struct table_deleter {
+    void operator()(entry* p) const { ::operator delete(p); }
+  };
+  using table_storage = std::unique_ptr<entry[], table_deleter>;
+
   const P* proto_;
   std::size_t cap_ = 0;
-  std::vector<entry> table_;  // cap_² entries, index a * cap_ + b
+  table_storage table_;  // cap_² entries, index a * cap_ + b; see intern()
   std::vector<state_type> states_;
   std::vector<role> roles_;
   std::vector<std::array<std::int8_t, kMaxCensusCounters>> contrib_;

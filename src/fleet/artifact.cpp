@@ -144,6 +144,11 @@ graph_section parse_graph(byte_reader& r) {
   graph_section g;
   g.num_nodes = r.u32();
   const std::uint64_t m = r.count(r.u64(), 8);  // two u32 endpoints per edge
+  // Every protocol run needs a connected graph (graph.h), and a connected
+  // graph has n <= m + 1: this bounds the per-node arrays rebuild_graph
+  // allocates by the edge bytes actually present.
+  expects(g.num_nodes >= 1 && g.num_nodes <= m + 1,
+          "artifact: graph node count must be in [1, edges + 1]");
   g.edges.reserve(m);
   for (std::uint64_t e = 0; e < m; ++e) {
     const std::uint32_t u = r.u32();

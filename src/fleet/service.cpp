@@ -172,7 +172,7 @@ struct sweep_service::state {
 };
 
 sweep_service::sweep_service(const service_options& options)
-    : state_(new state{options, {}, {}, {}, 0}) {
+    : state_(new state{options, {}, {}, {}, 0, {}}) {
   expects(options.cache_mb >= 1, "popsimd: cache budget must be >= 1 MB");
   // Pre-register the STATS surface (tools/check_stats.py's required keys):
   // a std::map-backed registry only shows a name once touched, and a

@@ -167,7 +167,12 @@ std::string metrics_registry::text() const {
     for (int i = 0; i < histogram::kBuckets; ++i) {
       const std::uint64_t n = h.buckets[static_cast<std::size_t>(i)];
       if (n == 0) continue;
-      out += " " + std::to_string(i) + ":" + std::to_string(n);
+      // Appended piecewise: `" " + std::to_string(i)` trips a GCC 12
+      // -Wrestrict false positive.
+      out += ' ';
+      out += std::to_string(i);
+      out += ':';
+      out += std::to_string(n);
     }
     out += "\n";
   }

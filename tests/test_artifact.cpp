@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 
 #include "core/beauquier.h"
@@ -290,6 +291,43 @@ TEST(Artifact, HostileElementCountsAreRejectedBeforeAllocating) {
   put64(file, fnv1a64(payload.data(), payload.size()));
   file.insert(file.end(), payload.begin(), payload.end());
   EXPECT_THROW(artifact_from_bytes(file), std::invalid_argument);
+}
+
+TEST(Artifact, GraphNodeCountIsBoundedByTheEdgeList) {
+  // A connected graph has n <= m + 1, so a GRPH section that claims more
+  // nodes than its edges can connect (here the 1,543,504,072 a one-byte
+  // mutation produced) must be rejected before rebuild_graph zero-fills
+  // per-node arrays for it (~6 GB).  The checksum is fixed up each time so
+  // the section parser is reached.
+  const tuned_fixture fx;
+  const auto good = artifact_bytes(fx.artifact());
+  auto u32_at = [](const std::vector<std::uint8_t>& b, std::size_t at) {
+    std::uint32_t v;
+    std::memcpy(&v, b.data() + at, sizeof(v));
+    return v;
+  };
+  // Walk the section headers (u32 tag, u32 reserved, u64 length) past the
+  // 40-byte file header to the GRPH payload: node count first, then edges.
+  std::size_t at = 40;
+  while (u32_at(good, at) != 0x48505247) {  // 'GRPH'
+    std::uint64_t length;
+    std::memcpy(&length, good.data() + at + 8, sizeof(length));
+    at += 16 + length;
+    ASSERT_LT(at, good.size());
+  }
+  const std::size_t nodes_at = at + 16;
+  ASSERT_EQ(u32_at(good, nodes_at), 200u);
+  auto with_nodes = [&](std::uint32_t n) {
+    auto bytes = good;
+    std::memcpy(bytes.data() + nodes_at, &n, sizeof(n));
+    const std::uint64_t sum = fnv1a64(bytes.data() + 40, bytes.size() - 40);
+    std::memcpy(bytes.data() + 32, &sum, sizeof(sum));
+    return bytes;
+  };
+  EXPECT_NO_THROW(artifact_from_bytes(with_nodes(200)));
+  EXPECT_THROW(artifact_from_bytes(with_nodes(1'543'504'072u)), std::invalid_argument);
+  EXPECT_THROW(artifact_from_bytes(with_nodes(202)), std::invalid_argument);  // m + 2
+  EXPECT_THROW(artifact_from_bytes(with_nodes(0)), std::invalid_argument);
 }
 
 TEST(Artifact, FnvVectors) {

@@ -1,7 +1,8 @@
 // Regression tests for popsim_cli's exit-code contract: every invalid
 // invocation must exit nonzero (CI's fleet-determinism and artifact gates
-// pipe the binary and rely on failures being loud), and valid fleet
-// invocations must reproduce the serial stdout byte for byte.
+// pipe the binary and rely on failures being loud), valid fleet invocations
+// must reproduce the serial stdout byte for byte, and the printed sample
+// leader is the library's trial-0 leader.
 //
 // These tests exec the real binary (path injected by CMake as
 // PP_POPSIM_CLI); they are skipped when the examples are not built.
@@ -14,6 +15,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+
+#include "analysis/families.h"
+#include "core/fast_election.h"
+#include "dynamics/epidemic.h"
+#include "engine/engine.h"
 
 namespace {
 
@@ -363,6 +369,30 @@ TEST(CliFleet, ProgressLeavesStdoutUntouched) {
   EXPECT_NE(err.out.find("6/6 trials"), std::string::npos)
       << "stderr was: " << err.out;
   EXPECT_NE(err.out.find("done"), std::string::npos);
+}
+
+// `sample leader:` is trial 0's leader, computed the way popsim seeds it:
+// graph from fork(0), B(G) from fork(1), trial t on fork(2).fork(t).  At
+// this seed a separate rerun on another fork would elect a different node.
+TEST(CliOutput, SampleLeaderIsTrialZerosLeader) {
+  const std::uint64_t seed = 4;
+  pp::rng make_gen = pp::rng(seed).fork(0);
+  const pp::graph g = pp::family_by_name("rr8").make(600, make_gen);
+  const double b =
+      pp::estimate_worst_case_broadcast_time(g, 30, 6, pp::rng(seed).fork(1)).value;
+  const pp::fast_protocol proto(pp::fast_params::practical(g, b));
+  const pp::tuned_runner<pp::fast_protocol> runner(proto, g);
+  const pp::node_id leader = runner.run(pp::rng(seed).fork(2).fork(0)).leader;
+  ASSERT_GE(leader, 0);
+  const std::string line = "sample leader: node " + std::to_string(leader) + "\n";
+
+  const std::string args = "rr8 600 fast --trials 2 --seed " + std::to_string(seed);
+  const cli_result serial = run_cli(args);
+  ASSERT_EQ(serial.code, 0);
+  EXPECT_NE(serial.out.find(line), std::string::npos) << serial.out;
+  const cli_result fleet = run_cli(args + " --jobs 2");
+  ASSERT_EQ(fleet.code, 0);
+  EXPECT_EQ(serial.out, fleet.out);
 }
 
 TEST(CliFleet, WellmixedArtifactSweepIsDeterministic) {

@@ -1,6 +1,10 @@
 #include "engine/engine.h"
 
 #include <gtest/gtest.h>
+#include <sys/prctl.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <set>
 #include <string>
@@ -112,11 +116,13 @@ bool close_by_round_rescan(compiled_protocol<P>& compiled, std::size_t max_state
   return true;
 }
 
+// Closes `closed` and a round-rescan oracle from the same seeds and checks
+// they agree on the outcome, every state id and (when the closure fits)
+// every table entry.
 template <typename P>
-void expect_closure_matches_oracle(const P& proto,
+void expect_closure_matches_oracle(const P& proto, compiled_protocol<P>& closed,
                                    const std::vector<typename P::state_type>& seeds,
                                    std::size_t max_states, bool fits) {
-  compiled_protocol<P> closed(proto);
   compiled_protocol<P> oracle(proto);
   for (const auto& s : seeds) {
     closed.intern(s);
@@ -140,6 +146,14 @@ void expect_closure_matches_oracle(const P& proto,
       ASSERT_EQ(got.delta, want.delta) << a << "," << b;
     }
   }
+}
+
+template <typename P>
+void expect_closure_matches_oracle(const P& proto,
+                                   const std::vector<typename P::state_type>& seeds,
+                                   std::size_t max_states, bool fits) {
+  compiled_protocol<P> closed(proto);
+  expect_closure_matches_oracle(proto, closed, seeds, max_states, fits);
 }
 
 TEST(CompiledProtocol, ClosureMatchesRoundRescanOracle) {
@@ -168,6 +182,84 @@ TEST(CompiledProtocol, ClosureMatchesRoundRescanOracle) {
   std::vector<bq_state> bq_seeds;
   for (node_id v = 0; v < 8; ++v) bq_seeds.push_back(bq.initial_state(v));
   expect_closure_matches_oracle(bq, bq_seeds, 64, true);
+}
+
+// The table is allocated uninitialised and intern() shells each new id with
+// the not-compiled sentinel.  A shell cell it missed would read as compiled
+// (a fresh page holds a2 = 0), so close() would skip it: the fill count
+// would come up short of |Λ|² and the entry would differ from the oracle.
+TEST(CompiledProtocol, ClosureFillsExactlyTheInternedSquare) {
+  rng gen(11);
+  const graph rr8 = make_random_regular(1000, 8, gen);
+  const fast_protocol small(fast_params{4, 8, 32});
+  std::vector<fast_protocol::state_type> seeds;
+  for (node_id v = 0; v < rr8.num_nodes(); ++v) seeds.push_back(small.initial_state(v));
+
+  using compiled = compiled_protocol<fast_protocol>;
+  compiled closed(small);
+  expect_closure_matches_oracle(small, closed, seeds, kEngineClosureBudget, true);
+  const std::size_t k = closed.num_states();
+  ASSERT_EQ(k, 241u);
+  // Capacity 64 -> 128 -> 256: three grow() calls re-lay the square.
+  EXPECT_EQ(closed.table_bytes(), 256u * 256u * sizeof(compiled::entry));
+  EXPECT_EQ(closed.lazy_fills(), k * k);
+  for (std::uint32_t a = 0; a < k; ++a) {
+    for (std::uint32_t b = 0; b < k; ++b) closed.transition(a, b);
+  }
+  EXPECT_EQ(closed.lazy_fills(), k * k);
+}
+
+// Peak RSS (KB) of a forked child that runs `work` and exits, from wait4.
+// Transparent huge pages are disabled in the child: with THP on `always`, a
+// huge page backs the untouched row tails of the table too.
+template <typename Work>
+long child_peak_rss_kb(const Work& work) {
+  const pid_t pid = fork();
+  if (pid == 0) {
+    prctl(PR_SET_THP_DISABLE, 1, 0, 0, 0);
+    try {
+      work();
+    } catch (...) {
+      _exit(1);
+    }
+    _exit(0);
+  }
+  int status = 0;
+  rusage usage{};
+  EXPECT_EQ(wait4(pid, &status, 0, &usage), pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  return usage.ru_maxrss;
+}
+
+// Only the |Λ|² square of the cap² table becomes resident.  The wellmixed
+// clique n = 5000 closure interns 1251 states into a 2048-pitch table
+// (50.3 MB reserved, 18.8 MB of square); the 0.75 × reserved bound leaves
+// room for page rounding and for the 1024-pitch table grow() copies from.
+TEST(CompiledProtocol, ClosureKeepsOnlyTheInternedSquareResident) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer allocators change what is resident";
+#endif
+  const fast_protocol proto(fast_params::practical_clique(5000));
+  const auto initial = initial_multiset(proto, 5000);
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  const long idle_kb = child_peak_rss_kb([] {});
+  const long closed_kb = child_peak_rss_kb([&] {
+    compiled_protocol<fast_protocol> compiled(proto);
+    for (const auto& [state, count] : initial) compiled.intern(state);
+    if (!compiled.close(kEngineClosureBudget) || compiled.num_states() != 1251) _exit(2);
+    const std::uint64_t bytes = compiled.table_bytes();
+    if (write(fds[1], &bytes, sizeof(bytes)) != sizeof(bytes)) _exit(3);
+  });
+  close(fds[1]);
+  std::uint64_t table_bytes = 0;
+  ASSERT_EQ(read(fds[0], &table_bytes, sizeof(table_bytes)),
+            static_cast<ssize_t>(sizeof(table_bytes)));
+  close(fds[0]);
+  ASSERT_EQ(table_bytes, 2048u * 2048u * sizeof(compiled_protocol<fast_protocol>::entry));
+  const double growth = static_cast<double>(closed_kb - idle_kb) * 1024.0;
+  EXPECT_LT(growth, 0.75 * static_cast<double>(table_bytes))
+      << "idle child " << idle_kb << " KB, closing child " << closed_kb << " KB";
 }
 
 // -------------------------------------------------- engine <-> reference

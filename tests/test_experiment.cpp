@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "analysis/families.h"
+#include "core/fast_election.h"
 #include "graph/generators.h"
 #include "graph/metrics.h"
 
@@ -79,6 +80,40 @@ TEST(MeasureBeauquierEventDriven, AgreesWithGenericRunner) {
   EXPECT_DOUBLE_EQ(event.stabilized_fraction, 1.0);
   EXPECT_NEAR(event.steps.mean, generic.steps.mean,
               4 * (generic.steps.ci95_halfwidth + event.steps.ci95_halfwidth));
+}
+
+// The summary's sample leader is trial 0's leader, which every sweep runs
+// on seed_gen.fork(0): reporting it needs no extra election.
+TEST(SampleLeader, SummaryReportsTrialZerosLeader) {
+  std::vector<election_result> results(3);
+  results[0] = {.stabilized = true, .steps = 10, .leader = 7};
+  results[1] = {.stabilized = true, .steps = 20, .leader = 3};
+  results[2] = {.stabilized = false, .steps = 30, .leader = -1};
+  EXPECT_EQ(summarize_election_results(results).sample_leader, 7);
+  std::swap(results[0], results[2]);
+  EXPECT_EQ(summarize_election_results(results).sample_leader, -1);
+  EXPECT_EQ(summarize_election_results({}).sample_leader, -1);
+}
+
+TEST(SampleLeader, EverySweepReportsTrialZerosLeader) {
+  const graph g = make_cycle(40);
+  const rng seed(12);
+
+  const fast_protocol fast(fast_params::practical(
+      g, estimate_worst_case_broadcast_time(g, 5, 3, rng(3)).value));
+  const tuned_runner<fast_protocol> runner(fast, g);
+  const node_id tuned = runner.run(seed.fork(0)).leader;
+  EXPECT_GE(tuned, 0);
+  EXPECT_EQ(measure_election_tuned(runner, 3, seed).sample_leader, tuned);
+  EXPECT_EQ(measure_election(fast, g, 3, seed).sample_leader,
+            run_until_stable(fast, g, seed.fork(0)).leader);
+
+  const beauquier_protocol six(g.num_nodes());
+  const node_id event =
+      run_beauquier_event_driven(six, g, seed.fork(0), UINT64_MAX).leader;
+  EXPECT_GE(event, 0);
+  EXPECT_EQ(measure_beauquier_event_driven(six, g, 3, seed, UINT64_MAX).sample_leader,
+            event);
 }
 
 TEST(MeasureBroadcast, RatioIsOrderOne) {

@@ -41,6 +41,7 @@ void expect_same_summary(const election_summary& a, const election_summary& b) {
   EXPECT_EQ(a.steps.q90, b.steps.q90);
   EXPECT_EQ(a.steps.min, b.steps.min);
   EXPECT_EQ(a.steps.max, b.steps.max);
+  EXPECT_EQ(a.sample_leader, b.sample_leader);
 }
 
 // The serial reference every fleet result is compared against: trial t runs
@@ -108,6 +109,9 @@ TEST(FleetRun, TunedSweepIsByteIdenticalToSerial) {
 
   const auto serial =
       measure_election_tuned(runner, trials, rng(7).fork(2));
+  // The sample leader is trial 0's, at every worker count.
+  EXPECT_GE(serial.sample_leader, 0);
+  EXPECT_EQ(serial.sample_leader, runner.run(rng(7).fork(2).fork(0)).leader);
   for (const int jobs : {2, 3, 4}) {
     const auto fleet =
         measure_election_fleet(runner, trials, rng(7).fork(2), {}, jobs);
