@@ -1,6 +1,7 @@
 #include "dynamics/epidemic.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "graph/metrics.h"
 #include "sched/scheduler.h"
@@ -8,89 +9,90 @@
 
 namespace pp {
 
+namespace detail {
+
 namespace {
-
-// Set of edge ids supporting O(1) insert, erase and uniform sampling.
-class edge_id_pool {
- public:
-  explicit edge_id_pool(std::size_t universe)
-      : position_(universe, npos) {}
-
-  bool contains(std::int64_t id) const {
-    return position_[static_cast<std::size_t>(id)] != npos;
-  }
-
-  void insert(std::int64_t id) {
-    if (contains(id)) return;
-    position_[static_cast<std::size_t>(id)] = members_.size();
-    members_.push_back(id);
-  }
-
-  void erase(std::int64_t id) {
-    const std::size_t pos = position_[static_cast<std::size_t>(id)];
-    if (pos == npos) return;
-    const std::int64_t last = members_.back();
-    members_[pos] = last;
-    position_[static_cast<std::size_t>(last)] = pos;
-    members_.pop_back();
-    position_[static_cast<std::size_t>(id)] = npos;
-  }
-
-  std::size_t size() const { return members_.size(); }
-
-  std::int64_t sample(rng& gen) const {
-    return members_[static_cast<std::size_t>(gen.uniform_below(members_.size()))];
-  }
-
- private:
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> position_;
-  std::vector<std::int64_t> members_;
-};
-
+constexpr std::uint32_t kAbsent = std::numeric_limits<std::uint32_t>::max();
 }  // namespace
 
-broadcast_result simulate_broadcast(const graph& g, node_id source, rng gen) {
-  expects(source >= 0 && source < g.num_nodes(),
-          "simulate_broadcast: source out of range");
-  expects(g.num_edges() >= 1, "simulate_broadcast: graph must have edges");
+broadcast_workspace::broadcast_workspace(const graph& g)
+    : g_(g), m_(static_cast<double>(g.num_edges())) {
+  expects(g.num_edges() <= std::int64_t{kAbsent},
+          "simulate_broadcast: edge ids must fit in 32 bits");
+  const auto m = static_cast<std::size_t>(g.num_edges());
+  const auto n = static_cast<std::size_t>(g.num_nodes());
+  position_.assign(m, kAbsent);
+  pool_.resize(m);
+  informed_.assign(n, 0);
+  log_q_.assign(std::min(m, 2 * n), 0.0);
+}
 
-  const node_id n = g.num_nodes();
-  const double m = static_cast<double>(g.num_edges());
-
-  broadcast_result result;
-  result.infection_step.assign(static_cast<std::size_t>(n), 0);
-  std::vector<bool> informed(static_cast<std::size_t>(n), false);
-  informed[static_cast<std::size_t>(source)] = true;
-
-  edge_id_pool boundary(static_cast<std::size_t>(g.num_edges()));
-  for (const std::int64_t id : g.incident_edge_ids(source)) boundary.insert(id);
-
-  std::uint64_t step = 0;
-  node_id remaining = n - 1;
-  while (remaining > 0) {
-    expects(boundary.size() > 0, "simulate_broadcast: graph must be connected");
-    // Wait for the scheduler to hit a boundary edge: Geometric(|∂S|/m).
-    step += gen.geometric(static_cast<double>(boundary.size()) / m);
-    const std::int64_t hit = boundary.sample(gen);
-    const edge& e = g.edges()[static_cast<std::size_t>(hit)];
-    const node_id fresh = informed[static_cast<std::size_t>(e.u)] ? e.v : e.u;
-
-    informed[static_cast<std::size_t>(fresh)] = true;
-    result.infection_step[static_cast<std::size_t>(fresh)] = step;
-    --remaining;
-    // Edges from `fresh` to informed nodes leave the boundary, the rest join.
-    const auto nbrs = g.neighbors(fresh);
-    const auto ids = g.incident_edge_ids(fresh);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      if (informed[static_cast<std::size_t>(nbrs[i])]) {
-        boundary.erase(ids[i]);
-      } else {
-        boundary.insert(ids[i]);
-      }
+void broadcast_workspace::visit(node_id v) {
+  const auto nbrs = g_.neighbors(v);
+  const auto ids = g_.incident_edge_ids(v);
+  std::uint32_t* position = position_.data();
+  slot* pool = pool_.data();
+  std::uint32_t size = size_;
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    const auto id = static_cast<std::uint32_t>(ids[i]);
+    if (informed_[static_cast<std::size_t>(nbrs[i])]) {
+      // Both ends informed now: swap-remove the edge.
+      const std::uint32_t at = position[id];
+      const slot last = pool[--size];
+      pool[at] = last;
+      position[last.edge] = at;
+      position[id] = kAbsent;
+    } else {
+      position[id] = size;
+      pool[size++] = {id, nbrs[i]};
     }
   }
-  result.completion_step = step;
+  size_ = size;
+}
+
+double broadcast_workspace::log_q(std::size_t k) {
+  if (k >= log_q_.size()) return geometric_log_q(static_cast<double>(k) / m_);
+  // log1p(-k/m) < 0 for 0 < k < m, so 0 marks an entry not computed yet.
+  double& entry = log_q_[k];
+  if (entry == 0.0) entry = geometric_log_q(static_cast<double>(k) / m_);
+  return entry;
+}
+
+std::uint64_t broadcast_workspace::run(node_id source, rng gen,
+                                       std::uint64_t* infection_step) {
+  expects(source >= 0 && source < g_.num_nodes(),
+          "simulate_broadcast: source out of range");
+  expects(g_.num_edges() >= 1, "simulate_broadcast: graph must have edges");
+
+  // The pool is empty here: a finished broadcast informed every node, and an
+  // unfinished one stopped at the empty-boundary check below.
+  std::fill(informed_.begin(), informed_.end(), std::uint8_t{0});
+  informed_[static_cast<std::size_t>(source)] = 1;
+  visit(source);
+
+  const auto all_edges = static_cast<std::size_t>(g_.num_edges());
+  std::uint64_t step = 0;
+  for (node_id remaining = g_.num_nodes() - 1; remaining > 0; --remaining) {
+    expects(size_ > 0, "simulate_broadcast: graph must be connected");
+    // Wait for the scheduler to hit a boundary edge: Geometric(|∂S|/m), which
+    // takes no draw when every edge is a boundary edge (p = 1).
+    const std::size_t k = size_;
+    step += k == all_edges ? 1 : geometric_inversion(gen.uniform01(), log_q(k));
+    const node_id fresh = pool_[gen.uniform_below(k)].uninformed;
+    informed_[static_cast<std::size_t>(fresh)] = 1;
+    if (infection_step != nullptr) infection_step[fresh] = step;
+    visit(fresh);
+  }
+  return step;
+}
+
+}  // namespace detail
+
+broadcast_result simulate_broadcast(const graph& g, node_id source, rng gen) {
+  detail::broadcast_workspace workspace(g);
+  broadcast_result result;
+  result.infection_step.assign(static_cast<std::size_t>(g.num_nodes()), 0);
+  result.completion_step = workspace.run(source, gen, result.infection_step.data());
   return result;
 }
 
@@ -120,14 +122,24 @@ broadcast_result simulate_broadcast_naive(const graph& g, node_id source, rng ge
   return result;
 }
 
-double estimate_broadcast_time(const graph& g, node_id source, int trials, rng gen) {
-  expects(trials >= 1, "estimate_broadcast_time: need trials >= 1");
+namespace {
+
+double mean_broadcast_time(detail::broadcast_workspace& workspace, node_id source,
+                           int trials, rng gen) {
   double total = 0.0;
   for (int t = 0; t < trials; ++t) {
-    const auto r = simulate_broadcast(g, source, gen.fork(static_cast<std::uint64_t>(t)));
-    total += static_cast<double>(r.completion_step);
+    total += static_cast<double>(
+        workspace.run(source, gen.fork(static_cast<std::uint64_t>(t)), nullptr));
   }
   return total / trials;
+}
+
+}  // namespace
+
+double estimate_broadcast_time(const graph& g, node_id source, int trials, rng gen) {
+  expects(trials >= 1, "estimate_broadcast_time: need trials >= 1");
+  detail::broadcast_workspace workspace(g);
+  return mean_broadcast_time(workspace, source, trials, gen);
 }
 
 broadcast_time_estimate estimate_worst_case_broadcast_time(
@@ -160,10 +172,11 @@ broadcast_time_estimate estimate_worst_case_broadcast_time(
 
   broadcast_time_estimate est;
   est.min_value = -1.0;
+  detail::broadcast_workspace workspace(g);
   std::uint64_t stream = 0;
   for (const node_id v : sources) {
     const double mean =
-        estimate_broadcast_time(g, v, trials_per_source, gen.fork(stream++));
+        mean_broadcast_time(workspace, v, trials_per_source, gen.fork(stream++));
     if (mean > est.value) {
       est.value = mean;
       est.argmax = v;

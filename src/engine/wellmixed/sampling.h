@@ -12,14 +12,14 @@
 //
 // The samplers are templated over the generator so the batch engine can
 // drive them from the inline block-buffered block_rng (the hot path) while
-// tests use pp::rng directly; any type with uniform_below / uniform01 /
-// geometric works.
+// tests use pp::rng directly; any type with uniform_below / uniform01 works.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
 
 #include "support/expects.h"
+#include "support/rng.h"
 
 namespace pp {
 
@@ -30,10 +30,13 @@ namespace sampling_detail {
 // geometric draws, so it is used only when n·p is small.
 template <typename Gen>
 std::uint64_t binomial_inversion(Gen& gen, std::uint64_t n, double p) {
+  // p is fixed for the call, so log(1 - p) is too: gen.geometric(p) minus
+  // its per-draw log1p, draw for draw.
+  const double log_q = geometric_log_q(p);
   std::uint64_t successes = 0;
   std::uint64_t position = 0;
   while (true) {
-    position += gen.geometric(p);
+    position += geometric_inversion(gen.uniform01(), log_q);
     if (position > n) return successes;
     ++successes;
   }

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <string_view>
 
 namespace pp::fleet {
 
@@ -279,6 +281,14 @@ wellmixed_section parse_wellmixed(byte_reader& r) {
   return s;
 }
 
+// A descriptor param (read from an artifact or a REQ_SWEEP frame) as the
+// field it constructs: rejected, not truncated, when it does not fit.
+template <typename Field>
+Field param_as(std::uint64_t value, std::string_view what) {
+  expects(value <= static_cast<std::uint64_t>(std::numeric_limits<Field>::max()), what);
+  return static_cast<Field>(value);
+}
+
 }  // namespace
 
 std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size) {
@@ -301,9 +311,11 @@ fast_params fast_params_of(const protocol_desc& desc) {
   expects(desc.kind == protocol_kind::fast && desc.params.size() == 3,
           "artifact: descriptor is not a fast-protocol descriptor");
   fast_params p;
-  p.h = static_cast<int>(desc.params[0]);
-  p.level_threshold = static_cast<int>(desc.params[1]);
-  p.max_level = static_cast<int>(desc.params[2]);
+  p.h = param_as<int>(desc.params[0], "artifact: fast-protocol h does not fit an int");
+  p.level_threshold =
+      param_as<int>(desc.params[1], "artifact: fast-protocol L does not fit an int");
+  p.max_level =
+      param_as<int>(desc.params[2], "artifact: fast-protocol α·L does not fit an int");
   return p;
 }
 
@@ -314,7 +326,8 @@ protocol_desc six_desc(node_id n) {
 node_id six_population_of(const protocol_desc& desc) {
   expects(desc.kind == protocol_kind::six && desc.params.size() == 1,
           "artifact: descriptor is not a six-state-protocol descriptor");
-  return static_cast<node_id>(desc.params[0]);
+  return param_as<node_id>(desc.params[0],
+                           "artifact: six-state population does not fit a node_id");
 }
 
 protocol_desc star_desc() { return {protocol_kind::star, {}}; }

@@ -174,22 +174,25 @@ graph make_erdos_renyi(node_id n, double p, rng& gen) {
   if (p <= 0.0) return graph::from_edges(n, edges);
   // Skip-sampling over the n(n-1)/2 potential edges: the gap to the next
   // present edge is Geometric(p), so the cost is proportional to the number
-  // of edges generated rather than to n².
+  // of edges generated rather than to n².  p is fixed for the call, so
+  // log(1 - p) is hoisted out of gen.geometric(p), draw for draw.
+  const double log_q = geometric_log_q(p);
+  const auto gap = [&] {
+    return static_cast<std::int64_t>(geometric_inversion(gen.uniform01(), log_q));
+  };
   const std::int64_t total = static_cast<std::int64_t>(n) * (n - 1) / 2;
-  std::int64_t idx = static_cast<std::int64_t>(gen.geometric(p)) - 1;
-  while (idx < total) {
-    // Decode linear index into (u, v), u < v, row-major over u.
-    node_id u = 0;
-    std::int64_t rem = idx;
-    std::int64_t row = n - 1;
-    while (rem >= row) {
-      rem -= row;
+  // Linear index idx enumerates (u, v), u < v, row-major over u; it only
+  // grows, so the decoder carries its row forward: O(n + m) in all.
+  node_id u = 0;
+  std::int64_t row_start = 0;  // index of (u, u + 1)
+  std::int64_t row = n - 1;    // pairs in row u
+  for (std::int64_t idx = gap() - 1; idx < total; idx += gap()) {
+    while (idx - row_start >= row) {
+      row_start += row;
       --row;
       ++u;
     }
-    const node_id v = static_cast<node_id>(u + 1 + rem);
-    edges.push_back({u, v});
-    idx += static_cast<std::int64_t>(gen.geometric(p));
+    edges.push_back({u, static_cast<node_id>(u + 1 + (idx - row_start))});
   }
   return graph::from_edges(n, edges);
 }

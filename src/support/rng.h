@@ -48,19 +48,31 @@ double uniform01_from(Next&& next) {
   return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
+// log(1 - p), the denominator of the geometric inversion below.  A caller
+// that draws many Geometric(p) variables for one p, or tabulates them per p,
+// computes it once; geometric_from computes it through this same function,
+// so the hoisted and the per-draw paths divide by the same double.
+inline double geometric_log_q(double p) { return std::log1p(-p); }
+
+// Geometric(p) on {1, 2, ...} by inversion of one uniform01 value `u01`,
+// given log_q = geometric_log_q(p) for a p in (0, 1).
+inline std::uint64_t geometric_inversion(double u01, double log_q) {
+  // Inversion: ceil(log(U) / log(1-p)) with U ~ Uniform(0,1].
+  const double u = 1.0 - u01;  // in (0, 1]
+  const double draws = std::ceil(std::log(u) / log_q);
+  if (draws < 1.0) return 1;
+  // Clamp astronomically unlikely overflows instead of wrapping.
+  if (draws >= 9.2e18) return std::numeric_limits<std::uint64_t>::max() / 2;
+  return static_cast<std::uint64_t>(draws);
+}
+
 // Geometric(p) on {1, 2, ...} by inversion over one uniform01 draw; p in
 // (0, 1].  Shared by rng::geometric and block_rng::geometric.
 template <typename Next>
 std::uint64_t geometric_from(Next&& next, double p) {
   expects(p > 0.0 && p <= 1.0, "geometric: p must be in (0, 1]");
   if (p == 1.0) return 1;
-  // Inversion: ceil(log(U) / log(1-p)) with U ~ Uniform(0,1].
-  const double u = 1.0 - uniform01_from(next);  // in (0, 1]
-  const double draws = std::ceil(std::log(u) / std::log1p(-p));
-  if (draws < 1.0) return 1;
-  // Clamp astronomically unlikely overflows instead of wrapping.
-  if (draws >= 9.2e18) return std::numeric_limits<std::uint64_t>::max() / 2;
-  return static_cast<std::uint64_t>(draws);
+  return geometric_inversion(uniform01_from(next), geometric_log_q(p));
 }
 
 // xoshiro256** 1.0 (Blackman & Vigna), a small, fast, high-quality PRNG.

@@ -293,41 +293,81 @@ TEST(Artifact, HostileElementCountsAreRejectedBeforeAllocating) {
   EXPECT_THROW(artifact_from_bytes(file), std::invalid_argument);
 }
 
+// Byte-level surgery on a saved artifact, for the parsers' bounds checks.
+std::uint32_t u32_at(const std::vector<std::uint8_t>& b, std::size_t at) {
+  std::uint32_t v;
+  std::memcpy(&v, b.data() + at, sizeof(v));
+  return v;
+}
+
+// Offset of the payload of the first section tagged `tag`, walking the
+// section headers (u32 tag, u32 reserved, u64 length) past the 40-byte file
+// header; b.size() if there is none.
+std::size_t payload_of(const std::vector<std::uint8_t>& b, std::uint32_t tag) {
+  std::size_t at = 40;
+  while (at + 16 <= b.size() && u32_at(b, at) != tag) {
+    std::uint64_t length;
+    std::memcpy(&length, b.data() + at + 8, sizeof(length));
+    at += 16 + length;
+  }
+  return at + 16 <= b.size() ? at + 16 : b.size();
+}
+
+// `bytes` with `value` written at `at` and the checksum fixed up, so the
+// mutation reaches the section parsers.
+template <typename T>
+std::vector<std::uint8_t> patched(std::vector<std::uint8_t> bytes, std::size_t at, T value) {
+  std::memcpy(bytes.data() + at, &value, sizeof(value));
+  const std::uint64_t sum = fnv1a64(bytes.data() + 40, bytes.size() - 40);
+  std::memcpy(bytes.data() + 32, &sum, sizeof(sum));
+  return bytes;
+}
+
 TEST(Artifact, GraphNodeCountIsBoundedByTheEdgeList) {
   // A connected graph has n <= m + 1, so a GRPH section that claims more
   // nodes than its edges can connect (here the 1,543,504,072 a one-byte
   // mutation produced) must be rejected before rebuild_graph zero-fills
-  // per-node arrays for it (~6 GB).  The checksum is fixed up each time so
-  // the section parser is reached.
+  // per-node arrays for it (~6 GB).
   const tuned_fixture fx;
   const auto good = artifact_bytes(fx.artifact());
-  auto u32_at = [](const std::vector<std::uint8_t>& b, std::size_t at) {
-    std::uint32_t v;
-    std::memcpy(&v, b.data() + at, sizeof(v));
-    return v;
-  };
-  // Walk the section headers (u32 tag, u32 reserved, u64 length) past the
-  // 40-byte file header to the GRPH payload: node count first, then edges.
-  std::size_t at = 40;
-  while (u32_at(good, at) != 0x48505247) {  // 'GRPH'
-    std::uint64_t length;
-    std::memcpy(&length, good.data() + at + 8, sizeof(length));
-    at += 16 + length;
-    ASSERT_LT(at, good.size());
-  }
-  const std::size_t nodes_at = at + 16;
+  // The GRPH payload starts with the node count, then the edges.
+  const std::size_t nodes_at = payload_of(good, 0x48505247);  // 'GRPH'
+  ASSERT_LT(nodes_at, good.size());
   ASSERT_EQ(u32_at(good, nodes_at), 200u);
-  auto with_nodes = [&](std::uint32_t n) {
-    auto bytes = good;
-    std::memcpy(bytes.data() + nodes_at, &n, sizeof(n));
-    const std::uint64_t sum = fnv1a64(bytes.data() + 40, bytes.size() - 40);
-    std::memcpy(bytes.data() + 32, &sum, sizeof(sum));
-    return bytes;
-  };
+  auto with_nodes = [&](std::uint32_t n) { return patched(good, nodes_at, n); };
   EXPECT_NO_THROW(artifact_from_bytes(with_nodes(200)));
   EXPECT_THROW(artifact_from_bytes(with_nodes(1'543'504'072u)), std::invalid_argument);
   EXPECT_THROW(artifact_from_bytes(with_nodes(202)), std::invalid_argument);  // m + 2
   EXPECT_THROW(artifact_from_bytes(with_nodes(0)), std::invalid_argument);
+}
+
+TEST(Artifact, ProtocolParamsThatDoNotFitTheirFieldsAreRejected) {
+  // The META params are u64 on the wire but construct int / node_id fields.
+  // An h of 2^32 + 11 used to load, truncate to h = 11 and run the original
+  // sweep; popsimd decodes the same params from TCP bytes.
+  const tuned_fixture fx;
+  const auto good = artifact_bytes(fx.artifact());
+  // META: family (u32 length + bytes), u32 kind, u32 count, then u64 params.
+  const std::size_t meta_at = payload_of(good, 0x4154454d);  // 'META'
+  ASSERT_LT(meta_at, good.size());
+  const std::size_t h_at = meta_at + 4 + u32_at(good, meta_at) + 8;
+  auto loaded_h = [&](std::uint64_t h) {
+    return artifact_from_bytes(patched(good, h_at, h)).protocol;
+  };
+  const int h = fx.proto.params().h;
+  EXPECT_EQ(fast_params_of(loaded_h(static_cast<std::uint64_t>(h))).h, h);
+  EXPECT_EQ(fast_params_of(loaded_h(2'147'483'647)).h, 2'147'483'647);
+  EXPECT_THROW(fast_params_of(loaded_h((std::uint64_t{1} << 32) + 11)),
+               std::invalid_argument);
+  EXPECT_THROW(fast_params_of(loaded_h(2'147'483'648)), std::invalid_argument);
+
+  const std::uint64_t too_big = std::uint64_t{1} << 31;
+  EXPECT_THROW(fast_params_of({protocol_kind::fast, {5, too_big, 9}}),
+               std::invalid_argument);
+  EXPECT_THROW(fast_params_of({protocol_kind::fast, {5, 8, ~std::uint64_t{0}}}),
+               std::invalid_argument);
+  EXPECT_EQ(six_population_of({protocol_kind::six, {too_big - 1}}), 2'147'483'647);
+  EXPECT_THROW(six_population_of({protocol_kind::six, {too_big}}), std::invalid_argument);
 }
 
 TEST(Artifact, FnvVectors) {

@@ -156,6 +156,44 @@ TEST(ErdosRenyi, DifferentSeedsDifferentGraphs) {
   EXPECT_NE(a.edges(), b.edges());
 }
 
+// make_erdos_renyi as it was before its decoder carried the row forward: it
+// decoded every edge's linear index by walking rows from row 0.
+graph erdos_renyi_row_walk_oracle(node_id n, double p, rng& gen) {
+  std::vector<edge> edges;
+  const std::int64_t total = static_cast<std::int64_t>(n) * (n - 1) / 2;
+  std::int64_t idx = static_cast<std::int64_t>(gen.geometric(p)) - 1;
+  while (idx < total) {
+    node_id u = 0;
+    std::int64_t rem = idx;
+    std::int64_t row = n - 1;
+    while (rem >= row) {
+      rem -= row;
+      --row;
+      ++u;
+    }
+    const node_id v = static_cast<node_id>(u + 1 + rem);
+    edges.push_back({u, v});
+    idx += static_cast<std::int64_t>(gen.geometric(p));
+  }
+  return graph::from_edges(n, edges);
+}
+
+TEST(ErdosRenyi, MatchesRowWalkOracle) {
+  for (const node_id n : {2, 3, 17, 150}) {
+    for (const double p : {0.01, 0.2, 0.5, 0.999}) {
+      for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        rng a(seed);
+        rng b(seed);
+        const graph got = make_erdos_renyi(n, p, a);
+        const graph want = erdos_renyi_row_walk_oracle(n, p, b);
+        EXPECT_EQ(got.edges(), want.edges()) << "n=" << n << " p=" << p << " seed " << seed;
+        // Same draws consumed: the generators leave equal states.
+        EXPECT_EQ(a(), b()) << "n=" << n << " p=" << p << " seed " << seed;
+      }
+    }
+  }
+}
+
 TEST(ConnectedErdosRenyi, IsConnected) {
   rng gen(5);
   for (int i = 0; i < 5; ++i) {

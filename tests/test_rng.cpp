@@ -257,6 +257,21 @@ TEST(BlockRng, Uniform01MirrorsRng) {
   }
 }
 
+TEST(Rng, HoistedLogQMatchesGeometric) {
+  // A caller that computes geometric_log_q(p) once and inverts uniform01
+  // draws with it (binomial_inversion, make_erdos_renyi, the broadcast
+  // kernel's table) must get rng::geometric's values draw for draw.
+  for (const double p : {1e-9, 0.001, 0.125, 0.5, 0.999}) {
+    rng reference(77);
+    rng hoisted(77);
+    const double log_q = geometric_log_q(p);
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_EQ(reference.geometric(p), geometric_inversion(hoisted.uniform01(), log_q))
+          << "p=" << p << " draw " << i;
+    }
+  }
+}
+
 TEST(BlockRng, GeometricMirrorsRng) {
   rng reference(76);
   block_rng buffered(rng(76));
