@@ -49,6 +49,8 @@
 #include <limits>
 #include <mutex>
 #include <optional>
+#include <span>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -694,6 +696,20 @@ class tuned_runner {
   const compiled_protocol<P>& compiled() const { return compiled_; }
   // Maps run-graph node ids back to original ids; empty for natural order.
   const std::vector<node_id>& old_of_new() const { return old_of_new_; }
+  // The packed table's raw row-major entries at the resolved width (empty
+  // on the lazy fallback): the bytes the fleet artifact's PACK section
+  // stores and a rebuilt worker's validation compares.
+  std::span<const std::uint8_t> packed_bytes() const {
+    return std::visit(
+        [](const auto& t) -> std::span<const std::uint8_t> {
+          if constexpr (std::is_same_v<std::decay_t<decltype(t)>, std::monostate>) {
+            return {};
+          } else {
+            return {reinterpret_cast<const std::uint8_t*>(t.entries().data()), t.bytes()};
+          }
+        },
+        table_);
+  }
 
   // Resident bytes of the hot loop: config array + transition table +
   // endpoint pairs (the quantities bench/locality.cpp attributes wins to).

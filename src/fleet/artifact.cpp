@@ -1,6 +1,11 @@
 #include "fleet/artifact.h"
 
-#include <cstdio>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
 #include <cstring>
 #include <limits>
 #include <string_view>
@@ -8,6 +13,30 @@
 namespace pp::fleet {
 
 namespace {
+
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+
+// FNV-1a 64 continued from `hash` over more bytes: the checksum of a payload
+// streamed in pieces equals fnv1a64 of the whole.
+std::uint64_t fnv1a64_from(std::uint64_t hash, const std::uint8_t* data,
+                           std::size_t size) {
+  for (std::size_t i = 0; i < size; ++i) {
+    hash ^= data[i];
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+bool write_all(int fd, const std::uint8_t* data, std::size_t size) {
+  while (size > 0) {
+    const ssize_t n = ::write(fd, data, size);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    data += n;
+    size -= static_cast<std::size_t>(n);
+  }
+  return true;
+}
 
 constexpr std::uint32_t fourcc(char a, char b, char c, char d) {
   return static_cast<std::uint32_t>(static_cast<unsigned char>(a)) |
@@ -22,37 +51,85 @@ constexpr std::uint32_t kTagTable = fourcc('T', 'A', 'B', 'L');
 constexpr std::uint32_t kTagPacked = fourcc('P', 'A', 'C', 'K');
 constexpr std::uint32_t kTagEdge = fourcc('E', 'D', 'G', 'E');
 constexpr std::uint32_t kTagWellmixed = fourcc('W', 'M', 'I', 'X');
+// The one section order, written by for_each_section and enforced on parse.
+constexpr std::array<std::uint32_t, 6> kSectionOrder = {
+    kTagMeta, kTagGraph, kTagTable, kTagPacked, kTagEdge, kTagWellmixed};
 
-// Append-only native-endian byte sink.  All multi-byte fields go through
-// these helpers, never through struct memcpy, so padding bytes can't leak
-// indeterminate values into the (byte-compared) artifact.
-class byte_writer {
+// The artifact's one writer.  Small fields are staged; bulk arrays bypass
+// the stage.  Every payload byte is folded into the running FNV-1a and then
+// emitted exactly once, in order — to a file descriptor, or appended to a
+// presized buffer — so the two outputs of the same sections are identical.
+class payload_writer {
  public:
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void i8(std::int8_t v) { out_.push_back(static_cast<std::uint8_t>(v)); }
-  void u32(std::uint32_t v) { pod(v); }
-  void u64(std::uint64_t v) { pod(v); }
-  void bytes(const std::uint8_t* data, std::size_t size) {
-    out_.insert(out_.end(), data, data + size);
+  // Emits to `fd`, or appends to `*out` when `out` is non-null.
+  payload_writer(int fd, std::vector<std::uint8_t>* out) : fd_(fd), out_(out) {}
+
+  void u32(std::uint32_t v) { bytes(&v, sizeof(v)); }
+  void u64(std::uint64_t v) { bytes(&v, sizeof(v)); }
+  void bytes(const void* data, std::size_t size) {
+    const auto* p = static_cast<const std::uint8_t*>(data);
+    if (size > stage_.size() - staged_) flush();
+    if (size <= stage_.size()) {
+      if (size != 0) std::memcpy(stage_.data() + staged_, p, size);
+      staged_ += size;
+      return;
+    }
+    // A bulk array: hash and emit it straight from the caller's memory in
+    // stage-sized chunks, each still in cache for its write.
+    for (std::size_t at = 0; at < size; at += stage_.size()) {
+      emit(p + at, std::min(stage_.size(), size - at));
+    }
   }
-  void str(const std::string& s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    bytes(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
+  void flush() {
+    emit(stage_.data(), staged_);
+    staged_ = 0;
   }
 
-  std::vector<std::uint8_t> take() { return std::move(out_); }
-  std::size_t size() const { return out_.size(); }
+  std::uint64_t checksum() const { return hash_; }
+  std::uint64_t size() const { return size_; }
+  bool ok() const { return ok_; }
 
  private:
-  template <typename T>
-  void pod(T v) {
-    std::uint8_t buf[sizeof(T)];
-    std::memcpy(buf, &v, sizeof(T));
-    bytes(buf, sizeof(T));
+  void emit(const std::uint8_t* data, std::size_t size) {
+    hash_ = fnv1a64_from(hash_, data, size);
+    size_ += size;
+    if (out_ != nullptr) {
+      out_->insert(out_->end(), data, data + size);
+    } else {
+      ok_ = ok_ && write_all(fd_, data, size);
+    }
   }
 
-  std::vector<std::uint8_t> out_;
+  int fd_;
+  std::vector<std::uint8_t>* out_;
+  std::array<std::uint8_t, 1 << 16> stage_{};
+  std::size_t staged_ = 0;
+  std::uint64_t hash_ = kFnvOffset;
+  std::uint64_t size_ = 0;
+  bool ok_ = true;
 };
+
+// A section body run against this counts the bytes it would write: the
+// length a section header declares, from the same code that writes it.
+struct byte_counter {
+  std::uint64_t size = 0;
+  void u32(std::uint32_t) { size += 4; }
+  void u64(std::uint64_t) { size += 8; }
+  void bytes(const void*, std::size_t n) { size += n; }
+};
+
+// A vector's elements as one bulk write of their object representations.
+template <typename Out, typename T>
+void put_array(Out& w, const std::vector<T>& v) {
+  static_assert(std::has_unique_object_representations_v<T>);
+  w.bytes(v.data(), v.size() * sizeof(T));
+}
+
+template <typename Out>
+void put_str(Out& w, const std::string& s) {
+  w.u32(static_cast<std::uint32_t>(s.size()));
+  w.bytes(s.data(), s.size());
+}
 
 // Bounds-checked reader over a parsed byte range; every short read fails
 // loudly instead of reading past the buffer.
@@ -61,8 +138,6 @@ class byte_reader {
   byte_reader(const std::uint8_t* data, std::size_t size)
       : data_(data), size_(size) {}
 
-  std::uint8_t u8() { return take<std::uint8_t>(); }
-  std::int8_t i8() { return static_cast<std::int8_t>(take<std::uint8_t>()); }
   std::uint32_t u32() { return take<std::uint32_t>(); }
   std::uint64_t u64() { return take<std::uint64_t>(); }
   std::string str() {
@@ -87,6 +162,15 @@ class byte_reader {
     return n;
   }
 
+  // The next n elements of a put_array write, in one bulk copy.
+  template <typename T>
+  void array(std::vector<T>& out, std::uint64_t n) {
+    static_assert(std::has_unique_object_representations_v<T>);
+    out.resize(count(n, sizeof(T)));
+    const std::uint8_t* p = raw(n * sizeof(T));
+    if (n != 0) std::memcpy(out.data(), p, n * sizeof(T));
+  }
+
  private:
   template <typename T>
   T take() {
@@ -100,36 +184,24 @@ class byte_reader {
   std::size_t pos_ = 0;
 };
 
-void write_section(byte_writer& out, std::uint32_t tag,
-                   const std::vector<std::uint8_t>& payload) {
-  out.u32(tag);
-  out.u32(0);  // reserved
-  out.u64(payload.size());
-  out.bytes(payload.data(), payload.size());
-}
-
-std::vector<std::uint8_t> meta_payload(const sweep_artifact& a) {
-  byte_writer w;
-  w.str(a.family);
+template <typename Out>
+void put_meta(Out& w, const sweep_artifact& a) {
+  put_str(w, a.family);
   w.u32(static_cast<std::uint32_t>(a.protocol.kind));
   w.u32(static_cast<std::uint32_t>(a.protocol.params.size()));
-  for (const std::uint64_t p : a.protocol.params) w.u64(p);
+  put_array(w, a.protocol.params);
   w.u32(a.pack_bits);
-  return w.take();
 }
 
 void parse_meta(byte_reader& r, sweep_artifact& a) {
   a.family = r.str();
   a.protocol.kind = static_cast<protocol_kind>(r.u32());
-  const auto count = static_cast<std::uint32_t>(r.count(r.u32(), 8));
-  a.protocol.params.clear();
-  a.protocol.params.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) a.protocol.params.push_back(r.u64());
+  r.array(a.protocol.params, r.u32());
   a.pack_bits = r.u32();
 }
 
-std::vector<std::uint8_t> graph_payload(const graph_section& g) {
-  byte_writer w;
+template <typename Out>
+void put_graph(Out& w, const graph_section& g) {
   w.u32(g.num_nodes);
   w.u64(g.edges.size());
   for (const auto& [u, v] : g.edges) {
@@ -138,8 +210,7 @@ std::vector<std::uint8_t> graph_payload(const graph_section& g) {
   }
   w.u32(g.order);
   w.u64(g.old_of_new.size());
-  for (const std::uint32_t v : g.old_of_new) w.u32(v);
-  return w.take();
+  put_array(w, g.old_of_new);
 }
 
 graph_section parse_graph(byte_reader& r) {
@@ -161,27 +232,18 @@ graph_section parse_graph(byte_reader& r) {
   const std::uint64_t perm = r.count(r.u64(), 4);
   expects(perm == 0 || perm == g.num_nodes,
           "artifact: reorder permutation must be empty or cover every node");
-  g.old_of_new.reserve(perm);
-  for (std::uint64_t v = 0; v < perm; ++v) g.old_of_new.push_back(r.u32());
+  r.array(g.old_of_new, perm);
   return g;
 }
 
-std::vector<std::uint8_t> table_payload(const table_section& t) {
-  byte_writer w;
-  const std::uint64_t k = t.codes.size();
-  w.u64(k);
+template <typename Out>
+void put_table(Out& w, const table_section& t) {
+  w.u64(t.codes.size());
   w.u32(t.counters);
-  for (const std::uint64_t code : t.codes) w.u64(code);
-  for (const std::uint8_t role : t.roles) w.u8(role);
-  for (const auto& c : t.contrib) {
-    for (const std::int8_t d : c) w.i8(d);
-  }
-  for (const auto& e : t.entries) {
-    w.u32(e.a2);
-    w.u32(e.b2);
-    for (const std::int8_t d : e.delta) w.i8(d);
-  }
-  return w.take();
+  put_array(w, t.codes);
+  put_array(w, t.roles);
+  put_array(w, t.contrib);
+  put_array(w, t.entries);
 }
 
 table_section parse_table(byte_reader& r) {
@@ -191,54 +253,47 @@ table_section parse_table(byte_reader& r) {
   t.counters = r.u32();
   expects(t.counters >= 1 && t.counters <= static_cast<std::uint32_t>(kMaxCensusCounters),
           "artifact: table section has an invalid counter count");
-  t.codes.reserve(k);
-  for (std::uint64_t i = 0; i < k; ++i) t.codes.push_back(r.u64());
-  t.roles.reserve(k);
-  for (std::uint64_t i = 0; i < k; ++i) t.roles.push_back(r.u8());
-  t.contrib.reserve(k);
-  for (std::uint64_t i = 0; i < k; ++i) {
-    std::array<std::int8_t, kMaxCensusCounters> c{};
-    for (auto& d : c) d = r.i8();
-    t.contrib.push_back(c);
-  }
+  r.array(t.codes, k);
+  r.array(t.roles, k);
+  r.array(t.contrib, k);
   expects(k <= UINT32_MAX, "artifact: table section has too many states");
-  r.count(k * k, 8 + kMaxCensusCounters);
-  t.entries.reserve(k * k);
-  for (std::uint64_t i = 0; i < k * k; ++i) {
-    table_section::entry e;
-    e.a2 = r.u32();
-    e.b2 = r.u32();
-    for (auto& d : e.delta) d = r.i8();
-    t.entries.push_back(e);
-  }
+  r.array(t.entries, k * k);
   return t;
 }
 
-std::vector<std::uint8_t> packed_payload(const packed_section& p) {
-  byte_writer w;
+template <typename Out>
+void put_packed(Out& w, const packed_section& p) {
   w.u32(p.width_bits);
   w.u64(p.num_states);
   w.u64(p.bytes.size());
-  w.bytes(p.bytes.data(), p.bytes.size());
-  return w.take();
+  put_array(w, p.bytes);
 }
 
 packed_section parse_packed(byte_reader& r) {
   packed_section p;
   p.width_bits = r.u32();
+  expects(p.width_bits == 8 || p.width_bits == 16 || p.width_bits == 32,
+          "artifact: packed section has an invalid word width");
   p.num_states = r.u64();
   const std::uint64_t size = r.u64();
-  const std::uint8_t* data = r.raw(size);
-  p.bytes.assign(data, data + size);
+  // num_states² entries of 4, 8 or 12 bytes (packed_entry<W>), checked by
+  // division so no product can overflow.
+  const std::uint64_t entry = p.width_bits == 8 ? 4 : p.width_bits == 16 ? 8 : 12;
+  const std::uint64_t cells = size / entry;
+  expects(size % entry == 0 &&
+              (p.num_states == 0 ? cells == 0
+                                 : cells % p.num_states == 0 &&
+                                       cells / p.num_states == p.num_states),
+          "artifact: packed section size is not num_states² entries");
+  r.array(p.bytes, size);
   return p;
 }
 
-std::vector<std::uint8_t> edge_payload(const edge_section& e) {
-  byte_writer w;
+template <typename Out>
+void put_edge(Out& w, const edge_section& e) {
   w.u32(e.num_classes);
   w.u64(e.classes.size());
-  w.bytes(e.classes.data(), e.classes.size());
-  return w.take();
+  put_array(w, e.classes);
 }
 
 edge_section parse_edge(byte_reader& r) {
@@ -247,9 +302,7 @@ edge_section parse_edge(byte_reader& r) {
   expects(e.num_classes >= 1 &&
               e.num_classes <= static_cast<std::uint32_t>(kMaxEdgeClasses),
           "artifact: edge section has an invalid class count");
-  const std::uint64_t k = r.count(r.u64(), 1);
-  const std::uint8_t* data = r.raw(k);
-  e.classes.assign(data, data + k);
+  r.array(e.classes, r.u64());
   for (const std::uint8_t c : e.classes) {
     expects(c < e.num_classes,
             "artifact: edge section names a class beyond its class count");
@@ -257,15 +310,14 @@ edge_section parse_edge(byte_reader& r) {
   return e;
 }
 
-std::vector<std::uint8_t> wellmixed_payload(const wellmixed_section& s) {
-  byte_writer w;
+template <typename Out>
+void put_wellmixed(Out& w, const wellmixed_section& s) {
   w.u64(s.population);
   w.u64(s.classes.size());
   for (const auto& [code, count] : s.classes) {
     w.u64(code);
     w.u64(count);
   }
-  return w.take();
 }
 
 wellmixed_section parse_wellmixed(byte_reader& r) {
@@ -273,12 +325,68 @@ wellmixed_section parse_wellmixed(byte_reader& r) {
   s.population = r.u64();
   const std::uint64_t classes = r.count(r.u64(), 16);  // (code, count) pairs
   s.classes.reserve(classes);
+  // The multiplicities must add up to the population, checked without
+  // overflow: a mismatch is a corrupt file, and rejecting it here spares a
+  // worker the O(population) initial multiset it would otherwise build
+  // before validation could notice.
+  std::uint64_t mass = 0;
   for (std::uint64_t i = 0; i < classes; ++i) {
     const std::uint64_t code = r.u64();
     const std::uint64_t count = r.u64();
+    expects(count <= s.population - mass,
+            "artifact: well-mixed class counts exceed the population");
+    mass += count;
     s.classes.emplace_back(code, count);
   }
+  expects(mass == s.population,
+          "artifact: well-mixed class counts do not sum to the population");
   return s;
+}
+
+// Calls fn(tag, body) for each present section in kSectionOrder (META, then
+// the present optionals), so equal artifacts always serialize to equal
+// bytes.  body(out) writes the section's payload to a payload_writer or a
+// byte_counter.
+template <typename Fn>
+void for_each_section(const sweep_artifact& a, Fn&& fn) {
+  fn(kTagMeta, [&](auto& w) { put_meta(w, a); });
+  if (a.graph) fn(kTagGraph, [&](auto& w) { put_graph(w, *a.graph); });
+  if (a.table) fn(kTagTable, [&](auto& w) { put_table(w, *a.table); });
+  if (a.packed) fn(kTagPacked, [&](auto& w) { put_packed(w, *a.packed); });
+  if (a.edge) fn(kTagEdge, [&](auto& w) { put_edge(w, *a.edge); });
+  if (a.wellmixed) fn(kTagWellmixed, [&](auto& w) { put_wellmixed(w, *a.wellmixed); });
+}
+
+// Writes the sections through `w` (flushed); returns their count.
+std::uint32_t write_payload(const sweep_artifact& a, payload_writer& w) {
+  std::uint32_t sections = 0;
+  for_each_section(a, [&](std::uint32_t tag, const auto& body) {
+    byte_counter length;
+    body(length);
+    w.u32(tag);
+    w.u32(0);  // reserved
+    w.u64(length.size);
+    body(w);
+    ++sections;
+  });
+  w.flush();
+  return sections;
+}
+
+constexpr std::size_t kHeaderBytes = 40;
+
+std::array<std::uint8_t, kHeaderBytes> header_bytes(artifact_engine engine,
+                                                    std::uint32_t sections,
+                                                    std::uint64_t payload_size,
+                                                    std::uint64_t checksum) {
+  const std::uint32_t words[6] = {kArtifactMagic, kArtifactEndianTag, kArtifactVersion,
+                                  static_cast<std::uint32_t>(engine), sections,
+                                  0 /* reserved */};
+  std::array<std::uint8_t, kHeaderBytes> h{};
+  std::memcpy(h.data(), words, sizeof(words));
+  std::memcpy(h.data() + 24, &payload_size, 8);
+  std::memcpy(h.data() + 32, &checksum, 8);
+  return h;
 }
 
 // A descriptor param (read from an artifact or a REQ_SWEEP frame) as the
@@ -292,12 +400,7 @@ Field param_as(std::uint64_t value, std::string_view what) {
 }  // namespace
 
 std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
+  return fnv1a64_from(kFnvOffset, data, size);
 }
 
 protocol_desc fast_desc(const fast_params& params) {
@@ -338,48 +441,26 @@ void expect_star_desc(const protocol_desc& desc) {
 }
 
 std::vector<std::uint8_t> artifact_bytes(const sweep_artifact& artifact) {
-  // Sections in fixed order (META, then the present optionals) so equal
-  // artifacts always serialize to equal bytes.
-  byte_writer payload;
-  std::uint32_t sections = 1;
-  write_section(payload, kTagMeta, meta_payload(artifact));
-  if (artifact.graph) {
-    write_section(payload, kTagGraph, graph_payload(*artifact.graph));
-    ++sections;
-  }
-  if (artifact.table) {
-    write_section(payload, kTagTable, table_payload(*artifact.table));
-    ++sections;
-  }
-  if (artifact.packed) {
-    write_section(payload, kTagPacked, packed_payload(*artifact.packed));
-    ++sections;
-  }
-  if (artifact.edge) {
-    write_section(payload, kTagEdge, edge_payload(*artifact.edge));
-    ++sections;
-  }
-  if (artifact.wellmixed) {
-    write_section(payload, kTagWellmixed, wellmixed_payload(*artifact.wellmixed));
-    ++sections;
-  }
-  const std::vector<std::uint8_t> body = payload.take();
-
-  byte_writer out;
-  out.u32(kArtifactMagic);
-  out.u32(kArtifactEndianTag);
-  out.u32(kArtifactVersion);
-  out.u32(static_cast<std::uint32_t>(artifact.engine));
-  out.u32(sections);
-  out.u32(0);  // reserved
-  out.u64(body.size());
-  out.u64(fnv1a64(body.data(), body.size()));
-  out.bytes(body.data(), body.size());
-  return out.take();
+  std::uint64_t payload_size = 0;
+  for_each_section(artifact, [&](std::uint32_t, const auto& body) {
+    byte_counter length;
+    body(length);
+    payload_size += 16 + length.size;
+  });
+  std::vector<std::uint8_t> out;
+  out.reserve(kHeaderBytes + payload_size);
+  out.resize(kHeaderBytes);
+  payload_writer w(-1, &out);
+  const std::uint32_t sections = write_payload(artifact, w);
+  ensure(w.size() == payload_size && out.size() == kHeaderBytes + payload_size,
+         "artifact_bytes: the payload's size diverges from its count");
+  const auto header = header_bytes(artifact.engine, sections, w.size(), w.checksum());
+  std::copy(header.begin(), header.end(), out.begin());
+  return out;
 }
 
-sweep_artifact artifact_from_bytes(const std::vector<std::uint8_t>& bytes) {
-  expects(bytes.size() >= 40, "artifact: file shorter than the header");
+sweep_artifact artifact_from_bytes(std::span<const std::uint8_t> bytes) {
+  expects(bytes.size() >= kHeaderBytes, "artifact: file shorter than the header");
   byte_reader header(bytes.data(), bytes.size());
   expects(header.u32() == kArtifactMagic, "artifact: bad magic (not a PPAF file)");
   expects(header.u32() == kArtifactEndianTag,
@@ -407,11 +488,19 @@ sweep_artifact artifact_from_bytes(const std::vector<std::uint8_t>& bytes) {
 
   byte_reader body(payload, payload_size);
   bool saw_meta = false;
+  // Sections must come in the writer's order, each at most once, so every
+  // file this accepts is one the writer reproduces byte for byte.
+  std::size_t next = 0;  // index into kSectionOrder of the next allowed tag
   for (std::uint32_t s = 0; s < sections; ++s) {
     const std::uint32_t tag = body.u32();
     expects(body.u32() == 0, "artifact: reserved section field must be zero");
     const std::uint64_t length = body.u64();
     byte_reader section(body.raw(length), length);
+    const auto* known = std::find(kSectionOrder.begin(), kSectionOrder.end(), tag);
+    expects(known != kSectionOrder.end(), "artifact: unknown section tag");
+    expects(known >= kSectionOrder.begin() + next,
+            "artifact: sections out of order or repeated");
+    next = static_cast<std::size_t>(known - kSectionOrder.begin()) + 1;
     switch (tag) {
       case kTagMeta:
         parse_meta(section, a);
@@ -421,8 +510,7 @@ sweep_artifact artifact_from_bytes(const std::vector<std::uint8_t>& bytes) {
       case kTagTable: a.table = parse_table(section); break;
       case kTagPacked: a.packed = parse_packed(section); break;
       case kTagEdge: a.edge = parse_edge(section); break;
-      case kTagWellmixed: a.wellmixed = parse_wellmixed(section); break;
-      default: expects(false, "artifact: unknown section tag");
+      default: a.wellmixed = parse_wellmixed(section); break;
     }
     expects(section.remaining() == 0, "artifact: trailing bytes in a section");
   }
@@ -432,27 +520,41 @@ sweep_artifact artifact_from_bytes(const std::vector<std::uint8_t>& bytes) {
 }
 
 void save_artifact(const sweep_artifact& artifact, const std::string& path) {
-  const std::vector<std::uint8_t> bytes = artifact_bytes(artifact);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  expects(f != nullptr, "save_artifact: cannot open " + path);
-  const bool ok = std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-  const bool closed = std::fclose(f) == 0;
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  expects(fd >= 0, "save_artifact: cannot open " + path);
+  // A zero header holds the place until the checksum is known.
+  std::array<std::uint8_t, kHeaderBytes> header{};
+  bool ok = write_all(fd, header.data(), header.size());
+  payload_writer w(fd, nullptr);
+  const std::uint32_t sections = write_payload(artifact, w);
+  header = header_bytes(artifact.engine, sections, w.size(), w.checksum());
+  ok = ok && w.ok() &&
+       ::pwrite(fd, header.data(), header.size(), 0) ==
+           static_cast<ssize_t>(header.size());
+  const bool closed = ::close(fd) == 0;
   expects(ok && closed, "save_artifact: short write to " + path);
 }
 
-sweep_artifact load_artifact(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  expects(f != nullptr, "load_artifact: cannot open " + path);
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t buf[1 << 16];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    bytes.insert(bytes.end(), buf, buf + got);
+std::vector<std::uint8_t> read_artifact_file(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  expects(fd >= 0, "load_artifact: cannot open " + path);
+  struct stat st {};
+  bool ok = ::fstat(fd, &st) == 0 && st.st_size >= 0;
+  std::vector<std::uint8_t> bytes(ok ? static_cast<std::size_t>(st.st_size) : 0);
+  for (std::size_t got = 0; ok && got < bytes.size();) {
+    const ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    // A file that shrank under the read is as unreadable as a failed one.
+    ok = n > 0;
+    if (ok) got += static_cast<std::size_t>(n);
   }
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
+  ::close(fd);
   expects(ok, "load_artifact: read error on " + path);
-  return artifact_from_bytes(bytes);
+  return bytes;
+}
+
+sweep_artifact load_artifact(const std::string& path) {
+  return artifact_from_bytes(read_artifact_file(path));
 }
 
 graph_section snapshot_graph(const graph& g, vertex_order order,

@@ -25,20 +25,36 @@
 // reject everything else (artifacts are cheap to regenerate — the closed
 // table is O(|Λ|²) — so there is no migration machinery).
 //
-// Load semantics: load_artifact only parses and checksums.  A worker then
-// *rebuilds* the protocol, graph and compiled table from the artifact's
-// protocol descriptor — the closure is deterministic — and validates its
-// rebuild byte-for-byte against the stored sections (validate_tuned_artifact
-// / validate_wellmixed_artifact below).  A worker whose binary compiles a
-// different table than the artifact's producer fails loudly instead of
-// silently computing a different sweep; this is the version-skew gate of the
-// fleet protocol (src/fleet/README.md).
+// Each process passes over an artifact's bytes once:
+//   * save_artifact streams the sections to the file with a running FNV-1a
+//     and writes the 40-byte header last (a save that dies midway leaves a
+//     zero header, which no load accepts); artifact_bytes runs the same
+//     writer into one exactly presized buffer.  Bulk arrays (TABL, PACK,
+//     EDGE) go out and come back as single copies of their in-memory bytes.
+//     That is exact only for element types whose object representation is
+//     their wire record — a fixed size and no padding
+//     (std::has_unique_object_representations_v) — which static_asserts
+//     pin; every other field is written one integer at a time.
+//   * load_artifact reads the file once into a buffer sized by fstat;
+//     artifact_from_bytes checks the checksum before parsing any section and
+//     bounds every count by the bytes present before it sizes anything.
+//   * A worker then *rebuilds* the protocol, graph and compiled table from
+//     the artifact's protocol descriptor — the closure is deterministic — and
+//     validates its rebuild against the stored sections
+//     (validate_tuned_artifact / validate_wellmixed_artifact below), with
+//     TABL, PACK and EDGE compared in place.  A worker whose binary compiles a
+//     different table than the artifact's producer fails loudly instead of
+//     silently computing a different sweep; this is the version-skew gate of
+//     the fleet protocol (src/fleet/README.md).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -106,6 +122,14 @@ struct table_section {
 
   friend bool operator==(const table_section&, const table_section&) = default;
 };
+// The TABL arrays travel as single copies of their in-memory bytes, so each
+// element's object representation must be its wire record: a2, b2 (u32),
+// then the kMaxCensusCounters delta bytes, with no padding to leak.
+static_assert(sizeof(table_section::entry) == 8 + kMaxCensusCounters &&
+              std::has_unique_object_representations_v<table_section::entry>);
+static_assert(sizeof(std::array<std::int8_t, kMaxCensusCounters>) == kMaxCensusCounters &&
+              std::has_unique_object_representations_v<
+                  std::array<std::int8_t, kMaxCensusCounters>>);
 
 // Raw bytes of a packed_table<W> snapshot at the resolved config word width
 // (the exact entries run_packed's hot loop loads).
@@ -168,11 +192,15 @@ struct sweep_artifact {
 std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size);
 
 // Serialization is deterministic: equal artifacts produce equal bytes, so
-// save → load → save round-trips byte-identically (the CI round-trip gate).
+// save → load → save round-trips byte-identically (the CI round-trip gate),
+// and save_artifact's file equals artifact_bytes.
 std::vector<std::uint8_t> artifact_bytes(const sweep_artifact& artifact);
-sweep_artifact artifact_from_bytes(const std::vector<std::uint8_t>& bytes);
+sweep_artifact artifact_from_bytes(std::span<const std::uint8_t> bytes);
 void save_artifact(const sweep_artifact& artifact, const std::string& path);
 sweep_artifact load_artifact(const std::string& path);
+// load_artifact's read: the whole file in one buffer sized by fstat.  Also
+// what the remote supervisor checksums and ships.
+std::vector<std::uint8_t> read_artifact_file(const std::string& path);
 
 graph_section snapshot_graph(const graph& g, vertex_order order,
                              const std::vector<node_id>& old_of_new);
@@ -211,45 +239,34 @@ table_section snapshot_table(const compiled_protocol<P>& compiled) {
   return t;
 }
 
+// Compares the section with the compiled table where both lie: no snapshot
+// is built, so validation allocates nothing.
 template <compilable_protocol P>
 void validate_table(const table_section& section,
                     const compiled_protocol<P>& compiled) {
-  expects(snapshot_table(compiled) == section,
+  expects(compiled.closed(), "snapshot_table: artifacts hold closed tables only");
+  using state_id = typename compiled_protocol<P>::state_id;
+  const std::size_t k = compiled.num_states();
+  bool same = section.counters == static_cast<std::uint32_t>(compiled.kCounters) &&
+              section.codes.size() == k && section.roles.size() == k &&
+              section.contrib.size() == k && section.entries.size() == k * k;
+  for (std::size_t id = 0; same && id < k; ++id) {
+    const auto sid = static_cast<state_id>(id);
+    same = section.codes[id] == compiled.protocol().encode(compiled.decode(sid)) &&
+           section.roles[id] == static_cast<std::uint8_t>(compiled.output(sid)) &&
+           section.contrib[id] == compiled.contribution(sid);
+  }
+  for (std::size_t a = 0; same && a < k; ++a) {
+    const table_section::entry* row = section.entries.data() + a * k;
+    for (std::size_t b = 0; same && b < k; ++b) {
+      const auto& e = compiled.closed_transition(static_cast<state_id>(a),
+                                                 static_cast<state_id>(b));
+      same = row[b].a2 == e.a2 && row[b].b2 == e.b2 && row[b].delta == e.delta;
+    }
+  }
+  expects(same,
           "artifact: this build's closed table diverges from the stored one "
           "(producer/worker version skew)");
-}
-
-template <compilable_protocol P>
-packed_section snapshot_packed(const compiled_protocol<P>& compiled,
-                               int pack_bits) {
-  packed_section s;
-  s.width_bits = static_cast<std::uint32_t>(pack_bits);
-  s.num_states = compiled.num_states();
-  const auto snap = [&]<typename W>() {
-    const packed_table<W, P> table(compiled);
-    const auto entries = table.entries();
-    s.bytes.resize(entries.size_bytes());
-    std::memcpy(s.bytes.data(), entries.data(), entries.size_bytes());
-  };
-  switch (pack_bits) {
-    case 8: snap.template operator()<std::uint8_t>(); break;
-    case 16: snap.template operator()<std::uint16_t>(); break;
-    case 32: snap.template operator()<std::uint32_t>(); break;
-    default:
-      expects(false, "snapshot_packed: pack_bits must be 8, 16 or 32");
-  }
-  return s;
-}
-
-template <compilable_protocol P>
-void validate_packed(const packed_section& section,
-                     const compiled_protocol<P>& compiled) {
-  expects(section.width_bits == 8 || section.width_bits == 16 ||
-              section.width_bits == 32,
-          "artifact: packed section has an invalid word width");
-  expects(snapshot_packed(compiled, static_cast<int>(section.width_bits)) ==
-              section,
-          "artifact: this build's packed table diverges from the stored one");
 }
 
 template <edge_census_protocol P>
@@ -268,7 +285,16 @@ edge_section snapshot_edge(const compiled_protocol<P>& compiled) {
 template <edge_census_protocol P>
 void validate_edge(const edge_section& section,
                    const compiled_protocol<P>& compiled) {
-  expects(snapshot_edge(compiled) == section,
+  expects(compiled.closed(), "snapshot_edge: artifacts hold closed tables only");
+  using state_id = typename compiled_protocol<P>::state_id;
+  const std::size_t k = compiled.num_states();
+  bool same = section.num_classes ==
+                  static_cast<std::uint32_t>(edge_census_traits<P>::kClasses) &&
+              section.classes.size() == k;
+  for (std::size_t id = 0; same && id < k; ++id) {
+    same = section.classes[id] == compiled.state_class(static_cast<state_id>(id));
+  }
+  expects(same,
           "artifact: this build's edge classes diverge from the stored ones "
           "(producer/worker version skew)");
 }
@@ -315,7 +341,11 @@ sweep_artifact make_tuned_artifact(const tuned_runner<P>& runner,
   a.pack_bits = static_cast<std::uint32_t>(runner.pack_bits());
   a.graph = snapshot_graph(original, runner.order(), runner.old_of_new());
   a.table = snapshot_table(runner.compiled());
-  a.packed = snapshot_packed(runner.compiled(), runner.pack_bits());
+  // The runner's own packed table is the snapshot: copy its bytes.
+  const auto packed = runner.packed_bytes();
+  a.packed = packed_section{static_cast<std::uint32_t>(runner.pack_bits()),
+                            runner.compiled().num_states(),
+                            {packed.begin(), packed.end()}};
   if constexpr (edge_census_protocol<P>) {
     a.edge = snapshot_edge(runner.compiled());
   }
@@ -327,7 +357,8 @@ sweep_artifact make_tuned_artifact(const tuned_runner<P>& runner,
 engine_tuning tuning_of(const sweep_artifact& artifact);
 
 // Validates a rebuilt runner against the artifact: same resolved layout,
-// same reorder permutation, byte-identical closed and packed tables.
+// same reorder permutation, byte-identical closed and packed tables — each
+// compared in place, so validation allocates nothing.
 template <compilable_protocol P>
 void validate_tuned_artifact(const sweep_artifact& artifact,
                              const tuned_runner<P>& runner) {
@@ -348,7 +379,15 @@ void validate_tuned_artifact(const sweep_artifact& artifact,
             "artifact: reorder permutation diverges from this build");
   }
   validate_table(*artifact.table, runner.compiled());
-  validate_packed(*artifact.packed, runner.compiled());
+  const packed_section& packed = *artifact.packed;
+  expects(packed.width_bits == 8 || packed.width_bits == 16 || packed.width_bits == 32,
+          "artifact: packed section has an invalid word width");
+  const auto bytes = runner.packed_bytes();
+  expects(packed.width_bits == static_cast<std::uint32_t>(runner.pack_bits()) &&
+              packed.num_states == runner.compiled().num_states() &&
+              std::equal(packed.bytes.begin(), packed.bytes.end(), bytes.begin(),
+                         bytes.end()),
+          "artifact: this build's packed table diverges from the stored one");
   if constexpr (edge_census_protocol<P>) {
     expects(artifact.edge.has_value(),
             "artifact: edge-census protocol without an EDGE section");

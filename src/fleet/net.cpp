@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstring>
 
+#include "fleet/artifact.h"
 #include "fleet/wire.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -464,21 +465,7 @@ std::vector<election_result> supervised_remote_sweep(
 
   // Read + checksum the artifact once; connections ship it only on a cache
   // miss at their daemon.
-  std::vector<std::uint8_t> blob;
-  {
-    std::FILE* f = std::fopen(manifest.artifact_path.c_str(), "rb");
-    expects(f != nullptr, "supervised_remote_sweep: cannot open artifact " +
-                              manifest.artifact_path);
-    std::uint8_t buf[65536];
-    std::size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      blob.insert(blob.end(), buf, buf + n);
-    }
-    const bool failed = std::ferror(f) != 0;
-    std::fclose(f);
-    expects(!failed, "supervised_remote_sweep: cannot read artifact " +
-                         manifest.artifact_path);
-  }
+  const std::vector<std::uint8_t> blob = read_artifact_file(manifest.artifact_path);
   const std::uint64_t checksum = fnv1a64(blob.data(), blob.size());
 
   std::vector<int> generation(static_cast<std::size_t>(jobs), 0);

@@ -454,7 +454,7 @@ bool valid_request(const net::sweep_request& r, std::string& why) {
     if (entry == nullptr) {
       try {
         const sweep_artifact artifact =
-            artifact_from_bytes(std::vector<std::uint8_t>(data, data + size));
+            artifact_from_bytes({data, static_cast<std::size_t>(size)});
         entry = std::make_shared<cached_sweep>();
         entry->checksum = checksum;
         entry->bytes = size;

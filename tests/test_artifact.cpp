@@ -4,7 +4,11 @@
 
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <iterator>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/beauquier.h"
 #include "core/fast_election.h"
@@ -115,14 +119,28 @@ TEST(Artifact, PackedSnapshotMatchesResolvedWidth) {
   const tuned_fixture fx;
   const auto& compiled = fx.runner.compiled();
   const int width = fx.runner.pack_bits();
-  packed_section p = snapshot_packed(compiled, width);
+  const sweep_artifact a = fx.artifact();
+  ASSERT_TRUE(a.packed.has_value());
+  const packed_section& p = *a.packed;
   EXPECT_EQ(p.width_bits, static_cast<std::uint32_t>(width));
   EXPECT_EQ(p.num_states, compiled.num_states());
-  EXPECT_NO_THROW(validate_packed(p, compiled));
+  // The section holds exactly a packed_table at the resolved width.
+  const auto expect_table = [&]<typename W>() {
+    const packed_table<W, fast_protocol> table(compiled);
+    const auto entries = table.entries();
+    ASSERT_EQ(p.bytes.size(), entries.size_bytes());
+    EXPECT_EQ(std::memcmp(p.bytes.data(), entries.data(), p.bytes.size()), 0);
+  };
+  switch (width) {
+    case 8: expect_table.template operator()<std::uint8_t>(); break;
+    case 16: expect_table.template operator()<std::uint16_t>(); break;
+    default: expect_table.template operator()<std::uint32_t>(); break;
+  }
+  EXPECT_NO_THROW(validate_tuned_artifact(a, fx.runner));
 
-  packed_section corrupt = p;
-  corrupt.bytes[0] ^= 1;
-  EXPECT_THROW(validate_packed(corrupt, compiled), std::invalid_argument);
+  sweep_artifact corrupt = a;
+  corrupt.packed->bytes[0] ^= 1;
+  EXPECT_THROW(validate_tuned_artifact(corrupt, fx.runner), std::invalid_argument);
 }
 
 TEST(Artifact, GraphSectionRoundTripsWithPermutation) {
@@ -210,6 +228,90 @@ TEST(Artifact, StarArtifactValidatesAgainstFreshRebuildAndDetectsSkew) {
   sweep_artifact stripped = a;
   stripped.edge.reset();
   EXPECT_THROW(validate_tuned_artifact(stripped, rebuilt), std::invalid_argument);
+}
+
+// The message a rejected call throws, or "" if it returns.
+template <typename Fn>
+std::string rejection(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// What validate_tuned_artifact throws for `a` after one `skew`.
+template <typename Runner, typename Skew>
+std::string skew_rejection(sweep_artifact a, const Runner& runner, Skew&& skew) {
+  skew(a);
+  return rejection([&] { validate_tuned_artifact(a, runner); });
+}
+
+// Validation compares in place, field by field: every single-field skew of a
+// stored section must still be rejected, with the message each check has
+// always thrown.
+TEST(Artifact, EverySingleFieldSkewIsRejectedWithItsMessage) {
+  const std::string table_skew =
+      "artifact: this build's closed table diverges from the stored one "
+      "(producer/worker version skew)";
+  const std::string packed_skew =
+      "artifact: this build's packed table diverges from the stored one";
+  struct skew_case {
+    const char* what;
+    std::string message;
+    std::function<void(sweep_artifact&)> skew;
+  };
+  const tuned_fixture fx;
+  const sweep_artifact a = fx.artifact();
+  const std::size_t k = a.table->codes.size();
+  const skew_case skews[] = {
+      {"none", "", [](sweep_artifact&) {}},
+      {"code", table_skew, [](sweep_artifact& s) { s.table->codes[3] ^= 1; }},
+      {"role", table_skew, [](sweep_artifact& s) { s.table->roles[1] ^= 1; }},
+      {"contrib", table_skew, [](sweep_artifact& s) { s.table->contrib[2][0] ^= 1; }},
+      {"counters", table_skew, [](sweep_artifact& s) { s.table->counters += 1; }},
+      {"a2", table_skew, [](sweep_artifact& s) { s.table->entries[5].a2 ^= 1; }},
+      {"b2", table_skew, [](sweep_artifact& s) { s.table->entries[7].b2 ^= 1; }},
+      {"delta", table_skew, [](sweep_artifact& s) { s.table->entries[9].delta[1] ^= 1; }},
+      {"last entry", table_skew,
+       [&](sweep_artifact& s) { s.table->entries[k * k - 1].b2 ^= 1; }},
+      {"missing row", table_skew,
+       [&](sweep_artifact& s) { s.table->entries.resize(k * (k - 1)); }},
+      {"PACK width", packed_skew,
+       [](sweep_artifact& s) { s.packed->width_bits = s.packed->width_bits == 32 ? 16 : 32; }},
+      {"PACK invalid width", "artifact: packed section has an invalid word width",
+       [](sweep_artifact& s) { s.packed->width_bits = 7; }},
+      {"PACK num_states", packed_skew, [](sweep_artifact& s) { s.packed->num_states += 1; }},
+      {"PACK bytes", packed_skew, [](sweep_artifact& s) { s.packed->bytes.back() ^= 0x10; }},
+      {"PACK length", packed_skew, [](sweep_artifact& s) { s.packed->bytes.pop_back(); }},
+      {"pack_bits", "artifact: rebuilt runner resolved a different config word width",
+       [](sweep_artifact& s) { s.pack_bits = s.pack_bits == 32 ? 16 : 32; }},
+  };
+  for (const auto& s : skews) {
+    EXPECT_EQ(skew_rejection(a, fx.runner, s.skew), s.message) << s.what;
+  }
+
+  const star_fixture star({.order = vertex_order::rcm});
+  const sweep_artifact b = star.artifact();
+  const std::string edge_skew =
+      "artifact: this build's edge classes diverge from the stored ones "
+      "(producer/worker version skew)";
+  const skew_case star_skews[] = {
+      {"none", "", [](sweep_artifact&) {}},
+      {"EDGE class", edge_skew, [](sweep_artifact& s) { s.edge->classes[0] ^= 1; }},
+      {"EDGE class count", edge_skew, [](sweep_artifact& s) { s.edge->num_classes = 3; }},
+      {"EDGE length", edge_skew, [](sweep_artifact& s) { s.edge->classes.push_back(0); }},
+      {"permutation", "artifact: reorder permutation diverges from this build",
+       [](sweep_artifact& s) { std::swap(s.graph->old_of_new[0], s.graph->old_of_new[1]); }},
+      {"permutation size", "artifact: reorder permutation size diverges from this build",
+       [](sweep_artifact& s) { s.graph->old_of_new.pop_back(); }},
+      {"order", "artifact: rebuilt runner uses a different vertex order",
+       [](sweep_artifact& s) { s.graph->order = 0; }},
+  };
+  for (const auto& s : star_skews) {
+    EXPECT_EQ(skew_rejection(b, star.runner, s.skew), s.message) << s.what;
+  }
 }
 
 TEST(Artifact, EdgeSectionClassBoundsAreEnforcedOnParse) {
@@ -300,6 +402,12 @@ std::uint32_t u32_at(const std::vector<std::uint8_t>& b, std::size_t at) {
   return v;
 }
 
+std::uint64_t u64_at(const std::vector<std::uint8_t>& b, std::size_t at) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, b.data() + at, sizeof(v));
+  return v;
+}
+
 // Offset of the payload of the first section tagged `tag`, walking the
 // section headers (u32 tag, u32 reserved, u64 length) past the 40-byte file
 // header; b.size() if there is none.
@@ -368,6 +476,318 @@ TEST(Artifact, ProtocolParamsThatDoNotFitTheirFieldsAreRejected) {
                std::invalid_argument);
   EXPECT_EQ(six_population_of({protocol_kind::six, {too_big - 1}}), 2'147'483'647);
   EXPECT_THROW(six_population_of({protocol_kind::six, {too_big}}), std::invalid_argument);
+}
+
+TEST(Artifact, WellmixedClassCountsMustSumToThePopulation) {
+  // A population of 2^31 - 1 over classes that sum to 300 used to parse, and
+  // a worker then built the O(population) initial multiset (seconds) before
+  // validation noticed; popsimd parses the same bytes from TCP.
+  const std::uint64_t n = 300;
+  const fast_protocol proto(fast_params::practical_clique(n));
+  const auto good = artifact_bytes(make_wellmixed_artifact(
+      proto, initial_multiset(proto, n), n, "clique", fast_desc(proto.params())));
+  // WMIX: u64 population, u64 class count, then (u64 code, u64 count) pairs.
+  const std::size_t wmix_at = payload_of(good, 0x58494d57);  // 'WMIX'
+  ASSERT_LT(wmix_at, good.size());
+  ASSERT_EQ(u64_at(good, wmix_at), n);
+  ASSERT_EQ(u64_at(good, wmix_at + 8), 1u);
+  const std::size_t count_at = wmix_at + 24;
+  ASSERT_EQ(u64_at(good, count_at), n);
+  const std::string short_mass =
+      "artifact: well-mixed class counts do not sum to the population";
+  const std::string excess = "artifact: well-mixed class counts exceed the population";
+  const auto parse = [](const std::vector<std::uint8_t>& b) {
+    return rejection([&] { artifact_from_bytes(b); });
+  };
+  EXPECT_EQ(parse(good), "");
+  EXPECT_EQ(parse(patched(good, wmix_at, std::uint64_t{2'147'483'647})), short_mass);
+  EXPECT_EQ(parse(patched(good, wmix_at, n + 1)), short_mass);
+  EXPECT_EQ(parse(patched(good, wmix_at, n - 1)), excess);
+  EXPECT_EQ(parse(patched(good, count_at, ~std::uint64_t{0})), excess);
+  EXPECT_EQ(parse(patched(good, count_at, n - 1)), short_mass);
+  // A consistent change describes another valid sweep: it parses, and a
+  // rebuild validates against it at its own population only.
+  const auto smaller = patched(patched(good, wmix_at, n - 1), count_at, n - 1);
+  const sweep_artifact loaded = artifact_from_bytes(smaller);
+  EXPECT_EQ(loaded.wellmixed->population, n - 1);
+  EXPECT_NO_THROW(validate_wellmixed_artifact(loaded, proto, initial_multiset(proto, n - 1)));
+  EXPECT_THROW(validate_wellmixed_artifact(loaded, proto, initial_multiset(proto, n)),
+               std::invalid_argument);
+}
+
+TEST(Artifact, PackedWidthAndSizeAreCheckedOnParse) {
+  // The in-place PACK check compares bytes with the runner's table, so the
+  // parser pins what those bytes must be: a word width in {8, 16, 32} and
+  // exactly num_states² entries of that width's size.
+  const std::size_t k = 14;  // fast {1, 2, 4} on a cycle: u8, 4-byte entries
+  const graph g = make_cycle(40);
+  const fast_protocol proto(fast_params{1, 2, 4});
+  const tuned_runner<fast_protocol> runner(proto, g);
+  ASSERT_EQ(runner.compiled().num_states(), k);
+  ASSERT_EQ(runner.pack_bits(), 8);
+  const auto good = artifact_bytes(make_tuned_artifact(runner, g, "cycle",
+                                                       fast_desc(proto.params())));
+  // PACK: u32 width, u64 num_states, u64 byte count, then the bytes.
+  const std::size_t pack_at = payload_of(good, 0x4b434150);  // 'PACK'
+  ASSERT_LT(pack_at, good.size());
+  ASSERT_EQ(u32_at(good, pack_at), 8u);
+  ASSERT_EQ(u64_at(good, pack_at + 4), k);
+  ASSERT_EQ(u64_at(good, pack_at + 12), k * k * 4);
+  const std::string bad_width = "artifact: packed section has an invalid word width";
+  const std::string bad_size = "artifact: packed section size is not num_states² entries";
+  const auto parse = [](const std::vector<std::uint8_t>& b) {
+    return rejection([&] { artifact_from_bytes(b); });
+  };
+  EXPECT_EQ(parse(good), "");
+  for (const std::uint32_t width : {0u, 7u, 9u, 24u, 64u, 0xFFFFFFFFu}) {
+    EXPECT_EQ(parse(patched(good, pack_at, width)), bad_width) << width;
+  }
+  // k² × 4 bytes is no square count of 8- or 12-byte entries here.
+  EXPECT_EQ(parse(patched(good, pack_at, std::uint32_t{16})), bad_size);
+  EXPECT_EQ(parse(patched(good, pack_at, std::uint32_t{32})), bad_size);
+  EXPECT_EQ(parse(patched(good, pack_at + 4, std::uint64_t{k + 1})), bad_size);
+  EXPECT_EQ(parse(patched(good, pack_at + 4, std::uint64_t{0})), bad_size);
+  EXPECT_EQ(parse(patched(good, pack_at + 4, std::uint64_t{1} << 32)), bad_size);
+  EXPECT_EQ(parse(patched(good, pack_at + 4, ~std::uint64_t{0})), bad_size);
+  // Twice the states need four times the bytes; half need a quarter.
+  EXPECT_EQ(parse(patched(good, pack_at + 4, std::uint64_t{2 * k})), bad_size);
+  EXPECT_EQ(parse(patched(good, pack_at + 4, std::uint64_t{k / 2})), bad_size);
+}
+
+// Size and fnv1a64 of each fixture's bytes as the field-by-field writer
+// before the streaming one produced them: the format is fixed, so the
+// streaming writer must reproduce every byte.
+TEST(Artifact, BytesMatchTheParentWriter) {
+  struct golden {
+    const char* name;
+    std::size_t size;
+    std::uint64_t fnv;
+  };
+  const auto check = [](const golden& want, const sweep_artifact& a) {
+    const auto bytes = artifact_bytes(a);
+    EXPECT_EQ(bytes.size(), want.size) << want.name;
+    EXPECT_EQ(fnv1a64(bytes.data(), bytes.size()), want.fnv) << want.name;
+    const std::string path = testing::TempDir() + "/artifact_parent_bytes.ppaf";
+    save_artifact(a, path);
+    EXPECT_TRUE(read_artifact_file(path) == bytes) << want.name << ": file != bytes";
+    std::remove(path.c_str());
+  };
+  check({"natural fast", 26'697'320, 0xc1bbd3dfa55afc30ull}, tuned_fixture().artifact());
+  check({"rcm fast", 26'698'120, 0xa24b5ee71c559cbcull},
+        tuned_fixture({.order = vertex_order::rcm}).artifact());
+  check({"star", 1'835, 0x40d9728f4d4580efull},
+        star_fixture({.order = vertex_order::rcm}).artifact());
+  const std::uint64_t n = 300;
+  const fast_protocol fast(fast_params::practical_clique(n));
+  check({"wellmixed fast", 6'527'787, 0x72a874a61b7e7f6dull},
+        make_wellmixed_artifact(fast, initial_multiset(fast, n), n, "clique",
+                                fast_desc(fast.params())));
+  const beauquier_protocol six(500);
+  check({"wellmixed six", 527, 0xfec5cc5592ca90dfull},
+        make_wellmixed_artifact(six, initial_multiset(six, 500), 500, "clique",
+                                six_desc(500)));
+}
+
+// What popsim's worker and popsimd do with a loaded artifact: rebuild the
+// sweep from META plus GRPH or WMIX, then validate the rebuild against the
+// stored sections.  Throws std::invalid_argument on any mismatch.
+void rebuild_and_validate(const sweep_artifact& a) {
+  if (a.engine == artifact_engine::tuned) {
+    expects(a.graph.has_value(), "test: tuned artifact without a graph section");
+    const graph g = rebuild_graph(*a.graph);
+    const auto check = [&]<typename P>(const P& proto) {
+      const tuned_runner<P> runner(proto, g, tuning_of(a));
+      validate_tuned_artifact(a, runner);
+    };
+    if (a.protocol.kind == protocol_kind::star) {
+      expect_star_desc(a.protocol);
+      check(star_protocol{});
+    } else {
+      check(fast_protocol(fast_params_of(a.protocol)));
+    }
+    return;
+  }
+  expects(a.wellmixed.has_value(), "test: well-mixed artifact without a multiset section");
+  const auto check = [&]<typename P>(const P& proto) {
+    validate_wellmixed_artifact(a, proto, initial_multiset(proto, a.wellmixed->population));
+  };
+  if (a.protocol.kind == protocol_kind::six) {
+    check(beauquier_protocol(six_population_of(a.protocol)));
+  } else {
+    check(fast_protocol(fast_params_of(a.protocol)));
+  }
+}
+
+// (offset, length) of every section record, header included, in file order.
+std::vector<std::pair<std::size_t, std::size_t>> sections_of(
+    const std::vector<std::uint8_t>& b) {
+  std::vector<std::pair<std::size_t, std::size_t>> out;
+  for (std::size_t at = 40; at + 16 <= b.size();) {
+    const std::size_t length = 16 + u64_at(b, at + 8);
+    out.emplace_back(at, length);
+    at += length;
+  }
+  return out;
+}
+
+// One seeded corruption of a valid artifact, in the shapes of
+// Manifest.SeededMutationsAreRejectedOrRoundTrip (tests/test_fleet.cpp):
+// bit flips, byte overwrites, truncation and splices, here of whole
+// sections, plus field-sized overwrites with boundary and off-by-one values
+// aimed at the counts.  The checksum is fixed up afterwards so the mutation
+// reaches the section parsers.
+std::vector<std::uint8_t> mutated(const std::vector<std::uint8_t>& valid, int i, rng& gen) {
+  std::vector<std::uint8_t> b = valid;
+  switch (i % 5) {
+    case 0: {  // flip 1-3 random bits
+      const std::uint64_t flips = 1 + gen.uniform_below(3);
+      for (std::uint64_t k = 0; k < flips; ++k) {
+        const std::uint64_t bit = gen.uniform_below(b.size() * 8);
+        b[bit / 8] = static_cast<std::uint8_t>(b[bit / 8] ^ (1u << (bit % 8)));
+      }
+      break;
+    }
+    case 1: {  // overwrite one byte with 0x00, 0xFF or a random byte
+      const std::uint8_t picks[] = {0x00, 0xFF, static_cast<std::uint8_t>(gen.uniform_below(256))};
+      b[gen.uniform_below(b.size())] = picks[gen.uniform_below(3)];
+      break;
+    }
+    case 2: {  // a u32 or u64 field-sized overwrite
+      const std::size_t width = gen.uniform_below(2) == 0 ? 4 : 8;
+      const std::size_t at = gen.uniform_below(b.size() - width + 1);
+      std::uint64_t old = 0;
+      std::memcpy(&old, b.data() + at, width);
+      const std::uint64_t picks[] = {0, 1, old + 1, old - 1, old * 2, 0x7FFFFFFF,
+                                     0xFFFFFFFF, std::uint64_t{1} << 32,
+                                     std::uint64_t{1} << 63, ~std::uint64_t{0}};
+      const std::uint64_t v = picks[gen.uniform_below(std::size(picks))];
+      std::memcpy(b.data() + at, &v, width);
+      break;
+    }
+    case 3:  // truncate anywhere, including inside the header
+      b.resize(gen.uniform_below(b.size() + 1));
+      break;
+    default: {  // splice: one section dropped, duplicated or moved
+      const auto sections = sections_of(valid);
+      std::vector<std::vector<std::uint8_t>> records;
+      for (const auto& [at, length] : sections) {
+        records.emplace_back(valid.begin() + static_cast<std::ptrdiff_t>(at),
+                             valid.begin() + static_cast<std::ptrdiff_t>(at + length));
+      }
+      const std::size_t from = gen.uniform_below(records.size());
+      const std::size_t to = gen.uniform_below(records.size() + 1);
+      const auto record = records[from];
+      switch (gen.uniform_below(3)) {
+        case 0: records.erase(records.begin() + static_cast<std::ptrdiff_t>(from)); break;
+        case 1: records.insert(records.begin() + static_cast<std::ptrdiff_t>(to), record); break;
+        default:
+          records.erase(records.begin() + static_cast<std::ptrdiff_t>(from));
+          records.insert(records.begin() + static_cast<std::ptrdiff_t>(
+                                               std::min(to, records.size())),
+                         record);
+      }
+      b.resize(40);
+      for (const auto& r : records) b.insert(b.end(), r.begin(), r.end());
+      const auto count = static_cast<std::uint32_t>(records.size());
+      const std::uint64_t payload = b.size() - 40;
+      std::memcpy(b.data() + 16, &count, sizeof(count));
+      std::memcpy(b.data() + 24, &payload, sizeof(payload));
+    }
+  }
+  if (b.size() >= 40) {
+    const std::uint64_t sum = fnv1a64(b.data() + 40, b.size() - 40);
+    std::memcpy(b.data() + 32, &sum, sizeof(sum));
+  }
+  return b;
+}
+
+// Every seeded mutation of a valid artifact must be rejected with
+// std::invalid_argument or parse to an artifact that re-serializes to the
+// very same bytes — never a crash, another exception type, or a value the
+// writer cannot reproduce.  When META survives, the parse is also rebuilt
+// and validated as a worker would: that must throw std::invalid_argument
+// or pass, and it may pass only with the original's tables where present
+// (they are a function of META).  A mutated META is not rebuilt: its params could
+// drive a closure up to the engine budget.
+TEST(Artifact, SeededMutationsAreRejectedOrRoundTrip) {
+  struct fixture {
+    const char* name;
+    sweep_artifact artifact;
+  };
+  std::vector<fixture> fixtures;
+  {
+    const graph g = make_cycle(40);
+    const fast_protocol proto(fast_params{1, 2, 4});
+    const tuned_runner<fast_protocol> runner(proto, g, {.order = vertex_order::rcm});
+    fixtures.push_back({"tuned fast rcm",
+                        make_tuned_artifact(runner, g, "cycle", fast_desc(proto.params()))});
+  }
+  fixtures.push_back({"tuned star rcm", star_fixture({.order = vertex_order::rcm}).artifact()});
+  {
+    const fast_protocol proto(fast_params{2, 3, 6});
+    fixtures.push_back({"wellmixed fast",
+                        make_wellmixed_artifact(proto, initial_multiset(proto, 40), 40,
+                                                "clique", fast_desc(proto.params()))});
+  }
+  {
+    const beauquier_protocol proto(500);
+    fixtures.push_back({"wellmixed six",
+                        make_wellmixed_artifact(proto, initial_multiset(proto, 500), 500,
+                                                "clique", six_desc(500))});
+  }
+
+  rng gen(2024);
+  for (const fixture& fx : fixtures) {
+    const sweep_artifact& original = fx.artifact;
+    const auto valid = artifact_bytes(original);
+    ASSERT_LT(valid.size(), 16'384u) << fx.name << ": keep the fixtures small";
+    std::size_t rejected = 0;
+    std::size_t accepted = 0;
+    std::size_t validated = 0;
+    for (int i = 0; i < 2500; ++i) {
+      const auto bytes = mutated(valid, i, gen);
+      sweep_artifact parsed;
+      try {
+        parsed = artifact_from_bytes(bytes);
+      } catch (const std::invalid_argument&) {
+        ++rejected;
+        continue;
+      }
+      ++accepted;
+      // A version-1 header parses as its version-2 equivalent (v2 only
+      // added the optional EDGE section), so the writer answers with 2.
+      auto expected = bytes;
+      if (u32_at(expected, 8) == 1) expected[8] = static_cast<std::uint8_t>(kArtifactVersion);
+      ASSERT_TRUE(artifact_bytes(parsed) == expected) << fx.name << ", mutation " << i;
+
+      const bool same_meta = parsed.family == original.family &&
+                             parsed.protocol == original.protocol &&
+                             parsed.pack_bits == original.pack_bits;
+      // A consistent WMIX far past the fixture's population is a valid but
+      // large sweep; its O(population) initial multiset adds nothing here.
+      const bool small = !parsed.wellmixed || parsed.wellmixed->population <= 4096;
+      if (!same_meta || !small) continue;
+      try {
+        rebuild_and_validate(parsed);
+      } catch (const std::invalid_argument&) {
+        continue;
+      }
+      ++validated;
+      // A well-mixed artifact may lack TABL (its producer's closure can
+      // exceed the budget); every table that is present must be the
+      // original's.
+      EXPECT_TRUE((!parsed.table || parsed.table == original.table) &&
+                  (!parsed.packed || parsed.packed == original.packed) &&
+                  (!parsed.edge || parsed.edge == original.edge))
+          << fx.name << ", mutation " << i << " validated with other tables";
+    }
+    // Every outcome occurs, so no branch is vacuous.
+    EXPECT_GT(rejected, 0u) << fx.name;
+    EXPECT_GT(accepted, 0u) << fx.name;
+    EXPECT_GT(validated, 0u) << fx.name;
+    std::printf("%s: %zu bytes, %zu rejected, %zu accepted, %zu validated\n", fx.name,
+                valid.size(), rejected, accepted, validated);
+  }
 }
 
 TEST(Artifact, FnvVectors) {

@@ -4,10 +4,12 @@
 // setup, artifact parse and validate) allocate O(|Λ|) times, not per call.
 //
 // This binary replaces the global operator new/delete with a counting
-// malloc/free pair, so every heap allocation in the process is counted.
+// malloc/free pair, so every heap allocation in the process, and its bytes,
+// is counted.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -25,10 +27,12 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocated_bytes{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
@@ -46,6 +50,14 @@ std::uint64_t allocations_in(Body&& body) {
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
   body();
   return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+// Heap bytes requested while `body` runs (frees are not subtracted).
+template <typename Body>
+std::uint64_t bytes_in(Body&& body) {
+  const std::uint64_t before = g_allocated_bytes.load(std::memory_order_relaxed);
+  body();
+  return g_allocated_bytes.load(std::memory_order_relaxed) - before;
 }
 
 constexpr int kCalls = 100000;
@@ -139,6 +151,47 @@ TEST(Checks, TunedSetupAndArtifactAllocateNotPerEntry) {
   EXPECT_TRUE(*parsed == artifact);
   EXPECT_LT(allocations_in([&] { fleet::validate_tuned_artifact(artifact, *runner); }),
             64u);
+}
+
+// Each process passes over the artifact once: save streams through a fixed
+// stage, validation compares in place, and load holds the file once next to
+// the struct it parses.  At rr8 n = 1000 with popsim's resolved fast params
+// the file is ~20 MB, so one whole-file copy on any of these paths breaks
+// its bound.
+TEST(Checks, ArtifactSaveValidateAndLoadAllocateWithinTheirBounds) {
+  rng gen(3);
+  const graph g = make_random_regular(1000, 8, gen);
+  const fast_params params{7, 20, 80};  // fast_params::practical at seed 1
+  const fast_protocol proto(params);
+  const tuned_runner<fast_protocol> runner(proto, g);
+  const fleet::sweep_artifact artifact =
+      fleet::make_tuned_artifact(runner, g, "rr8", fleet::fast_desc(params));
+  const std::string path = testing::TempDir() + "/checks_artifact.ppaf";
+
+  const std::uint64_t save = bytes_in([&] { fleet::save_artifact(artifact, path); });
+  EXPECT_LT(save, std::uint64_t{1} << 20);
+  const std::uint64_t validate =
+      bytes_in([&] { fleet::validate_tuned_artifact(artifact, runner); });
+  EXPECT_LT(validate, std::uint64_t{64} << 10);
+
+  std::optional<fleet::sweep_artifact> loaded;
+  const std::uint64_t load = bytes_in([&] { loaded.emplace(fleet::load_artifact(path)); });
+  ASSERT_TRUE(*loaded == artifact);
+  const std::uint64_t file = fleet::artifact_bytes(artifact).size();
+  const auto& t = *loaded->table;
+  const auto& gs = *loaded->graph;
+  const std::uint64_t parsed =
+      t.codes.size() * 8 + t.roles.size() + t.contrib.size() * 4 +
+      t.entries.size() * sizeof(t.entries[0]) + loaded->packed->bytes.size() +
+      gs.edges.size() * 8 + gs.old_of_new.size() * 4 +
+      loaded->protocol.params.size() * 8 + loaded->family.size();
+  EXPECT_GT(file, std::uint64_t{16} << 20);
+  EXPECT_LE(load, file + parsed + (std::uint64_t{1} << 20));
+  std::printf("file %llu B: save %llu B, validate %llu B, load %llu B (struct %llu B)\n",
+              static_cast<unsigned long long>(file), static_cast<unsigned long long>(save),
+              static_cast<unsigned long long>(validate), static_cast<unsigned long long>(load),
+              static_cast<unsigned long long>(parsed));
+  std::remove(path.c_str());
 }
 
 }  // namespace
