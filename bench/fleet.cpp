@@ -95,7 +95,7 @@ int run() {
       c.jobs = jobs;
       bench::stopwatch timer;
       const auto summary =
-          jobs == 1 ? measure_election_tuned(runner, trials_ring, rng(7), {}, 1)
+          jobs == 1 ? measure_election_sweep(runner, trials_ring, rng(7), {}, 1)
                     : measure_election_fleet(runner, trials_ring, rng(7), {}, jobs);
       c.seconds = timer.seconds();
       if (jobs == 1) baseline = summary;

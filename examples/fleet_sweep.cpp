@@ -4,8 +4,9 @@
 // The flow mirrors what `popsim --jobs W --save-artifact F` automates:
 //   1. build the protocol + graph and resolve the engine layout once
 //      (tuned_runner: closed table, packed snapshot, reorder permutation);
-//   2. snapshot it into a sweep_artifact and save/load it — the load
-//      validates the rebuild byte-for-byte, so version-skewed workers fail
+//   2. snapshot it into a sweep_artifact, save and load it, and open the
+//      loaded artifact (fleet::open_sweep) — the opener rebuilds the sweep
+//      and validates it byte-for-byte, so version-skewed workers fail
 //      loudly instead of silently diverging;
 //   3. run the same seed list serially and through two supervised forked
 //      workers and check the summaries match *exactly* (seed-partition
@@ -45,56 +46,53 @@ int main() {
                                      pp::fleet::fast_desc(proto.params())),
       path);
   const auto artifact = pp::fleet::load_artifact(path);
-  const pp::fast_protocol rebuilt_proto(
-      pp::fleet::fast_params_of(artifact.protocol));
-  const pp::graph rebuilt_g = pp::fleet::rebuild_graph(*artifact.graph);
-  const pp::tuned_runner<pp::fast_protocol> rebuilt(
-      rebuilt_proto, rebuilt_g, pp::fleet::tuning_of(artifact));
-  pp::fleet::validate_tuned_artifact(artifact, rebuilt);
-  std::printf("artifact: %s round-tripped and validated (closed table, "
-              "packed snapshot, graph)\n", path.c_str());
+  return pp::fleet::open_sweep(artifact, [&](const auto& rebuilt) {
+    std::printf("artifact: %s round-tripped and validated (closed table, "
+                "packed snapshot, graph)\n", path.c_str());
 
-  // Same seed list, serial vs two worker processes: identical summaries.
-  const auto serial = pp::measure_election_tuned(rebuilt, trials, pp::rng(7));
-  const auto fleet = pp::measure_election_fleet(rebuilt, trials, pp::rng(7), {}, 2);
-  std::printf("serial: mean %.0f steps over %zu stabilized trials\n",
-              serial.steps.mean, serial.steps.count);
-  std::printf("fleet (2 workers): mean %.0f steps over %zu stabilized trials\n",
-              fleet.steps.mean, fleet.steps.count);
-  const bool identical = serial.steps.mean == fleet.steps.mean &&
-                         serial.steps.stddev == fleet.steps.stddev &&
-                         serial.stabilized_fraction == fleet.stabilized_fraction;
-  std::printf("merged summaries identical: %s\n", identical ? "yes" : "NO");
+    // Same seed list, serial vs two worker processes: identical summaries.
+    const auto serial = pp::measure_election_sweep(rebuilt->runner, trials, pp::rng(7));
+    const auto fleet =
+        pp::measure_election_fleet(rebuilt->runner, trials, pp::rng(7), {}, 2);
+    std::printf("serial: mean %.0f steps over %zu stabilized trials\n",
+                serial.steps.mean, serial.steps.count);
+    std::printf("fleet (2 workers): mean %.0f steps over %zu stabilized trials\n",
+                fleet.steps.mean, fleet.steps.count);
+    const bool identical = serial.steps.mean == fleet.steps.mean &&
+                           serial.steps.stddev == fleet.steps.stddev &&
+                           serial.stabilized_fraction == fleet.stabilized_fraction;
+    std::printf("merged summaries identical: %s\n", identical ? "yes" : "NO");
 
-  // The same sweep once more, flight-recorded: the trace collects the
-  // supervisor timeline (spawn/assign/record/merge spans and instants, one
-  // track per worker slot), the registry the fleet.* counters.
-  // `popsim --metrics F --trace F --jobs W` wires exactly this —
-  // plus per-trial worker spans and engine.* probe rollups via exec-worker
-  // sidecars, which fork-mode workers don't write.
-  pp::obs::metrics_registry metrics;
-  pp::obs::trace_writer trace;
-  pp::fleet::supervise_options sup;
-  sup.metrics = &metrics;
-  sup.trace = &trace;
-  const auto recorded =
-      pp::measure_election_fleet(rebuilt, trials, pp::rng(7), {}, 2, sup);
-  const bool recorded_identical = serial.steps.mean == recorded.steps.mean;
-  const std::string metrics_path = "/tmp/fleet_sweep_example_metrics.json";
-  const std::string trace_path = "/tmp/fleet_sweep_example_trace.json";
-  const bool wrote = metrics.write_json(metrics_path) &&
-                     trace.write_json(trace_path);
-  std::printf("recorded sweep: identical again: %s; %llu records received, "
-              "%llu workers spawned\n",
-              recorded_identical ? "yes" : "NO",
-              static_cast<unsigned long long>(
-                  metrics.counter("fleet.records_received")),
-              static_cast<unsigned long long>(
-                  metrics.counter("fleet.workers_spawned")));
-  std::printf("metrics snapshot: %s\n", metrics_path.c_str());
-  std::printf("trace timeline:   %s  (load in chrome://tracing or "
-              "ui.perfetto.dev)\n", trace_path.c_str());
+    // The same sweep once more, flight-recorded: the trace collects the
+    // supervisor timeline (spawn/assign/record/merge spans and instants, one
+    // track per worker slot), the registry the fleet.* counters.
+    // `popsim --metrics F --trace F --jobs W` wires exactly this —
+    // plus per-trial worker spans and engine.* probe rollups via exec-worker
+    // sidecars, which fork-mode workers don't write.
+    pp::obs::metrics_registry metrics;
+    pp::obs::trace_writer trace;
+    pp::fleet::supervise_options sup;
+    sup.metrics = &metrics;
+    sup.trace = &trace;
+    const auto recorded =
+        pp::measure_election_fleet(rebuilt->runner, trials, pp::rng(7), {}, 2, sup);
+    const bool recorded_identical = serial.steps.mean == recorded.steps.mean;
+    const std::string metrics_path = "/tmp/fleet_sweep_example_metrics.json";
+    const std::string trace_path = "/tmp/fleet_sweep_example_trace.json";
+    const bool wrote = metrics.write_json(metrics_path) &&
+                       trace.write_json(trace_path);
+    std::printf("recorded sweep: identical again: %s; %llu records received, "
+                "%llu workers spawned\n",
+                recorded_identical ? "yes" : "NO",
+                static_cast<unsigned long long>(
+                    metrics.counter("fleet.records_received")),
+                static_cast<unsigned long long>(
+                    metrics.counter("fleet.workers_spawned")));
+    std::printf("metrics snapshot: %s\n", metrics_path.c_str());
+    std::printf("trace timeline:   %s  (load in chrome://tracing or "
+                "ui.perfetto.dev)\n", trace_path.c_str());
 
-  std::remove(path.c_str());
-  return identical && recorded_identical && wrote ? 0 : 1;
+    std::remove(path.c_str());
+    return identical && recorded_identical && wrote ? 0 : 1;
+  });
 }

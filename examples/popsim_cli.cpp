@@ -115,6 +115,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -589,90 +590,53 @@ void print_wellmixed_summary(const pp::election_summary& summary, int trials) {
   }
 }
 
-// Serial-or-fleet well-mixed sweep + report, shared by the classic and
-// artifact entry points (P is fast_protocol or beauquier_protocol).
-template <typename P>
-int run_wellmixed_mode(const P& proto, std::uint64_t n, const cli_config& cfg,
-                       const char* argv0, const std::string& family,
-                       const std::string& loaded_path) {
-  pp::rng seed(cfg.seed);
-  const int trial_count = static_cast<int>(cfg.trials);
-  const pp::sim_options options;
-  pp::election_summary summary;
-  std::string artifact_path = loaded_path;
-  std::optional<temp_file> temp_artifact;
-  if (artifact_path.empty() &&
-      (cfg.jobs > 1 || cfg.supervised() || !cfg.save_path.empty())) {
-    const auto initial = pp::initial_multiset(proto, n);
-    pp::fleet::protocol_desc desc;
-    if constexpr (std::is_same_v<P, pp::fast_protocol>) {
-      desc = pp::fleet::fast_desc(proto.params());
-    } else {
-      desc = pp::fleet::six_desc(proto.num_nodes());
-    }
-    const auto artifact =
-        pp::fleet::make_wellmixed_artifact(proto, initial, n, family, desc);
-    artifact_path = cfg.save_path;
-    if (artifact_path.empty()) {
-      artifact_path = temp_artifact.emplace("artifact.ppaf").path();
-    }
-    pp::fleet::save_artifact(artifact, artifact_path);
-  }
-  if (cfg.jobs > 1 || cfg.supervised()) {
-    // Degraded-mode fallback: the sweep object is built lazily so the happy
-    // path (no worker ever exhausts the retry budget) pays nothing for it.
-    std::optional<pp::wellmixed_sweep<P>> sweep_cache;
-    const pp::fleet::trial_fn inline_fn = [&](std::uint64_t, pp::rng gen) {
-      if (!sweep_cache) sweep_cache.emplace(proto, n);
-      return sweep_cache->run(gen, options);
-    };
-    summary = run_fleet(artifact_path, cfg, argv0, options, inline_fn);
-  } else {
-    summary = pp::measure_election_wellmixed(proto, n, trial_count, seed.fork(2));
-  }
-  std::printf("well-mixed clique: n=%llu (multiset configuration, no edge list)\n",
-              static_cast<unsigned long long>(n));
-  print_wellmixed_summary(summary, trial_count);
-  return 0;
-}
-
 // The tuned engine's sim_options per protocol kind: the star protocol can
 // deadlock with several leaders on general graphs (the tracker then never
 // fires), so its runs are step-capped; the fast protocol always stabilizes.
-// Shared by the classic, --load-artifact and --worker paths so a sweep's
-// stdout never depends on which of them produced it.
+// Shared by the classic and --load-artifact paths, and carried to --worker
+// by the manifest, so a sweep's stdout never depends on which produced it.
 pp::sim_options tuned_options(pp::fleet::protocol_kind kind) {
   pp::sim_options options;
   if (kind == pp::fleet::protocol_kind::star) options.max_steps = 1'000'000;
   return options;
 }
 
-// Constructs the tuned-engine protocol a descriptor names and invokes fn
-// with it — the single protocol_kind -> type mapping for every artifact
-// consumer (--worker and --load-artifact; the classic path builds its
-// protocols from the positional arguments instead).
-template <typename Fn>
-auto with_artifact_protocol(const pp::fleet::protocol_desc& desc, Fn&& fn) {
-  using pp::fleet::protocol_kind;
-  pp::expects(desc.kind == protocol_kind::fast || desc.kind == protocol_kind::star,
-              "popsim: tuned artifacts carry the fast or star protocol");
-  if (desc.kind == protocol_kind::star) {
-    pp::fleet::expect_star_desc(desc);
-    return fn(pp::star_protocol{});
+// The sweep block every mode shares, over a prepared sweep (a tuned_runner
+// or a wellmixed_sweep): pick the artifact the fleet reads — the loaded
+// one, or make_artifact() saved to --save-artifact or a temp file — then run
+// the trials on the supervised fleet, or serially on this process's thread
+// pool.  Trial t runs rng(seed).fork(2).fork(t) either way, so the summary
+// does not depend on the route.
+template <typename Sweep, typename MakeArtifact>
+pp::election_summary run_sweep(const Sweep& sweep, const pp::sim_options& options,
+                               const cli_config& cfg, const char* argv0,
+                               MakeArtifact&& make_artifact) {
+  const bool fleet = cfg.jobs > 1 || cfg.supervised();
+  std::string artifact_path = cfg.load_path;
+  std::optional<temp_file> temp_artifact;
+  if (artifact_path.empty() && (fleet || !cfg.save_path.empty())) {
+    artifact_path = cfg.save_path;
+    if (artifact_path.empty()) {
+      artifact_path = temp_artifact.emplace("artifact.ppaf").path();
+    }
+    pp::fleet::save_artifact(make_artifact(), artifact_path);
   }
-  return fn(pp::fast_protocol(pp::fleet::fast_params_of(desc)));
+  const pp::rng trial_gen = pp::rng(cfg.seed).fork(2);
+  if (!fleet) {
+    return pp::measure_election_sweep(sweep, static_cast<int>(cfg.trials),
+                                      trial_gen, options);
+  }
+  return run_fleet(artifact_path, cfg, argv0, options,
+                   [&](std::uint64_t, pp::rng gen) { return sweep.run(gen, options); });
 }
 
-// Serial-or-fleet tuned-engine sweep + report over a prepared runner; the
-// artifact (when needed) snapshots exactly this runner.  P is any
-// compilable protocol the tuned engine serves (fast_protocol, star_protocol).
+// Tuned-engine sweep + report; the artifact (when needed) snapshots exactly
+// this runner.  P is any compilable protocol the tuned engine serves
+// (fast_protocol, star_protocol).
 template <typename P>
-int run_tuned_mode(const pp::tuned_runner<P>& runner,
-                   const pp::fleet::protocol_desc& desc, const pp::graph& g,
-                   const cli_config& cfg, const char* argv0,
-                   const std::string& family, const std::string& loaded_path) {
-  pp::rng seed(cfg.seed);
-  const int trial_count = static_cast<int>(cfg.trials);
+int run_tuned_mode(const pp::tuned_runner<P>& runner, const pp::graph& g,
+                   const std::string& family, const pp::fleet::protocol_desc& desc,
+                   const cli_config& cfg, const char* argv0) {
   pp::sim_options options = tuned_options(desc.kind);
   if (cfg.engine == "silent") options.scheduler = pp::scheduler_kind::silent;
   std::printf("graph: %s n=%d m=%lld Δ=%d\n", family.c_str(), g.num_nodes(),
@@ -686,28 +650,25 @@ int run_tuned_mode(const pp::tuned_runner<P>& runner,
               options.scheduler == pp::scheduler_kind::silent
                   ? " scheduler=silent"
                   : "");
+  const pp::election_summary summary = run_sweep(runner, options, cfg, argv0, [&] {
+    return pp::fleet::make_tuned_artifact(runner, g, family, desc);
+  });
+  print_graph_summary(summary, static_cast<int>(cfg.trials), g);
+  return 0;
+}
 
-  std::string artifact_path = loaded_path;
-  std::optional<temp_file> temp_artifact;
-  if (artifact_path.empty() &&
-      (cfg.jobs > 1 || cfg.supervised() || !cfg.save_path.empty())) {
-    const auto artifact = pp::fleet::make_tuned_artifact(runner, g, family, desc);
-    artifact_path = cfg.save_path;
-    if (artifact_path.empty()) {
-      artifact_path = temp_artifact.emplace("artifact.ppaf").path();
-    }
-    pp::fleet::save_artifact(artifact, artifact_path);
-  }
-  pp::election_summary summary;
-  if (cfg.jobs > 1 || cfg.supervised()) {
-    const pp::fleet::trial_fn inline_fn = [&](std::uint64_t, pp::rng gen) {
-      return runner.run(gen, options);
-    };
-    summary = run_fleet(artifact_path, cfg, argv0, options, inline_fn);
-  } else {
-    summary = pp::measure_election_tuned(runner, trial_count, seed.fork(2), options);
-  }
-  print_graph_summary(summary, trial_count, g);
+// Well-mixed sweep + report (P is fast_protocol or beauquier_protocol); the
+// artifact (when needed) snapshots exactly this sweep.
+template <typename P>
+int run_wellmixed_mode(const pp::wellmixed_sweep<P>& sweep, const std::string& family,
+                       const pp::fleet::protocol_desc& desc, const cli_config& cfg,
+                       const char* argv0) {
+  const pp::election_summary summary = run_sweep(sweep, {}, cfg, argv0, [&] {
+    return pp::fleet::make_wellmixed_artifact(sweep, family, desc);
+  });
+  std::printf("well-mixed clique: n=%llu (multiset configuration, no edge list)\n",
+              static_cast<unsigned long long>(sweep.population()));
+  print_wellmixed_summary(summary, static_cast<int>(cfg.trials));
   return 0;
 }
 
@@ -838,45 +799,16 @@ int worker_main(int argc, char** argv) {
     // generator the serial measure_election_* call hands it.
     const pp::rng trial_gen = pp::rng(manifest.seed).fork(2);
 
-    if (artifact.engine == pp::fleet::artifact_engine::tuned) {
-      pp::expects(artifact.graph.has_value(),
-                  "popsim --worker: tuned artifact without a graph section");
-      const pp::graph g = pp::fleet::rebuild_graph(*artifact.graph);
-      with_artifact_protocol(artifact.protocol, [&]<typename P>(const P& proto) {
-        const pp::tuned_runner<P> runner(proto, g, pp::fleet::tuning_of(artifact));
-        pp::fleet::validate_tuned_artifact(artifact, runner);
-        pp::fleet::run_trial_block(
-            range, STDOUT_FILENO,
-            [&](std::uint64_t t, pp::rng gen) {
-              return obs.trial(t, gen, [&](pp::rng g, auto* probe) {
-                return runner.run(g, options, probe);
-              });
-            },
-            trial_gen, injector);
-      });
-      return 0;
-    }
-
-    pp::expects(artifact.wellmixed.has_value(),
-                "popsim --worker: well-mixed artifact without a multiset section");
-    const std::uint64_t n = artifact.wellmixed->population;
-    const auto run_wm = [&]<typename P>(const P& proto) {
-      const pp::wellmixed_sweep<P> sweep(proto, n);
-      pp::fleet::validate_wellmixed_artifact(artifact, proto, sweep.initial());
+    pp::fleet::open_sweep(artifact, [&](const auto& sweep) {
       pp::fleet::run_trial_block(
           range, STDOUT_FILENO,
           [&](std::uint64_t t, pp::rng gen) {
             return obs.trial(t, gen, [&](pp::rng g, auto* probe) {
-              return sweep.run(g, options, probe);
+              return sweep->runner.run(g, options, probe);
             });
           },
           trial_gen, injector);
-    };
-    if (artifact.protocol.kind == pp::fleet::protocol_kind::fast) {
-      run_wm(pp::fast_protocol(pp::fleet::fast_params_of(artifact.protocol)));
-    } else {
-      run_wm(pp::beauquier_protocol(pp::fleet::six_population_of(artifact.protocol)));
-    }
+    });
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "popsim --worker: %s\n", e.what());
@@ -884,8 +816,8 @@ int worker_main(int argc, char** argv) {
   }
 }
 
-// popsim --load-artifact FILE ...: rebuild the sweep from the artifact
-// (validating the rebuild against the stored sections) and run it.
+// popsim --load-artifact FILE ...: open the sweep the artifact describes
+// (rebuilt and validated against the stored sections) and run it.
 int artifact_main(const cli_config& cfg, const char* argv0) {
   const auto artifact = pp::fleet::load_artifact(cfg.load_path);
   if (!cfg.save_path.empty()) {
@@ -893,37 +825,23 @@ int artifact_main(const cli_config& cfg, const char* argv0) {
     // by construction (the CI round-trip gate `cmp`s the two files).
     pp::fleet::save_artifact(artifact, cfg.save_path);
   }
-  if (artifact.engine == pp::fleet::artifact_engine::tuned) {
-    pp::expects(artifact.graph.has_value(),
-                "popsim: tuned artifact without a graph section");
-    const pp::graph g = pp::fleet::rebuild_graph(*artifact.graph);
-    return with_artifact_protocol(
-        artifact.protocol, [&]<typename P>(const P& proto) {
-          const pp::tuned_runner<P> runner(proto, g, pp::fleet::tuning_of(artifact));
-          pp::fleet::validate_tuned_artifact(artifact, runner);
-          return run_tuned_mode(runner, artifact.protocol, g, cfg, argv0,
-                                artifact.family, cfg.load_path);
-        });
-  }
-  pp::expects(artifact.wellmixed.has_value(),
-              "popsim: well-mixed artifact without a multiset section");
-  if (cfg.engine == "silent") {
+  if (artifact.engine == pp::fleet::artifact_engine::wellmixed &&
+      cfg.engine == "silent") {
     std::fprintf(stderr,
                  "popsim: --engine silent schedules graph interactions; this "
                  "artifact carries the well-mixed multiset engine\n");
     return usage();
   }
-  const std::uint64_t n = artifact.wellmixed->population;
-  if (artifact.protocol.kind == pp::fleet::protocol_kind::fast) {
-    const pp::fast_protocol proto(pp::fleet::fast_params_of(artifact.protocol));
-    pp::fleet::validate_wellmixed_artifact(artifact, proto,
-                                           pp::initial_multiset(proto, n));
-    return run_wellmixed_mode(proto, n, cfg, argv0, artifact.family, cfg.load_path);
-  }
-  const pp::beauquier_protocol proto(pp::fleet::six_population_of(artifact.protocol));
-  pp::fleet::validate_wellmixed_artifact(artifact, proto,
-                                         pp::initial_multiset(proto, n));
-  return run_wellmixed_mode(proto, n, cfg, argv0, artifact.family, cfg.load_path);
+  return pp::fleet::open_sweep(
+      artifact, [&]<typename S>(const std::shared_ptr<const S>& sweep) {
+        if constexpr (S::engine == pp::fleet::artifact_engine::tuned) {
+          return run_tuned_mode(sweep->runner, sweep->g, artifact.family,
+                                artifact.protocol, cfg, argv0);
+        } else {
+          return run_wellmixed_mode(sweep->runner, artifact.family,
+                                    artifact.protocol, cfg, argv0);
+        }
+      });
 }
 
 }  // namespace
@@ -1010,11 +928,15 @@ int main(int argc, char** argv) {
       const std::uint64_t n = n_value;
       if (protocol == "fast") {
         const pp::fast_protocol proto(pp::fast_params::practical_clique(n));
-        return run_wellmixed_mode(proto, n, cfg, argv[0], family_name, "");
+        const pp::wellmixed_sweep<pp::fast_protocol> sweep(proto, n);
+        return run_wellmixed_mode(sweep, family_name,
+                                  pp::fleet::fast_desc(proto.params()), cfg, argv[0]);
       }
       if (protocol == "six") {
         const pp::beauquier_protocol proto(static_cast<pp::node_id>(n));
-        return run_wellmixed_mode(proto, n, cfg, argv[0], family_name, "");
+        const pp::wellmixed_sweep<pp::beauquier_protocol> sweep(proto, n);
+        return run_wellmixed_mode(sweep, family_name,
+                                  pp::fleet::six_desc(proto.num_nodes()), cfg, argv[0]);
       }
       std::fprintf(stderr,
                    "popsim: --engine wellmixed supports protocols fast|six\n");
@@ -1074,7 +996,7 @@ int main(int argc, char** argv) {
           std::fprintf(stderr, "popsim: %s\n", e.what());
           return usage();
         }
-        return run_tuned_mode(*prepared, desc, g, cfg, argv[0], family_name, "");
+        return run_tuned_mode(*prepared, g, family_name, desc, cfg, argv[0]);
       };
       if (protocol == "star") {
         return tuned(pp::star_protocol{}, pp::fleet::star_desc());

@@ -49,6 +49,24 @@ election_summary measure_election(const P& proto, const graph& g, int trials,
   return summarize_election_results(results);
 }
 
+// Runs `trials` trials of a prepared sweep — anything with
+// `run(rng, const sim_options&) const`, i.e. tuned_runner or
+// wellmixed_sweep — in parallel on this process's threads: trial t runs
+// seed_gen.fork(t).  The in-process counterpart of measure_election_fleet
+// below, with the same summary at any thread count.
+template <typename Sweep>
+election_summary measure_election_sweep(const Sweep& sweep, int trials,
+                                        rng seed_gen,
+                                        const sim_options& options = {},
+                                        std::size_t threads = 0) {
+  std::vector<election_result> results(static_cast<std::size_t>(trials));
+  parallel_for(
+      static_cast<std::size_t>(trials),
+      [&](std::size_t t) { results[t] = sweep.run(seed_gen.fork(t), options); },
+      threads);
+  return summarize_election_results(results);
+}
+
 // kEngineClosureBudget — the states the reachable closure may intern before
 // sweeps fall back to per-trial lazy tables — lives in engine/engine.h next
 // to the tuned_runner that shares it.
@@ -66,37 +84,24 @@ election_summary measure_election(const P& proto, const graph& g, int trials,
 // statistic's *distribution* is unchanged but per-seed equality is traded
 // for 3σ statistical agreement, the same contract as the well-mixed engine.
 template <compilable_protocol P>
-election_summary measure_election_tuned(const tuned_runner<P>& runner,
-                                        int trials, rng seed_gen,
-                                        const sim_options& options = {},
-                                        std::size_t threads = 0) {
-  std::vector<election_result> results(static_cast<std::size_t>(trials));
-  parallel_for(
-      static_cast<std::size_t>(trials),
-      [&](std::size_t t) { results[t] = runner.run(seed_gen.fork(t), options); },
-      threads);
-  return summarize_election_results(results);
-}
-
-template <compilable_protocol P>
 election_summary measure_election_tuned(const P& proto, const graph& g,
                                         int trials, rng seed_gen,
                                         const sim_options& options = {},
                                         const engine_tuning& tuning = {},
                                         std::size_t threads = 0) {
-  const tuned_runner<P> runner(proto, g, tuning);
-  return measure_election_tuned(runner, trials, seed_gen, options, threads);
+  return measure_election_sweep(tuned_runner<P>(proto, g, tuning), trials,
+                                seed_gen, options, threads);
 }
 
 // Runs `trials` trials of a prepared sweep — anything with
 // `run(rng, const sim_options&) const`, i.e. tuned_runner or
 // wellmixed_sweep — across `jobs` worker *processes* under the sweep
-// supervisor (fleet/supervisor.h), where measure_election_tuned and
-// measure_election_wellmixed use threads.  Workers inherit the prepared
-// sweep copy-on-write and stream per-trial results back over pipes; crashed,
-// hung or misbehaving workers are killed and respawned with their incomplete
-// trials, and `sup` adds journaling/resume, fault injection and the flight
-// recorder.  Trial t runs seed_gen.fork(t) wherever it lands and the merge
+// supervisor (fleet/supervisor.h), where measure_election_sweep uses
+// threads.  Workers inherit the prepared sweep copy-on-write and stream
+// per-trial results back over pipes; crashed, hung or misbehaving workers
+// are killed and respawned with their incomplete trials, and `sup` adds
+// journaling/resume, fault injection and the flight recorder.  Trial t
+// runs seed_gen.fork(t) wherever it lands and the merge
 // reassembles results by trial index, so for both engines (the well-mixed
 // one is deterministic per (seed, batch size)) the summary is byte-identical
 // to the serial sweep at any worker count and through every recovery path —
@@ -135,13 +140,8 @@ election_summary measure_election_wellmixed(const P& proto, std::uint64_t n,
                                             int trials, rng seed_gen,
                                             const sim_options& options = {},
                                             std::size_t threads = 0) {
-  const wellmixed_sweep<P> sweep(proto, n);
-  std::vector<election_result> results(static_cast<std::size_t>(trials));
-  parallel_for(
-      static_cast<std::size_t>(trials),
-      [&](std::size_t t) { results[t] = sweep.run(seed_gen.fork(t), options); },
-      threads);
-  return summarize_election_results(results);
+  return measure_election_sweep(wellmixed_sweep<P>(proto, n), trials, seed_gen,
+                                options, threads);
 }
 
 // As `measure_election` for the Beauquier protocol, but with the event-driven

@@ -592,6 +592,9 @@ struct engine_tuning {
 template <compilable_protocol P>
 class tuned_runner {
  public:
+  // Borrows `proto` and `g`, which must outlive the runner: natural-order
+  // runs read `g`, and runs past the closure budget compile their own tables
+  // from `proto`.
   tuned_runner(const P& proto, const graph& g, const engine_tuning& tuning = {},
                std::size_t closure_budget = kEngineClosureBudget)
       : proto_(&proto), tuning_(tuning), original_(&g), compiled_(proto) {

@@ -717,6 +717,8 @@ election_result run_wellmixed(const P& proto, std::uint64_t n, rng gen,
 template <node_census_protocol P>
 class wellmixed_sweep {
  public:
+  // Borrows `proto`, which must outlive the sweep: past the closure budget
+  // every trial compiles its own table from it.
   wellmixed_sweep(const P& proto, wellmixed_multiset<P> initial, std::uint64_t n)
       : proto_(&proto), initial_(std::move(initial)), n_(n), compiled_(proto) {
     for (const auto& [state, count] : initial_) compiled_.intern(state);

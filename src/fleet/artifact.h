@@ -38,19 +38,24 @@
 //   * load_artifact reads the file once into a buffer sized by fstat;
 //     artifact_from_bytes checks the checksum before parsing any section and
 //     bounds every count by the bytes present before it sizes anything.
-//   * A worker then *rebuilds* the protocol, graph and compiled table from
-//     the artifact's protocol descriptor — the closure is deterministic — and
-//     validates its rebuild against the stored sections
-//     (validate_tuned_artifact / validate_wellmixed_artifact below), with
-//     TABL, PACK and EDGE compared in place.  A worker whose binary compiles a
-//     different table than the artifact's producer fails loudly instead of
-//     silently computing a different sweep; this is the version-skew gate of
-//     the fleet protocol (src/fleet/README.md).
+//   * open_sweep is the one way from a loaded artifact back to a runnable
+//     sweep, and the one place a protocol_kind becomes a C++ type.  It
+//     rebuilds the protocol, graph and compiled table — the closure is
+//     deterministic — and validates that rebuild, the very object the trials
+//     then run on, against the stored sections (validate_tuned_artifact /
+//     validate_wellmixed_artifact below), with TABL, PACK and EDGE compared
+//     in place.  The opened sweep owns the protocol and graph its runner
+//     borrows.  popsim's --worker and --load-artifact modes and popsimd
+//     all open artifacts through it.  A build that compiles a different
+//     table than the artifact's producer fails loudly instead of silently
+//     computing a different sweep; this is the version-skew gate of the
+//     fleet protocol (src/fleet/README.md).
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -60,6 +65,7 @@
 
 #include "core/beauquier.h"
 #include "core/fast_election.h"
+#include "core/star_protocol.h"
 #include "engine/compiled_protocol.h"
 #include "engine/engine.h"
 #include "engine/wellmixed/wellmixed.h"
@@ -314,14 +320,6 @@ wellmixed_section snapshot_wellmixed(const P& proto,
   return s;
 }
 
-template <node_census_protocol P>
-void validate_wellmixed(const wellmixed_section& section, const P& proto,
-                        const wellmixed_multiset<P>& initial) {
-  expects(snapshot_wellmixed(proto, initial, section.population) == section,
-          "artifact: this build's initial multiset diverges from the stored "
-          "one");
-}
-
 // ---------------------------------------------------------------------------
 // Whole-sweep artifacts.
 
@@ -398,38 +396,116 @@ void validate_tuned_artifact(const sweep_artifact& artifact,
   }
 }
 
-// Snapshot of a well-mixed sweep: the initial multiset plus — when the
-// reachable space closes within the engine budget — the closed table, so
+// Snapshot of a prepared well-mixed sweep: the initial multiset plus — when
+// the reachable space closed within the engine budget — the closed table, so
 // workers can also gate their transition semantics.
 template <node_census_protocol P>
-sweep_artifact make_wellmixed_artifact(const P& proto,
-                                       const wellmixed_multiset<P>& initial,
-                                       std::uint64_t n, std::string family,
+sweep_artifact make_wellmixed_artifact(const wellmixed_sweep<P>& sweep,
+                                       std::string family,
                                        protocol_desc protocol) {
   sweep_artifact a;
   a.engine = artifact_engine::wellmixed;
   a.family = std::move(family);
   a.protocol = std::move(protocol);
-  a.wellmixed = snapshot_wellmixed(proto, initial, n);
-  const wellmixed_sweep<P> sweep(proto, initial, n);
+  a.wellmixed = snapshot_wellmixed(sweep.compiled().protocol(), sweep.initial(),
+                                   sweep.population());
   if (sweep.shared()) a.table = snapshot_table(sweep.compiled());
   return a;
 }
 
+// Validates a rebuilt well-mixed sweep against the artifact: the same
+// initial multiset, and TABL present exactly when this build's closure
+// closes — then equal to its closed table.  A producer omits TABL only past
+// the closure budget, so a missing one on a sweep that closes is a stripped
+// file, not a large sweep.
 template <node_census_protocol P>
-void validate_wellmixed_artifact(const sweep_artifact& artifact, const P& proto,
-                                 const wellmixed_multiset<P>& initial) {
+void validate_wellmixed_artifact(const sweep_artifact& artifact,
+                                 const wellmixed_sweep<P>& sweep) {
   expects(artifact.engine == artifact_engine::wellmixed &&
               artifact.wellmixed.has_value(),
           "artifact: not a well-mixed sweep artifact");
-  validate_wellmixed(*artifact.wellmixed, proto, initial);
-  if (artifact.table.has_value()) {
-    const wellmixed_sweep<P> sweep(proto, initial, artifact.wellmixed->population);
-    expects(sweep.shared(),
-            "artifact: stored table is closed but this build's closure "
-            "exceeded the budget");
-    validate_table(*artifact.table, sweep.compiled());
+  expects(snapshot_wellmixed(sweep.compiled().protocol(), sweep.initial(),
+                             sweep.population()) == *artifact.wellmixed,
+          "artifact: this build's initial multiset diverges from the stored "
+          "one");
+  expects(artifact.table.has_value() == sweep.shared(),
+          sweep.shared() ? "artifact: no stored table, but this build's "
+                           "closure closes within the budget"
+                         : "artifact: stored table is closed but this build's "
+                           "closure exceeded the budget");
+  if (sweep.shared()) validate_table(*artifact.table, sweep.compiled());
+}
+
+// ---------------------------------------------------------------------------
+// Opening an artifact.
+//
+// An opened sweep is rebuilt from an artifact by this build and validated
+// against it.  It owns what its runner borrows: the protocol and, on the
+// tuned engine, the graph, declared before the runner so they are built
+// before it and destroyed after it.  The runner points into the object, so
+// it is neither copied nor moved.  `runner.run(gen, options[, probe])` runs
+// one trial on either engine.
+
+template <compilable_protocol P>
+struct opened_tuned_sweep {
+  static constexpr artifact_engine engine = artifact_engine::tuned;
+
+  opened_tuned_sweep(const sweep_artifact& artifact, P protocol)
+      : g(rebuild_graph(*artifact.graph)),
+        proto(std::move(protocol)),
+        runner(proto, g, tuning_of(artifact)) {
+    validate_tuned_artifact(artifact, runner);
   }
+  opened_tuned_sweep(const opened_tuned_sweep&) = delete;
+  opened_tuned_sweep& operator=(const opened_tuned_sweep&) = delete;
+
+  const graph g;  // in the original labelling
+  const P proto;
+  const tuned_runner<P> runner;
+};
+
+template <node_census_protocol P>
+struct opened_wellmixed_sweep {
+  static constexpr artifact_engine engine = artifact_engine::wellmixed;
+
+  opened_wellmixed_sweep(const sweep_artifact& artifact, P protocol)
+      : proto(std::move(protocol)), runner(proto, artifact.wellmixed->population) {
+    validate_wellmixed_artifact(artifact, runner);
+  }
+  opened_wellmixed_sweep(const opened_wellmixed_sweep&) = delete;
+  opened_wellmixed_sweep& operator=(const opened_wellmixed_sweep&) = delete;
+
+  const P proto;
+  const wellmixed_sweep<P> runner;
+};
+
+// Opens the sweep `artifact` describes and returns fn(sweep), where sweep is
+// a std::shared_ptr<const S> and S is opened_tuned_sweep<P> (P fast or star)
+// or opened_wellmixed_sweep<P> (P fast or six), as the artifact's engine and
+// protocol descriptor name.  fn must return the same type for every S; a
+// caller that keeps the shared_ptr keeps the sweep.  Throws
+// std::invalid_argument when a section is missing, the descriptor does not
+// fit the engine, or the rebuild diverges from the stored sections.
+template <typename Fn>
+auto open_sweep(const sweep_artifact& artifact, Fn&& fn) {
+  if (artifact.engine == artifact_engine::tuned) {
+    expects(artifact.graph.has_value(), "artifact: tuned artifact without a graph section");
+    if (artifact.protocol.kind == protocol_kind::star) {
+      expect_star_desc(artifact.protocol);
+      return fn(std::make_shared<const opened_tuned_sweep<star_protocol>>(
+          artifact, star_protocol{}));
+    }
+    return fn(std::make_shared<const opened_tuned_sweep<fast_protocol>>(
+        artifact, fast_protocol(fast_params_of(artifact.protocol))));
+  }
+  expects(artifact.wellmixed.has_value(),
+          "artifact: well-mixed artifact without a multiset section");
+  if (artifact.protocol.kind == protocol_kind::six) {
+    return fn(std::make_shared<const opened_wellmixed_sweep<beauquier_protocol>>(
+        artifact, beauquier_protocol(six_population_of(artifact.protocol))));
+  }
+  return fn(std::make_shared<const opened_wellmixed_sweep<fast_protocol>>(
+      artifact, fast_protocol(fast_params_of(artifact.protocol))));
 }
 
 }  // namespace pp::fleet

@@ -13,7 +13,6 @@
 #include <functional>
 #include <string>
 
-#include "core/star_protocol.h"
 #include "fleet/artifact.h"
 #include "fleet/fault.h"
 #include "fleet/net.h"
@@ -34,59 +33,18 @@ using steady_clock = std::chrono::steady_clock;
 // this small always fit the socket buffer, so the same bound covers sends.
 constexpr int kHandshakeIdleMs = 30000;
 
-// One prepared, validated sweep, ready to fork runner children.  `run_trial`
-// type-erases the protocol dispatch; the shared_ptrs it captures keep the
-// rebuilt runner (and its graph) alive for as long as the entry is cached.
+using trial_runner = std::function<election_result(rng, const sim_options&)>;
+
+// One opened sweep (open_sweep), ready to fork runner children.  `run_trial`
+// type-erases the protocol and engine; the shared_ptr it captures keeps the
+// opened sweep — which owns its protocol and graph — alive for as long as
+// the entry is cached.
 struct cached_sweep {
   std::uint64_t checksum = 0;
   std::uint64_t bytes = 0;      // artifact file size (the cache currency)
   std::uint64_t last_used = 0;  // LRU tick
-  std::function<election_result(rng, const sim_options&)> run_trial;
+  trial_runner run_trial;
 };
-
-// Rebuilds the sweep a verified artifact describes and validates the rebuild
-// byte-for-byte against the stored sections — the same version-skew gate
-// popsim --worker applies.  Throws std::invalid_argument on any divergence.
-std::function<election_result(rng, const sim_options&)> build_runner(
-    const sweep_artifact& artifact) {
-  using runner_fn = std::function<election_result(rng, const sim_options&)>;
-  if (artifact.engine == artifact_engine::tuned) {
-    expects(artifact.graph.has_value(),
-            "popsimd: tuned artifact without a graph section");
-    const auto g = std::make_shared<graph>(rebuild_graph(*artifact.graph));
-    const auto make = [&]<typename P>(const P& proto) -> runner_fn {
-      const auto runner =
-          std::make_shared<tuned_runner<P>>(proto, *g, tuning_of(artifact));
-      validate_tuned_artifact(artifact, *runner);
-      return [runner, g](rng gen, const sim_options& options) {
-        return runner->run(gen, options);
-      };
-    };
-    if (artifact.protocol.kind == protocol_kind::star) {
-      expect_star_desc(artifact.protocol);
-      return make(star_protocol{});
-    }
-    expects(artifact.protocol.kind == protocol_kind::fast,
-            "popsimd: unsupported tuned-engine protocol in artifact");
-    return make(fast_protocol(fast_params_of(artifact.protocol)));
-  }
-  expects(artifact.wellmixed.has_value(),
-          "popsimd: well-mixed artifact without a multiset section");
-  const std::uint64_t n = artifact.wellmixed->population;
-  const auto make = [&]<typename P>(const P& proto) -> runner_fn {
-    const auto sweep = std::make_shared<wellmixed_sweep<P>>(proto, n);
-    validate_wellmixed_artifact(artifact, proto, sweep->initial());
-    return [sweep](rng gen, const sim_options& options) {
-      return sweep->run(gen, options);
-    };
-  };
-  if (artifact.protocol.kind == protocol_kind::fast) {
-    return make(fast_protocol(fast_params_of(artifact.protocol)));
-  }
-  expects(artifact.protocol.kind == protocol_kind::six,
-          "popsimd: unsupported well-mixed protocol in artifact");
-  return make(beauquier_protocol(six_population_of(artifact.protocol)));
-}
 
 // One in-handshake connection.
 struct connection {
@@ -458,7 +416,11 @@ bool valid_request(const net::sweep_request& r, std::string& why) {
         entry = std::make_shared<cached_sweep>();
         entry->checksum = checksum;
         entry->bytes = size;
-        entry->run_trial = build_runner(artifact);
+        entry->run_trial = open_sweep(artifact, [](auto sweep) -> trial_runner {
+          return [sweep](rng gen, const sim_options& options) {
+            return sweep->runner.run(gen, options);
+          };
+        });
       } catch (const std::exception& e) {
         return reject(conn, std::string("artifact rejected: ") + e.what());
       }

@@ -344,9 +344,8 @@ TEST(Artifact, ProtocolDescriptorsRoundTrip) {
 TEST(Artifact, WellmixedArtifactRoundTripsAndValidates) {
   const beauquier_protocol proto(500);
   const std::uint64_t n = 500;
-  const auto initial = initial_multiset(proto, n);
-  const sweep_artifact a =
-      make_wellmixed_artifact(proto, initial, n, "clique", six_desc(500));
+  const wellmixed_sweep<beauquier_protocol> sweep(proto, n);
+  const sweep_artifact a = make_wellmixed_artifact(sweep, "clique", six_desc(500));
   ASSERT_TRUE(a.wellmixed.has_value());
   EXPECT_EQ(a.wellmixed->population, n);
   // Six states, all candidates with a black token initially: one class.
@@ -357,11 +356,11 @@ TEST(Artifact, WellmixedArtifactRoundTripsAndValidates) {
   const sweep_artifact b = artifact_from_bytes(bytes);
   EXPECT_TRUE(a == b);
   EXPECT_EQ(bytes, artifact_bytes(b));
-  EXPECT_NO_THROW(validate_wellmixed_artifact(b, proto, initial));
+  EXPECT_NO_THROW(validate_wellmixed_artifact(b, sweep));
 
   // A different population diverges loudly.
-  const auto other = initial_multiset(proto, n - 1);
-  EXPECT_THROW(validate_wellmixed_artifact(b, proto, other), std::invalid_argument);
+  const wellmixed_sweep<beauquier_protocol> other(proto, n - 1);
+  EXPECT_THROW(validate_wellmixed_artifact(b, other), std::invalid_argument);
 }
 
 TEST(Artifact, HostileElementCountsAreRejectedBeforeAllocating) {
@@ -485,7 +484,7 @@ TEST(Artifact, WellmixedClassCountsMustSumToThePopulation) {
   const std::uint64_t n = 300;
   const fast_protocol proto(fast_params::practical_clique(n));
   const auto good = artifact_bytes(make_wellmixed_artifact(
-      proto, initial_multiset(proto, n), n, "clique", fast_desc(proto.params())));
+      wellmixed_sweep<fast_protocol>(proto, n), "clique", fast_desc(proto.params())));
   // WMIX: u64 population, u64 class count, then (u64 code, u64 count) pairs.
   const std::size_t wmix_at = payload_of(good, 0x58494d57);  // 'WMIX'
   ASSERT_LT(wmix_at, good.size());
@@ -510,9 +509,39 @@ TEST(Artifact, WellmixedClassCountsMustSumToThePopulation) {
   const auto smaller = patched(patched(good, wmix_at, n - 1), count_at, n - 1);
   const sweep_artifact loaded = artifact_from_bytes(smaller);
   EXPECT_EQ(loaded.wellmixed->population, n - 1);
-  EXPECT_NO_THROW(validate_wellmixed_artifact(loaded, proto, initial_multiset(proto, n - 1)));
-  EXPECT_THROW(validate_wellmixed_artifact(loaded, proto, initial_multiset(proto, n)),
+  EXPECT_NO_THROW(
+      validate_wellmixed_artifact(loaded, wellmixed_sweep<fast_protocol>(proto, n - 1)));
+  EXPECT_THROW(validate_wellmixed_artifact(loaded, wellmixed_sweep<fast_protocol>(proto, n)),
                std::invalid_argument);
+}
+
+TEST(Artifact, WellmixedArtifactWithoutItsTableIsRejected) {
+  // A producer omits TABL only when its closure exceeds the budget.  The
+  // same file with TABL dropped (section count, payload length and
+  // checksum fixed up) still parses — TABL is optional — but opening it
+  // must fail: it would run without the transition-semantics gate.
+  const std::uint64_t n = 300;
+  const fast_protocol proto(fast_params::practical_clique(n));
+  const wellmixed_sweep<fast_protocol> sweep(proto, n);
+  ASSERT_TRUE(sweep.shared());
+  const auto good =
+      artifact_bytes(make_wellmixed_artifact(sweep, "clique", fast_desc(proto.params())));
+  const std::size_t tabl_at = payload_of(good, 0x4c424154) - 16;  // 'TABL' record
+  ASSERT_LT(tabl_at + 16, good.size());
+  auto stripped = good;
+  stripped.erase(stripped.begin() + static_cast<std::ptrdiff_t>(tabl_at),
+                 stripped.begin() + static_cast<std::ptrdiff_t>(tabl_at + 16 +
+                                                                u64_at(good, tabl_at + 8)));
+  stripped = patched(stripped, 16, u32_at(good, 16) - 1);
+  stripped = patched(stripped, 24, std::uint64_t{stripped.size() - 40});
+  const sweep_artifact a = artifact_from_bytes(stripped);
+  ASSERT_FALSE(a.table.has_value());
+  const auto open = [](const sweep_artifact& artifact) {
+    return rejection([&] { open_sweep(artifact, [](const auto&) {}); });
+  };
+  EXPECT_EQ(open(artifact_from_bytes(good)), "");
+  EXPECT_EQ(open(a),
+            "artifact: no stored table, but this build's closure closes within the budget");
 }
 
 TEST(Artifact, PackedWidthAndSizeAreCheckedOnParse) {
@@ -580,42 +609,12 @@ TEST(Artifact, BytesMatchTheParentWriter) {
   const std::uint64_t n = 300;
   const fast_protocol fast(fast_params::practical_clique(n));
   check({"wellmixed fast", 6'527'787, 0x72a874a61b7e7f6dull},
-        make_wellmixed_artifact(fast, initial_multiset(fast, n), n, "clique",
+        make_wellmixed_artifact(wellmixed_sweep<fast_protocol>(fast, n), "clique",
                                 fast_desc(fast.params())));
   const beauquier_protocol six(500);
   check({"wellmixed six", 527, 0xfec5cc5592ca90dfull},
-        make_wellmixed_artifact(six, initial_multiset(six, 500), 500, "clique",
+        make_wellmixed_artifact(wellmixed_sweep<beauquier_protocol>(six, 500), "clique",
                                 six_desc(500)));
-}
-
-// What popsim's worker and popsimd do with a loaded artifact: rebuild the
-// sweep from META plus GRPH or WMIX, then validate the rebuild against the
-// stored sections.  Throws std::invalid_argument on any mismatch.
-void rebuild_and_validate(const sweep_artifact& a) {
-  if (a.engine == artifact_engine::tuned) {
-    expects(a.graph.has_value(), "test: tuned artifact without a graph section");
-    const graph g = rebuild_graph(*a.graph);
-    const auto check = [&]<typename P>(const P& proto) {
-      const tuned_runner<P> runner(proto, g, tuning_of(a));
-      validate_tuned_artifact(a, runner);
-    };
-    if (a.protocol.kind == protocol_kind::star) {
-      expect_star_desc(a.protocol);
-      check(star_protocol{});
-    } else {
-      check(fast_protocol(fast_params_of(a.protocol)));
-    }
-    return;
-  }
-  expects(a.wellmixed.has_value(), "test: well-mixed artifact without a multiset section");
-  const auto check = [&]<typename P>(const P& proto) {
-    validate_wellmixed_artifact(a, proto, initial_multiset(proto, a.wellmixed->population));
-  };
-  if (a.protocol.kind == protocol_kind::six) {
-    check(beauquier_protocol(six_population_of(a.protocol)));
-  } else {
-    check(fast_protocol(fast_params_of(a.protocol)));
-  }
 }
 
 // (offset, length) of every section record, header included, in file order.
@@ -630,8 +629,8 @@ std::vector<std::pair<std::size_t, std::size_t>> sections_of(
   return out;
 }
 
-// One seeded corruption of a valid artifact, in the shapes of
-// Manifest.SeededMutationsAreRejectedOrRoundTrip (tests/test_fleet.cpp):
+// One seeded corruption of a valid artifact, in the shapes of the shared
+// mutator (tests/mutation.h):
 // bit flips, byte overwrites, truncation and splices, here of whole
 // sections, plus field-sized overwrites with boundary and off-by-one values
 // aimed at the counts.  The checksum is fixed up afterwards so the mutation
@@ -704,11 +703,11 @@ std::vector<std::uint8_t> mutated(const std::vector<std::uint8_t>& valid, int i,
 // Every seeded mutation of a valid artifact must be rejected with
 // std::invalid_argument or parse to an artifact that re-serializes to the
 // very same bytes — never a crash, another exception type, or a value the
-// writer cannot reproduce.  When META survives, the parse is also rebuilt
-// and validated as a worker would: that must throw std::invalid_argument
-// or pass, and it may pass only with the original's tables where present
-// (they are a function of META).  A mutated META is not rebuilt: its params could
-// drive a closure up to the engine budget.
+// writer cannot reproduce.  When META survives, the parse is also opened as
+// a worker would (open_sweep): that must throw std::invalid_argument or
+// pass, and it may pass only with the original's tables (they are a
+// function of META).  A mutated META is not opened: its params could drive
+// a closure up to the engine budget.
 TEST(Artifact, SeededMutationsAreRejectedOrRoundTrip) {
   struct fixture {
     const char* name;
@@ -726,13 +725,13 @@ TEST(Artifact, SeededMutationsAreRejectedOrRoundTrip) {
   {
     const fast_protocol proto(fast_params{2, 3, 6});
     fixtures.push_back({"wellmixed fast",
-                        make_wellmixed_artifact(proto, initial_multiset(proto, 40), 40,
+                        make_wellmixed_artifact(wellmixed_sweep<fast_protocol>(proto, 40),
                                                 "clique", fast_desc(proto.params()))});
   }
   {
     const beauquier_protocol proto(500);
     fixtures.push_back({"wellmixed six",
-                        make_wellmixed_artifact(proto, initial_multiset(proto, 500), 500,
+                        make_wellmixed_artifact(wellmixed_sweep<beauquier_protocol>(proto, 500),
                                                 "clique", six_desc(500))});
   }
 
@@ -768,17 +767,16 @@ TEST(Artifact, SeededMutationsAreRejectedOrRoundTrip) {
       const bool small = !parsed.wellmixed || parsed.wellmixed->population <= 4096;
       if (!same_meta || !small) continue;
       try {
-        rebuild_and_validate(parsed);
+        open_sweep(parsed, [](const auto&) {});
       } catch (const std::invalid_argument&) {
         continue;
       }
       ++validated;
-      // A well-mixed artifact may lack TABL (its producer's closure can
-      // exceed the budget); every table that is present must be the
-      // original's.
-      EXPECT_TRUE((!parsed.table || parsed.table == original.table) &&
-                  (!parsed.packed || parsed.packed == original.packed) &&
-                  (!parsed.edge || parsed.edge == original.edge))
+      // The tables are a function of META, and every fixture's closure
+      // closes, so a mutant that opens carries exactly the original's:
+      // a dropped TABL, PACK or EDGE is a stripped file.
+      EXPECT_TRUE(parsed.table == original.table && parsed.packed == original.packed &&
+                  parsed.edge == original.edge)
           << fx.name << ", mutation " << i << " validated with other tables";
     }
     // Every outcome occurs, so no branch is vacuous.

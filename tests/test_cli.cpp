@@ -396,19 +396,21 @@ TEST(CliOutput, SampleLeaderIsTrialZerosLeader) {
 }
 
 TEST(CliFleet, WellmixedArtifactSweepIsDeterministic) {
-  const std::string artifact = testing::TempDir() + "/cli_wm.ppaf";
-  const cli_result saved = run_cli(
-      "clique 3000 fast --engine wellmixed --trials 6 --seed 9 --save-artifact " +
-      artifact);
-  ASSERT_EQ(saved.code, 0);
-  const std::string sweep_args = "--load-artifact " + artifact + " --trials 6 --seed 9";
-  const cli_result serial = run_cli(sweep_args);
-  const cli_result fleet = run_cli(sweep_args + " --jobs 4");
-  ASSERT_EQ(serial.code, 0);
-  ASSERT_EQ(fleet.code, 0);
-  EXPECT_EQ(serial.out, fleet.out);
-  EXPECT_EQ(saved.out, serial.out);
-  std::remove(artifact.c_str());
+  // Both well-mixed protocols: the fast one and the six-state backup.
+  for (const std::string sweep : {"clique 3000 fast", "clique 500 six"}) {
+    const std::string artifact = testing::TempDir() + "/cli_wm.ppaf";
+    const cli_result saved = run_cli(sweep + " --engine wellmixed --trials 6 --seed 9 "
+                                     "--save-artifact " + artifact);
+    ASSERT_EQ(saved.code, 0) << sweep;
+    const std::string sweep_args = "--load-artifact " + artifact + " --trials 6 --seed 9";
+    const cli_result serial = run_cli(sweep_args);
+    const cli_result fleet = run_cli(sweep_args + " --jobs 4");
+    ASSERT_EQ(serial.code, 0) << sweep;
+    ASSERT_EQ(fleet.code, 0) << sweep;
+    EXPECT_EQ(serial.out, fleet.out) << sweep;
+    EXPECT_EQ(saved.out, serial.out) << sweep;
+    std::remove(artifact.c_str());
+  }
 }
 
 #else

@@ -104,7 +104,7 @@ TEST(SampleLeader, EverySweepReportsTrialZerosLeader) {
   const tuned_runner<fast_protocol> runner(fast, g);
   const node_id tuned = runner.run(seed.fork(0)).leader;
   EXPECT_GE(tuned, 0);
-  EXPECT_EQ(measure_election_tuned(runner, 3, seed).sample_leader, tuned);
+  EXPECT_EQ(measure_election_sweep(runner, 3, seed).sample_leader, tuned);
   EXPECT_EQ(measure_election(fast, g, 3, seed).sample_leader,
             run_until_stable(fast, g, seed.fork(0)).leader);
 

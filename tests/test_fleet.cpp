@@ -26,6 +26,7 @@
 #include "fleet/sweep.h"
 #include "fleet/wire.h"
 #include "graph/generators.h"
+#include "mutation.h"
 
 namespace pp::fleet {
 namespace {
@@ -108,7 +109,7 @@ TEST(FleetRun, TunedSweepIsByteIdenticalToSerial) {
   const int trials = 17;  // not a multiple of any job count: ragged blocks
 
   const auto serial =
-      measure_election_tuned(runner, trials, rng(7).fork(2));
+      measure_election_sweep(runner, trials, rng(7).fork(2));
   // The sample leader is trial 0's, at every worker count.
   EXPECT_GE(serial.sample_leader, 0);
   EXPECT_EQ(serial.sample_leader, runner.run(rng(7).fork(2).fork(0)).leader);
@@ -129,7 +130,7 @@ TEST(FleetRun, StarTunedSweepIsByteIdenticalToSerial) {
   const int trials = 17;
 
   const auto serial =
-      measure_election_tuned(runner, trials, rng(9).fork(2), options);
+      measure_election_sweep(runner, trials, rng(9).fork(2), options);
   for (const int jobs : {2, 3, 4}) {
     const auto fleet =
         measure_election_fleet(runner, trials, rng(9).fork(2), options, jobs);
@@ -317,47 +318,7 @@ TEST(Manifest, SeededMutationsAreRejectedOrRoundTrip) {
   std::size_t rejected = 0;
   std::size_t accepted = 0;
   for (int i = 0; i < 4000; ++i) {
-    std::string bytes = valid;
-    switch (i % 4) {
-      case 0: {  // flip 1-3 random bits
-        const std::uint64_t flips = 1 + gen.uniform_below(3);
-        for (std::uint64_t k = 0; k < flips; ++k) {
-          const std::uint64_t bit = gen.uniform_below(bytes.size() * 8);
-          bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
-        }
-        break;
-      }
-      case 1: {  // overwrite one byte with NUL, a separator or a random byte
-        const char picks[] = {'\0', '\n', '=', '\r',
-                              static_cast<char>(gen.uniform_below(256))};
-        bytes[gen.uniform_below(bytes.size())] = picks[gen.uniform_below(5)];
-        break;
-      }
-      case 2:  // truncate anywhere, including mid-line
-        bytes.resize(gen.uniform_below(bytes.size() + 1));
-        break;
-      default: {  // splice: one random line, dropped, duplicated or moved
-        std::vector<std::string> spliced = lines;
-        const std::size_t from = gen.uniform_below(spliced.size());
-        const std::size_t to = gen.uniform_below(spliced.size() + 1);
-        const std::string line = spliced[from];
-        switch (gen.uniform_below(3)) {
-          case 0:
-            spliced.erase(spliced.begin() + static_cast<std::ptrdiff_t>(from));
-            break;
-          case 1:
-            spliced.insert(spliced.begin() + static_cast<std::ptrdiff_t>(to), line);
-            break;
-          default:
-            spliced.erase(spliced.begin() + static_cast<std::ptrdiff_t>(from));
-            spliced.insert(spliced.begin() + static_cast<std::ptrdiff_t>(
-                                                 std::min(to, spliced.size())),
-                           line);
-        }
-        bytes.clear();
-        for (const std::string& l : spliced) bytes += l;
-      }
-    }
+    const std::string bytes = mutation::mutated(lines, i, gen);
     write_file(path, bytes);
     worker_manifest parsed;
     try {

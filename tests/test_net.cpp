@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/beauquier.h"
 #include "core/fast_election.h"
 #include "dynamics/epidemic.h"
 #include "fleet/artifact.h"
@@ -22,6 +23,7 @@
 #include "fleet/supervisor.h"
 #include "fleet/sweep.h"
 #include "graph/generators.h"
+#include "mutation.h"
 #include "obs/metrics.h"
 
 namespace pp::fleet {
@@ -119,6 +121,54 @@ TEST(NetHandshake, MalformedRequestsAreRejected) {
   }
 }
 
+// The daemon decodes REQ_SWEEP from any TCP peer.  Every seeded mutation of
+// a valid request — the shared mutator, spliced field by field — must be
+// rejected or decode to a request that re-encodes to the very same bytes.
+TEST(NetHandshake, SeededMutationsAreRejectedOrRoundTrip) {
+  net::sweep_request request;
+  request.artifact_checksum = 0x0123456789abcdefull;
+  request.artifact_size = 4096;
+  request.slot = 3;
+  request.seed = 99;
+  request.trials = 1000;
+  request.base = 250;
+  request.count = 250;
+  request.max_steps = 123456;
+  request.wellmixed_batch = 64;
+  request.scheduler = 1;  // silent
+  request.faults = "drop:w3:after=2,torn:w0:after=1";
+  const auto payload = net::encode_sweep_request(request);
+  // Type, version, checksum, size, slot, seed, trials, base, count,
+  // max_steps, batch, scheduler and fault-spec length, then the specs.
+  std::vector<std::string> fields;
+  std::size_t at = 0;
+  for (const std::size_t width : {1, 4, 8, 8, 4, 8, 8, 8, 8, 8, 8, 1, 4}) {
+    fields.emplace_back(reinterpret_cast<const char*>(payload.data()) + at, width);
+    at += width;
+  }
+  fields.push_back(request.faults);
+  ASSERT_EQ(at + request.faults.size(), payload.size());
+
+  rng gen(2024);
+  std::size_t rejected = 0;
+  std::size_t accepted = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const std::string bytes = mutation::mutated(fields, i, gen);
+    net::sweep_request decoded;
+    if (!net::decode_sweep_request(reinterpret_cast<const std::uint8_t*>(bytes.data()),
+                                   bytes.size(), decoded)) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    const auto again = net::encode_sweep_request(decoded);
+    EXPECT_EQ(std::string(again.begin(), again.end()), bytes) << "mutation " << i;
+  }
+  // Both outcomes occur, so neither branch is vacuous.
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(accepted, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end sweeps against a loopback popsimd.  One shared fixture builds a
 // real compiled-engine artifact; each test talks to its own daemon so cache
@@ -128,13 +178,13 @@ class RemoteSweep : public ::testing::Test {
  protected:
   void SetUp() override {
     g_.emplace(make_cycle(200));
-    const graph& g = *g_;  // the runner borrows the graph for its lifetime
-    const fast_protocol proto(fast_params::practical(
+    const graph& g = *g_;  // the runner borrows the graph and the protocol
+    proto_.emplace(fast_params::practical(
         g, estimate_worst_case_broadcast_time(g, 5, 3, rng(3)).value));
-    runner_.emplace(proto, g);
+    runner_.emplace(*proto_, g);
     artifact_path_ = testing::TempDir() + "/net_sweep.ppaf";
     save_artifact(
-        make_tuned_artifact(*runner_, g, "cycle", fast_desc(proto.params())),
+        make_tuned_artifact(*runner_, g, "cycle", fast_desc(proto_->params())),
         artifact_path_);
     manifest_.artifact_path = artifact_path_;
     manifest_.seed = 41;
@@ -162,6 +212,7 @@ class RemoteSweep : public ::testing::Test {
   }
 
   std::optional<graph> g_;
+  std::optional<fast_protocol> proto_;
   std::optional<tuned_runner<fast_protocol>> runner_;
   std::string artifact_path_;
   worker_manifest manifest_;
@@ -313,6 +364,47 @@ TEST_F(RemoteSweep, ArtifactChecksumMismatchIsRejectedLoudly) {
   const std::string message(reply.begin() + 1, reply.end());
   EXPECT_NE(message.find("checksum mismatch"), std::string::npos) << message;
   close(fd);
+}
+
+// popsimd opens well-mixed artifacts through the same opener as a worker,
+// and every served trial must equal the local sweep's.  The third sweep's
+// reachable space (2,049 states) exceeds the closure budget, so its
+// artifact carries no TABL and every served trial compiles its own table
+// from the protocol the daemon's cached sweep must own.
+TEST(RemoteWellmixedSweep, MatchesTheLocalSweepPerTrial) {
+  const service_process daemon(service_options{});
+  const auto check = [&]<typename P>(const P& proto, std::uint64_t n,
+                                     const protocol_desc& desc,
+                                     std::uint64_t max_steps, bool closes) {
+    const wellmixed_sweep<P> sweep(proto, n);
+    ASSERT_EQ(sweep.shared(), closes);
+    const std::string path = testing::TempDir() + "/net_wellmixed.ppaf";
+    save_artifact(make_wellmixed_artifact(sweep, "clique", desc), path);
+    worker_manifest manifest;
+    manifest.artifact_path = path;
+    manifest.seed = 43;
+    manifest.trials = 4;
+    manifest.max_steps = max_steps;
+    const auto got = net::supervised_remote_sweep(
+        {net::host_addr{"127.0.0.1", daemon.port()}}, 2, manifest, {});
+    std::remove(path.c_str());
+    sim_options options;
+    options.max_steps = max_steps;
+    const rng seed_gen = rng(manifest.seed).fork(2);
+    ASSERT_EQ(got.size(), manifest.trials);
+    for (std::uint64_t t = 0; t < manifest.trials; ++t) {
+      const election_result want = sweep.run(seed_gen.fork(t), options);
+      EXPECT_EQ(got[t].steps, want.steps) << "n=" << n << " trial " << t;
+      EXPECT_EQ(got[t].leader, want.leader) << "n=" << n << " trial " << t;
+      EXPECT_EQ(got[t].stabilized, want.stabilized) << "n=" << n << " trial " << t;
+    }
+  };
+  const fast_protocol fast(fast_params::practical_clique(300));
+  check(fast, 300, fast_desc(fast.params()), UINT64_MAX, true);
+  const beauquier_protocol six(500);
+  check(six, 500, six_desc(500), UINT64_MAX, true);
+  const fast_protocol wide(fast_params{8, 60, 240});
+  check(wide, 300, fast_desc(wide.params()), 1'000'000, false);
 }
 
 }  // namespace

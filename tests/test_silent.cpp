@@ -294,9 +294,9 @@ TEST(SilentScheduler, ProbeRecordsActiveSetTrajectory) {
 template <typename P>
 void expect_scheduler_agreement(const tuned_runner<P>& runner, int trials,
                                 std::uint64_t seed, const std::string& label) {
-  const auto step = measure_election_tuned(runner, trials, rng(seed));
+  const auto step = measure_election_sweep(runner, trials, rng(seed));
   const auto silent =
-      measure_election_tuned(runner, trials, rng(seed + 1), silent_options());
+      measure_election_sweep(runner, trials, rng(seed + 1), silent_options());
   stat_gate::expect_step_agreement(step, silent, label);
 }
 
