@@ -1,11 +1,13 @@
 #include "dynamics/epidemic.h"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 
 #include "graph/metrics.h"
 #include "sched/scheduler.h"
 #include "support/expects.h"
+#include "support/parallel.h"
 
 namespace pp {
 
@@ -122,28 +124,66 @@ broadcast_result simulate_broadcast_naive(const graph& g, node_id source, rng ge
   return result;
 }
 
+namespace detail {
+
 namespace {
 
-double mean_broadcast_time(detail::broadcast_workspace& workspace, node_id source,
-                           int trials, rng gen) {
-  double total = 0.0;
-  for (int t = 0; t < trials; ++t) {
-    total += static_cast<double>(
-        workspace.run(source, gen.fork(static_cast<std::uint64_t>(t)), nullptr));
+// One source of an estimate: its broadcast t is seeded gen.fork(t).
+struct source_stream {
+  node_id source;
+  rng gen;
+};
+
+// The mean completion step of `trials` broadcasts from each source, in
+// sources' order, on up to `workers` threads with one workspace each (see
+// the fan-out in the file comment of epidemic.h).
+std::vector<double> mean_broadcast_times(const graph& g,
+                                         const std::vector<source_stream>& sources,
+                                         int trials, std::size_t workers) {
+  expects(workers >= 1, "broadcast estimates: need workers >= 1");
+  const auto per_source = static_cast<std::size_t>(trials);
+  const std::size_t count = sources.size() * per_source;
+  workers = std::min(workers, count);
+  std::vector<broadcast_workspace> workspaces;
+  workspaces.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) workspaces.emplace_back(g);
+
+  std::vector<std::uint64_t> steps(count);
+  std::atomic<std::size_t> next{0};
+  run_pinned_workers(
+      workers,
+      [&](std::size_t w) {
+        for (;;) {
+          const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+          if (i >= count) return;
+          const source_stream& s = sources[i / per_source];
+          steps[i] = workspaces[w].run(s.source, s.gen.fork(i % per_source), nullptr);
+        }
+      });
+
+  std::vector<double> means;
+  means.reserve(sources.size());
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    double total = 0.0;
+    for (std::size_t t = 0; t < per_source; ++t) {
+      total += static_cast<double>(steps[s * per_source + t]);
+    }
+    means.push_back(total / trials);
   }
-  return total / trials;
+  return means;
 }
 
 }  // namespace
 
-double estimate_broadcast_time(const graph& g, node_id source, int trials, rng gen) {
+double estimate_broadcast_time(const graph& g, node_id source, int trials, rng gen,
+                               std::size_t workers) {
   expects(trials >= 1, "estimate_broadcast_time: need trials >= 1");
-  detail::broadcast_workspace workspace(g);
-  return mean_broadcast_time(workspace, source, trials, gen);
+  return mean_broadcast_times(g, {{source, gen}}, trials, workers).front();
 }
 
 broadcast_time_estimate estimate_worst_case_broadcast_time(
-    const graph& g, int trials_per_source, int max_sources, rng gen) {
+    const graph& g, int trials_per_source, int max_sources, rng gen,
+    std::size_t workers) {
   expects(trials_per_source >= 1 && max_sources >= 1,
           "estimate_worst_case_broadcast_time: need positive budgets");
 
@@ -170,20 +210,37 @@ broadcast_time_estimate estimate_worst_case_broadcast_time(
     sources.erase(std::unique(sources.begin(), sources.end()), sources.end());
   }
 
+  std::vector<source_stream> streams;
+  streams.reserve(sources.size());
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    streams.push_back({sources[s], gen.fork(s)});
+  }
+  const std::vector<double> means =
+      mean_broadcast_times(g, streams, trials_per_source, workers);
+
   broadcast_time_estimate est;
   est.min_value = -1.0;
-  detail::broadcast_workspace workspace(g);
-  std::uint64_t stream = 0;
-  for (const node_id v : sources) {
-    const double mean =
-        mean_broadcast_time(workspace, v, trials_per_source, gen.fork(stream++));
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    const double mean = means[s];
     if (mean > est.value) {
       est.value = mean;
-      est.argmax = v;
+      est.argmax = sources[s];
     }
     if (est.min_value < 0.0 || mean < est.min_value) est.min_value = mean;
   }
   return est;
+}
+
+}  // namespace detail
+
+double estimate_broadcast_time(const graph& g, node_id source, int trials, rng gen) {
+  return detail::estimate_broadcast_time(g, source, trials, gen, usable_cpus());
+}
+
+broadcast_time_estimate estimate_worst_case_broadcast_time(
+    const graph& g, int trials_per_source, int max_sources, rng gen) {
+  return detail::estimate_worst_case_broadcast_time(g, trials_per_source, max_sources,
+                                                    gen, usable_cpus());
 }
 
 std::uint64_t distance_k_propagation_step(const broadcast_result& r,

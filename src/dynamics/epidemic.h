@@ -36,8 +36,30 @@
 // sample, B(G) and the fast protocol's parameters built from it are
 // bit-identical to it; Broadcast.KernelMatchesParentOracle in
 // tests/test_epidemic.cpp pins this against a verbatim copy of that code.
+//
+// Both estimates fan their broadcasts out over the CPUs in the process's
+// affinity mask (usable_cpus() in support/parallel.h), one thread per CPU,
+// pinned to it (run_pinned_workers), and at most one thread per broadcast;
+// each thread claims the next unrun broadcast.
+// Each worker owns one workspace, built on the calling thread before the
+// threads start and freed after they join: 12 bytes per edge plus
+// n + 8·min(m, 2n) bytes, ~0.65 MB on a random 8-regular graph with n = 10⁴
+// and ~24 MB on the 2000-node clique.  With one usable CPU the broadcasts run
+// in order on the calling thread, on one workspace, and no thread starts.
+// The worker count never reaches the result:
+//  * broadcast t from the s-th source is seeded gen.fork(s).fork(t) (for
+//    estimate_broadcast_time, gen.fork(t)) whichever worker runs it;
+//  * its completion step depends on that generator alone, since a run resets
+//    the workspace and the cached log(1 - k/m) depends on k alone;
+//  * it lands in the broadcast's own slot, and after the join each source's
+//    steps are summed as doubles in trial order, the serial loop's order.
+// So B, its argmax and minimum, and the parameters built from them are the
+// same bits at every worker count.  The test
+// Broadcast.FanOutMatchesOracleAtEveryWorkerCount pins this against the
+// serial oracle at 1, 2, 3 and 8 workers.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -79,8 +101,12 @@ broadcast_time_estimate estimate_worst_case_broadcast_time(
 namespace detail {
 
 // The event-driven broadcast kernel and its reusable workspace (see the file
-// comment).  Requires g to outlive the workspace.
-class broadcast_workspace {
+// comment).  Requires g to outlive the workspace.  Aligned to a cache line
+// because the fan-out keeps one workspace per worker in one array and visit()
+// writes size_ on every infection: unaligned, two workers' fields could share
+// a line and make every visit a cross-core miss, which doubled the fan-out's
+// time on two CPUs for some heap layouts.
+class alignas(64) broadcast_workspace {
  public:
   explicit broadcast_workspace(const graph& g);
 
@@ -107,6 +133,14 @@ class broadcast_workspace {
   std::vector<std::uint8_t> informed_;   // per node
   std::vector<double> log_q_;            // per boundary size k < 2n; 0 = not yet
 };
+
+// The estimates above on at most `workers` >= 1 threads; the public ones pass
+// usable_cpus().  Every worker count returns the same bits.
+double estimate_broadcast_time(const graph& g, node_id source, int trials, rng gen,
+                               std::size_t workers);
+broadcast_time_estimate estimate_worst_case_broadcast_time(
+    const graph& g, int trials_per_source, int max_sources, rng gen,
+    std::size_t workers);
 
 }  // namespace detail
 

@@ -1,5 +1,7 @@
 #include "support/parallel.h"
 
+#include <sched.h>
+
 #include <atomic>
 #include <exception>
 #include <mutex>
@@ -11,6 +13,46 @@ namespace pp {
 std::size_t hardware_threads() {
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<std::size_t>(n);
+}
+
+namespace {
+
+// The CPUs in the calling thread's affinity mask, in increasing order; empty
+// when the mask cannot be read.
+std::vector<int> affinity_cpus() {
+  cpu_set_t mask;
+  std::vector<int> cpus;
+  if (sched_getaffinity(0, sizeof mask, &mask) != 0) return cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &mask)) cpus.push_back(cpu);
+  }
+  return cpus;
+}
+
+}  // namespace
+
+std::size_t usable_cpus() {
+  const std::size_t n = affinity_cpus().size();
+  return n == 0 ? hardware_threads() : n;
+}
+
+void run_pinned_workers(std::size_t workers,
+                        const std::function<void(std::size_t)>& body) {
+  const std::vector<int> cpus = affinity_cpus();
+  parallel_for(
+      workers,
+      [&](std::size_t w) {
+        // Only started threads are pinned: with one worker this is the
+        // calling thread.  A refused pin leaves the worker where it is.
+        if (workers > 1 && !cpus.empty()) {
+          cpu_set_t one;
+          CPU_ZERO(&one);
+          CPU_SET(cpus[w % cpus.size()], &one);
+          sched_setaffinity(0, sizeof one, &one);
+        }
+        body(w);
+      },
+      workers);
 }
 
 void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body,

@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
+#include <tuple>
 
 #include "graph/generators.h"
 #include "graph/metrics.h"
@@ -227,6 +230,73 @@ TEST(Broadcast, WorkspaceReuseMatchesFreshRuns) {
       EXPECT_EQ(done, fresh.completion_step) << name << " source " << v;
       EXPECT_EQ(steps, fresh.infection_step) << name << " source " << v;
     }
+  }
+}
+
+TEST(Broadcast, FanOutMatchesOracleAtEveryWorkerCount) {
+  // The worker count must never reach the result: forced to 1, 2, 3 and 8
+  // workers, both estimates equal the serial oracle bit for bit.  The
+  // (1, 2) budget has fewer broadcasts than 8 workers.
+  const std::size_t worker_counts[] = {1, 2, 3, 8};
+  for (const auto& [name, g, source] : oracle_graphs()) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      const double single = oracle::estimate_broadcast_time(g, source, 7, rng(seed));
+      const auto worst = oracle::estimate_worst_case_broadcast_time(g, 5, 4, rng(seed));
+      const auto two = oracle::estimate_worst_case_broadcast_time(g, 1, 2, rng(seed));
+      for (const std::size_t workers : worker_counts) {
+        const auto where = [&] {
+          return ::testing::Message() << name << " seed " << seed << " workers "
+                                      << workers;
+        };
+        EXPECT_EQ(detail::estimate_broadcast_time(g, source, 7, rng(seed), workers),
+                  single)
+            << where();
+        for (const auto& [trials, sources, want] :
+             {std::tuple{5, 4, worst}, std::tuple{1, 2, two}}) {
+          const auto got = detail::estimate_worst_case_broadcast_time(
+              g, trials, sources, rng(seed), workers);
+          EXPECT_EQ(got.value, want.value) << where() << " budget " << trials;
+          EXPECT_EQ(got.argmax, want.argmax) << where() << " budget " << trials;
+          EXPECT_EQ(got.min_value, want.min_value) << where() << " budget " << trials;
+        }
+      }
+    }
+  }
+
+  // popsim's calibration budget, (30, 6), on the graph family it runs by
+  // default.
+  rng gen(7);
+  const graph g = make_random_regular(1000, 8, gen);
+  const auto want = oracle::estimate_worst_case_broadcast_time(g, 30, 6, rng(11));
+  for (const std::size_t workers : worker_counts) {
+    const auto got = detail::estimate_worst_case_broadcast_time(g, 30, 6, rng(11), workers);
+    EXPECT_EQ(got.value, want.value) << "workers " << workers;
+    EXPECT_EQ(got.argmax, want.argmax) << "workers " << workers;
+    EXPECT_EQ(got.min_value, want.min_value) << "workers " << workers;
+  }
+
+  // A disconnected graph is reported with the serial loop's exception at
+  // every worker count, whichever broadcast throws first.
+  const graph split = graph::from_edges(4, {{0, 1}, {2, 3}});
+  const auto message = [](const auto& estimate) {
+    try {
+      estimate();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no exception");
+  };
+  for (const std::size_t workers : worker_counts) {
+    EXPECT_EQ(message([&] {
+                detail::estimate_broadcast_time(split, 0, 7, rng(13), workers);
+              }),
+              "simulate_broadcast: graph must be connected")
+        << "workers " << workers;
+    EXPECT_EQ(message([&] {
+                detail::estimate_worst_case_broadcast_time(split, 5, 4, rng(13), workers);
+              }),
+              "simulate_broadcast: graph must be connected")
+        << "workers " << workers;
   }
 }
 
