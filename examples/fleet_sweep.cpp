@@ -4,10 +4,10 @@
 // The flow mirrors what `popsim --jobs W --save-artifact F` automates:
 //   1. build the protocol + graph and resolve the engine layout once
 //      (tuned_runner: closed table, packed snapshot, reorder permutation);
-//   2. snapshot it into a sweep_artifact, save and load it, and open the
-//      loaded artifact (fleet::open_sweep) — the opener rebuilds the sweep
-//      and validates it byte-for-byte, so version-skewed workers fail
-//      loudly instead of silently diverging;
+//   2. save its artifact, written straight from the runner, and open the
+//      file (fleet::open_sweep) — the opener rebuilds the sweep and
+//      compares it byte-for-byte with the stored sections, so
+//      version-skewed workers fail loudly instead of silently diverging;
 //   3. run the same seed list serially and through two supervised forked
 //      workers and check the summaries match *exactly* (seed-partition
 //      determinism: trial t always runs seed_gen.fork(t), records merge by
@@ -45,8 +45,7 @@ int main() {
       pp::fleet::make_tuned_artifact(runner, g, "cycle",
                                      pp::fleet::fast_desc(proto.params())),
       path);
-  const auto artifact = pp::fleet::load_artifact(path);
-  return pp::fleet::open_sweep(artifact, [&](const auto& rebuilt) {
+  return pp::fleet::open_sweep(path, [&](const auto& rebuilt) {
     std::printf("artifact: %s round-tripped and validated (closed table, "
                 "packed snapshot, graph)\n", path.c_str());
 

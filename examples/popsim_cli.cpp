@@ -246,6 +246,9 @@ struct cli_config {
   bool observed() const {
     return !metrics_path.empty() || !trace_path.empty();
   }
+  // The sweep reads its trials from an artifact: saved, or shipped to
+  // workers (the supervised fleet).
+  bool needs_artifact() const { return jobs > 1 || supervised() || !save_path.empty(); }
 
   pp::fleet::supervise_options supervision() const {
     pp::fleet::supervise_options sup;
@@ -614,7 +617,7 @@ pp::election_summary run_sweep(const Sweep& sweep, const pp::sim_options& option
   const bool fleet = cfg.jobs > 1 || cfg.supervised();
   std::string artifact_path = cfg.load_path;
   std::optional<temp_file> temp_artifact;
-  if (artifact_path.empty() && (fleet || !cfg.save_path.empty())) {
+  if (artifact_path.empty() && cfg.needs_artifact()) {
     artifact_path = cfg.save_path;
     if (artifact_path.empty()) {
       artifact_path = temp_artifact.emplace("artifact.ppaf").path();
@@ -630,13 +633,16 @@ pp::election_summary run_sweep(const Sweep& sweep, const pp::sim_options& option
                    [&](std::uint64_t, pp::rng gen) { return sweep.run(gen, options); });
 }
 
-// Tuned-engine sweep + report; the artifact (when needed) snapshots exactly
+// Tuned-engine sweep + report; the artifact (when needed) is written from
 // this runner.  P is any compilable protocol the tuned engine serves
 // (fast_protocol, star_protocol).
 template <typename P>
 int run_tuned_mode(const pp::tuned_runner<P>& runner, const pp::graph& g,
                    const std::string& family, const pp::fleet::protocol_desc& desc,
                    const cli_config& cfg, const char* argv0) {
+  // A sweep that saves or ships an artifact needs a closed table: refuse
+  // a lazy one before anything reaches stdout.
+  if (cfg.needs_artifact()) pp::fleet::expect_closed(runner.packed());
   pp::sim_options options = tuned_options(desc.kind);
   if (cfg.engine == "silent") options.scheduler = pp::scheduler_kind::silent;
   std::printf("graph: %s n=%d m=%lld Δ=%d\n", family.c_str(), g.num_nodes(),
@@ -658,7 +664,7 @@ int run_tuned_mode(const pp::tuned_runner<P>& runner, const pp::graph& g,
 }
 
 // Well-mixed sweep + report (P is fast_protocol or beauquier_protocol); the
-// artifact (when needed) snapshots exactly this sweep.
+// artifact (when needed) is written from this sweep.
 template <typename P>
 int run_wellmixed_mode(const pp::wellmixed_sweep<P>& sweep, const std::string& family,
                        const pp::fleet::protocol_desc& desc, const cli_config& cfg,
@@ -748,8 +754,8 @@ struct worker_obs {
   }
 };
 
-// popsim --worker MANIFEST INDEX BASE COUNT [FAULTS]: load the manifest +
-// artifact, rebuild and validate the sweep, and stream trials
+// popsim --worker MANIFEST INDEX BASE COUNT [FAULTS]: read the manifest,
+// open the artifact (rebuild and validate the sweep), and stream trials
 // [BASE, BASE+COUNT) to stdout as length-prefixed records.  Nothing else
 // may touch stdout here.  The supervisor (fleet/supervisor.h) picks the
 // range — reassigned chunks are arbitrary — and, for a slot's first worker
@@ -790,7 +796,6 @@ int worker_main(int argc, char** argv) {
     const pp::fleet::trial_range range{base, count};
     const pp::fleet::fault_injector injector(faults, static_cast<int>(index));
     worker_obs obs;
-    const auto artifact = pp::fleet::load_artifact(manifest.artifact_path);
     pp::sim_options options;
     options.max_steps = manifest.max_steps;
     options.wellmixed_batch = manifest.wellmixed_batch;
@@ -799,7 +804,7 @@ int worker_main(int argc, char** argv) {
     // generator the serial measure_election_* call hands it.
     const pp::rng trial_gen = pp::rng(manifest.seed).fork(2);
 
-    pp::fleet::open_sweep(artifact, [&](const auto& sweep) {
+    pp::fleet::open_sweep(manifest.artifact_path, [&](const auto& sweep) {
       pp::fleet::run_trial_block(
           range, STDOUT_FILENO,
           [&](std::uint64_t t, pp::rng gen) {
@@ -819,13 +824,8 @@ int worker_main(int argc, char** argv) {
 // popsim --load-artifact FILE ...: open the sweep the artifact describes
 // (rebuilt and validated against the stored sections) and run it.
 int artifact_main(const cli_config& cfg, const char* argv0) {
-  const auto artifact = pp::fleet::load_artifact(cfg.load_path);
-  if (!cfg.save_path.empty()) {
-    // Round-trip re-save of the *loaded* struct: byte-identical to the input
-    // by construction (the CI round-trip gate `cmp`s the two files).
-    pp::fleet::save_artifact(artifact, cfg.save_path);
-  }
-  if (artifact.engine == pp::fleet::artifact_engine::wellmixed &&
+  const pp::fleet::stored_artifact stored(cfg.load_path);
+  if (stored.outline().engine == pp::fleet::artifact_engine::wellmixed &&
       cfg.engine == "silent") {
     std::fprintf(stderr,
                  "popsim: --engine silent schedules graph interactions; this "
@@ -833,13 +833,20 @@ int artifact_main(const cli_config& cfg, const char* argv0) {
     return usage();
   }
   return pp::fleet::open_sweep(
-      artifact, [&]<typename S>(const std::shared_ptr<const S>& sweep) {
+      stored, [&]<typename S>(const std::shared_ptr<const S>& sweep) {
+        if (!cfg.save_path.empty()) {
+          // Re-save from the opened runner: it validated byte for byte
+          // against the input, so the file is the input again (the CI
+          // round-trip gate `cmp`s the two).
+          pp::fleet::save_artifact(sweep->view(), cfg.save_path);
+        }
+        const pp::fleet::artifact_meta& meta = sweep->meta;
         if constexpr (S::engine == pp::fleet::artifact_engine::tuned) {
-          return run_tuned_mode(sweep->runner, sweep->g, artifact.family,
-                                artifact.protocol, cfg, argv0);
+          return run_tuned_mode(sweep->runner, sweep->g, meta.family, meta.protocol,
+                                cfg, argv0);
         } else {
-          return run_wellmixed_mode(sweep->runner, artifact.family,
-                                    artifact.protocol, cfg, argv0);
+          return run_wellmixed_mode(sweep->runner, meta.family, meta.protocol, cfg,
+                                    argv0);
         }
       });
 }
@@ -958,8 +965,7 @@ int main(int argc, char** argv) {
                    "protocol fast or star\n");
       return usage();
     }
-    if ((cfg.jobs > 1 || cfg.supervised() || !cfg.save_path.empty()) &&
-        !compiled_engine) {
+    if (cfg.needs_artifact() && !compiled_engine) {
       std::fprintf(stderr,
                    "popsim: --jobs/--save-artifact/--journal/--inject-fault/"
                    "--metrics/--trace/--progress need the compiled engine "

@@ -1,9 +1,9 @@
-// Serializable protocol artefacts: the closed, immutable objects of a sweep
-// — a closed compiled_protocol table, its packed_table snapshot, the graph
+// Serializable protocol artefacts: a prepared sweep — its closed
+// compiled_protocol table, the packed_table the hot loop reads, the graph
 // (with its reorder permutation) and the well-mixed initial multiset — in a
 // versioned, endianness-tagged, checksummed binary container, so worker
-// processes (and, later, other hosts) can share one prepared sweep instead
-// of each re-deriving it.
+// processes (and other hosts) can share one prepared sweep instead of each
+// re-deriving it.
 //
 // Container layout (all integers native-endian; the header's endianness tag
 // makes a foreign-endian reader fail loudly instead of mis-reading):
@@ -19,41 +19,54 @@
 //   32      8     FNV-1a 64 checksum of the payload
 //   40      ...   sections: {tag u32, reserved u32, length u64, bytes}
 //
+// Sections come in one fixed order: META, GRPH, TABL, PACK, EDGE, WMIX.
+//
 // Versioning policy: any change to the header or a section layout bumps
 // kArtifactVersion; loaders accept the versions whose layout they can parse
 // exactly (currently {1, 2} — v2 only *added* the optional EDGE section) and
 // reject everything else (artifacts are cheap to regenerate — the closed
 // table is O(|Λ|²) — so there is no migration machinery).
 //
-// Each process passes over an artifact's bytes once:
-//   * save_artifact streams the sections to the file with a running FNV-1a
-//     and writes the 40-byte header last (a save that dies midway leaves a
-//     zero header, which no load accepts); artifact_bytes runs the same
-//     writer into one exactly presized buffer.  Bulk arrays (TABL, PACK,
-//     EDGE) go out and come back as single copies of their in-memory bytes.
-//     That is exact only for element types whose object representation is
-//     their wire record — a fixed size and no padding
-//     (std::has_unique_object_representations_v) — which static_asserts
-//     pin; every other field is written one integer at a time.
-//   * load_artifact reads the file once into a buffer sized by fstat;
-//     artifact_from_bytes checks the checksum before parsing any section and
-//     bounds every count by the bytes present before it sizes anything.
-//   * open_sweep is the one way from a loaded artifact back to a runnable
-//     sweep, and the one place a protocol_kind becomes a C++ type.  It
-//     rebuilds the protocol, graph and compiled table — the closure is
-//     deterministic — and validates that rebuild, the very object the trials
-//     then run on, against the stored sections (validate_tuned_artifact /
-//     validate_wellmixed_artifact below), with TABL, PACK and EDGE compared
-//     in place.  The opened sweep owns the protocol and graph its runner
-//     borrows.  popsim's --worker and --load-artifact modes and popsimd
-//     all open artifacts through it.  A build that compiles a different
-//     table than the artifact's producer fails loudly instead of silently
-//     computing a different sweep; this is the version-skew gate of the
-//     fleet protocol (src/fleet/README.md).
+// The artifact is a serialization of the runner: no process holds a second
+// copy of the runner's tables.
+//   * Save.  make_tuned_artifact / make_wellmixed_artifact return an
+//     artifact_view that borrows the runner: save_artifact writes TABL from
+//     the runner's closed table (each row is already k contiguous 12-byte
+//     wire entries), PACK from its packed_bytes() and EDGE from its edge
+//     classes, through a 64 KiB stage with a running FNV-1a, and writes the
+//     40-byte header last (a save that dies midway leaves a zero header,
+//     which no open accepts).  Only O(|Λ|) per-state arrays are built.
+//   * Open.  open_sweep(path | bytes, fn) reads the artifact in two passes
+//     of fixed kChunkBytes (64 KiB) chunks (stored_artifact):
+//       pass 1 streams every payload byte through FNV-1a and checks the
+//       checksum before any section is parsed.  As the bytes stream past it
+//       indexes the sections and keeps META, GRPH, EDGE and WMIX whole and
+//       the first bytes of TABL and PACK; those kept bytes are all pass 2
+//       parses, so a file changed between the passes cannot slip in.
+//       pass 2 parses META, GRPH and WMIX, checks the layout of TABL, PACK
+//       and EDGE, builds the runner (protocol, graph, closure, pack — the
+//       closure is deterministic), then compares TABL, PACK and EDGE
+//       against the runner's own serialization, reading the stored bytes
+//       again chunk by chunk at their indexed offsets.  WMIX follows TABL
+//       in the section order but a well-mixed runner is built from it, so
+//       it has to be parsed before TABL can be compared: hence the index.
+//     A process therefore holds its runner, the small sections and one
+//     chunk.  popsimd opens the ARTIFACT_DATA frame it received in place
+//     (open_sweep over its bytes); that frame is its one extra copy.
+//     popsim's --worker and --load-artifact modes open the file.  A build
+//     that compiles a different table than the artifact's producer fails
+//     loudly instead of silently computing a different sweep; this is the
+//     version-skew gate of the fleet protocol (src/fleet/README.md).
+//   * Inspect.  load_artifact / artifact_from_bytes return a sweep_artifact:
+//     the small sections parsed and TABL, PACK and EDGE as their stored
+//     bytes, for tools and tests (it re-serializes byte for byte, and
+//     validate_*_artifact compares it against a runner with the same one
+//     comparison routine the opener uses).  It holds a full copy of the
+//     tables, so no production path uses it.
 #pragma once
 
-#include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -109,42 +122,14 @@ node_id six_population_of(const protocol_desc& desc);
 protocol_desc star_desc();
 void expect_star_desc(const protocol_desc& desc);
 
-// Semantic snapshot of a closed compiled_protocol table over its dense ids:
-// the per-state encode() codes (the cross-process state identity), output
-// roles, census contributions and the full k×k transition matrix.
-struct table_section {
-  std::uint32_t counters = 0;
-  std::vector<std::uint64_t> codes;  // encode(state) per dense id
-  std::vector<std::uint8_t> roles;   // role per dense id
-  std::vector<std::array<std::int8_t, kMaxCensusCounters>> contrib;
-  struct entry {
-    std::uint32_t a2 = 0;
-    std::uint32_t b2 = 0;
-    std::array<std::int8_t, kMaxCensusCounters> delta{};
+// The META section plus the header's engine.
+struct artifact_meta {
+  artifact_engine engine = artifact_engine::tuned;
+  std::string family;  // display name of the graph family ("cycle", ...)
+  protocol_desc protocol;
+  std::uint32_t pack_bits = 0;  // resolved config word width (tuned engine)
 
-    friend bool operator==(const entry&, const entry&) = default;
-  };
-  std::vector<entry> entries;  // k×k, row-major (a·k + b)
-
-  friend bool operator==(const table_section&, const table_section&) = default;
-};
-// The TABL arrays travel as single copies of their in-memory bytes, so each
-// element's object representation must be its wire record: a2, b2 (u32),
-// then the kMaxCensusCounters delta bytes, with no padding to leak.
-static_assert(sizeof(table_section::entry) == 8 + kMaxCensusCounters &&
-              std::has_unique_object_representations_v<table_section::entry>);
-static_assert(sizeof(std::array<std::int8_t, kMaxCensusCounters>) == kMaxCensusCounters &&
-              std::has_unique_object_representations_v<
-                  std::array<std::int8_t, kMaxCensusCounters>>);
-
-// Raw bytes of a packed_table<W> snapshot at the resolved config word width
-// (the exact entries run_packed's hot loop loads).
-struct packed_section {
-  std::uint32_t width_bits = 0;  // 8 / 16 / 32
-  std::uint64_t num_states = 0;
-  std::vector<std::uint8_t> bytes;  // num_states² packed entries
-
-  friend bool operator==(const packed_section&, const packed_section&) = default;
+  friend bool operator==(const artifact_meta&, const artifact_meta&) = default;
 };
 
 // The sweep's graph in its *original* labelling plus the vertex order the
@@ -160,17 +145,6 @@ struct graph_section {
   friend bool operator==(const graph_section&, const graph_section&) = default;
 };
 
-// Edge-census declaration of a tuned sweep (edge-census protocols only):
-// the number of edge classes and each dense state id's class, i.e. exactly
-// the table run_packed's class-flip walks load.  The CSR adjacency itself is
-// derived deterministically from the GRPH section, so it is not stored.
-struct edge_section {
-  std::uint32_t num_classes = 0;
-  std::vector<std::uint8_t> classes;  // class per dense state id
-
-  friend bool operator==(const edge_section&, const edge_section&) = default;
-};
-
 // Well-mixed initial configuration as (encode(state), multiplicity) classes
 // in interning order; multiplicities sum to the population size.
 struct wellmixed_section {
@@ -180,129 +154,162 @@ struct wellmixed_section {
   friend bool operator==(const wellmixed_section&, const wellmixed_section&) = default;
 };
 
-struct sweep_artifact {
-  artifact_engine engine = artifact_engine::tuned;
-  std::string family;  // display name of the graph family ("cycle", ...)
-  protocol_desc protocol;
-  std::uint32_t pack_bits = 0;  // resolved config word width (tuned engine)
-  std::optional<graph_section> graph;         // tuned engine
-  std::optional<table_section> table;         // closed tables only
-  std::optional<packed_section> packed;       // tuned engine
-  std::optional<edge_section> edge;           // edge-census protocols only
-  std::optional<wellmixed_section> wellmixed;  // well-mixed engine
+// What an open parses of an artifact: META, GRPH (tuned engine) and WMIX
+// (well-mixed engine).  TABL, PACK and EDGE are compared, never parsed.
+struct artifact_outline : artifact_meta {
+  std::optional<graph_section> graph;
+  std::optional<wellmixed_section> wellmixed;
+
+  friend bool operator==(const artifact_outline&, const artifact_outline&) = default;
+};
+
+// A loaded artifact, for inspection and tests: the outline plus the
+// payloads of TABL, PACK and EDGE exactly as stored (artifact_bytes writes
+// it back byte for byte).
+//   TABL: u64 k, u32 counters, k u64 codes, k u8 roles,
+//         k × kMaxCensusCounters contributions, k² 12-byte entries
+//         {u32 a2, u32 b2, i8 delta[kMaxCensusCounters]}, row-major;
+//   PACK: u32 width, u64 num_states, u64 byte count, then num_states²
+//         packed_entry<W> bytes;
+//   EDGE: u32 class count, u64 k, then one class byte per state.
+struct sweep_artifact : artifact_outline {
+  std::optional<std::vector<std::uint8_t>> table;   // closed tables only
+  std::optional<std::vector<std::uint8_t>> packed;  // tuned engine
+  std::optional<std::vector<std::uint8_t>> edge;    // edge-census protocols only
 
   friend bool operator==(const sweep_artifact&, const sweep_artifact&) = default;
+};
+
+// A runner's closed table as TABL and EDGE serialize it: O(|Λ|) per-state
+// arrays and a pointer to each row of the runner's own table, which the
+// writer and the comparer read in place.  `packed` is the tuned runner's
+// packed_bytes() (empty on the well-mixed engine, which has no PACK).
+struct runner_tables {
+  std::uint32_t counters = 0;
+  std::vector<std::uint64_t> codes;  // encode(state) per dense id
+  std::vector<std::uint8_t> roles;   // role per dense id
+  std::vector<std::array<std::int8_t, kMaxCensusCounters>> contrib;
+  std::vector<const std::uint8_t*> rows;  // row a: k 12-byte wire entries
+  std::span<const std::uint8_t> packed;
+  std::uint32_t edge_classes = 0;     // 0 on counter-shaped protocols
+  std::vector<std::uint8_t> classes;  // edge class per dense id
+};
+
+// A runner's graph as GRPH serializes it; `g` may be null when the view
+// only validates (validation reads the order and the permutation).
+struct graph_view {
+  const graph* g = nullptr;  // in the original labelling
+  vertex_order order = vertex_order::natural;
+  std::span<const node_id> old_of_new;
+};
+
+// A prepared sweep as its artifact: what save_artifact writes and what a
+// stored artifact is validated against.  It borrows the runner (and the
+// graph), which must outlive it.  `tables` is empty when the runner's
+// reachable space did not close within the closure budget.
+struct artifact_view : artifact_meta {
+  std::optional<graph_view> graph;  // tuned engine
+  std::optional<runner_tables> tables;
+  std::optional<wellmixed_section> wellmixed;  // well-mixed engine
 };
 
 // FNV-1a 64-bit hash (the header checksum).
 std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size);
 
-// Serialization is deterministic: equal artifacts produce equal bytes, so
-// save → load → save round-trips byte-identically (the CI round-trip gate),
-// and save_artifact's file equals artifact_bytes.
+// Serialization is deterministic: a runner's view and a loaded artifact of
+// it produce the same bytes, so save → load → save round-trips
+// byte-identically (the CI round-trip gate), and save_artifact's file
+// equals artifact_bytes.
+std::vector<std::uint8_t> artifact_bytes(const artifact_view& artifact);
 std::vector<std::uint8_t> artifact_bytes(const sweep_artifact& artifact);
+void save_artifact(const artifact_view& artifact, const std::string& path);
 sweep_artifact artifact_from_bytes(std::span<const std::uint8_t> bytes);
-void save_artifact(const sweep_artifact& artifact, const std::string& path);
 sweep_artifact load_artifact(const std::string& path);
-// load_artifact's read: the whole file in one buffer sized by fstat.  Also
-// what the remote supervisor checksums and ships.
+// The whole file in one buffer: what a --hosts supervisor checksums and
+// ships (net.h), the one reader that holds a whole artifact.
 std::vector<std::uint8_t> read_artifact_file(const std::string& path);
 
-graph_section snapshot_graph(const graph& g, vertex_order order,
-                             const std::vector<node_id>& old_of_new);
 graph rebuild_graph(const graph_section& section);
 
-// ---------------------------------------------------------------------------
-// Snapshot / validate helpers over the compiled engine.  Snapshots require a
-// closed table (an artifact of a lazily-filled table would depend on which
-// pairs happened to occur); validators throw std::invalid_argument naming the
-// first divergence.
+// The engine_tuning a worker rebuilds the runner with: the stored order plus
+// the *resolved* width, forced so the rebuild cannot re-resolve differently.
+engine_tuning tuning_of(const artifact_outline& artifact);
 
+// Throws std::invalid_argument naming the first divergence between a loaded
+// artifact and a rebuilt runner's view (validate_*_artifact below).
+void check_artifact(const sweep_artifact& artifact, const artifact_view& rebuilt);
+
+// An artifact after pass 1 (see the header comment): checksummed, indexed
+// and outlined, its TABL, PACK and EDGE left where they are stored — in the
+// file, or in the caller's buffer, which must outlive this object.  Throws
+// std::invalid_argument on a file it cannot read or a payload that fails
+// the checksum or does not parse.
+class stored_artifact {
+ public:
+  explicit stored_artifact(const std::string& path);
+  explicit stored_artifact(std::span<const std::uint8_t> bytes);
+  ~stored_artifact();
+  stored_artifact(const stored_artifact&) = delete;
+  stored_artifact& operator=(const stored_artifact&) = delete;
+
+  const artifact_outline& outline() const;
+  // Pass 2's comparison: throws std::invalid_argument naming the first
+  // divergence between the stored sections and the rebuilt runner's view.
+  void check(const artifact_view& rebuilt) const;
+  // The stored sections copied out in full (inspection and tests only).
+  sweep_artifact load() const;
+
+ private:
+  struct impl;
+  std::unique_ptr<impl> impl_;
+};
+
+// ---------------------------------------------------------------------------
+// Views of prepared sweeps.
+
+// Artifacts hold closed tables only: throws unless the runner's reachable
+// space closed within the engine's closure budget.
+inline void expect_closed(bool closed) {
+  static_assert(kEngineClosureBudget == 2048, "the message names the budget");
+  expects(closed,
+          "artifact: the reachable state space exceeded the closure budget "
+          "(2048 states); artifacts hold closed tables only");
+}
+
+// A closed compiled table's serialization source.  Its entries are the wire
+// records themselves: u32 a2, u32 b2, then the delta bytes, no padding.
 template <compilable_protocol P>
-table_section snapshot_table(const compiled_protocol<P>& compiled) {
-  expects(compiled.closed(), "snapshot_table: artifacts hold closed tables only");
+runner_tables tables_of(const compiled_protocol<P>& compiled) {
+  using entry = typename compiled_protocol<P>::entry;
   using state_id = typename compiled_protocol<P>::state_id;
+  static_assert(sizeof(entry) == 8 + kMaxCensusCounters &&
+                std::has_unique_object_representations_v<entry> &&
+                offsetof(entry, a2) == 0 && offsetof(entry, b2) == 4 &&
+                offsetof(entry, delta) == 8);
+  expects(compiled.closed(), "artifact: artifacts hold closed tables only");
   const std::size_t k = compiled.num_states();
-  table_section t;
+  runner_tables t;
   t.counters = static_cast<std::uint32_t>(compiled.kCounters);
   t.codes.reserve(k);
   t.roles.reserve(k);
   t.contrib.reserve(k);
+  t.rows.reserve(k);
   for (std::size_t id = 0; id < k; ++id) {
     const auto sid = static_cast<state_id>(id);
     t.codes.push_back(compiled.protocol().encode(compiled.decode(sid)));
     t.roles.push_back(static_cast<std::uint8_t>(compiled.output(sid)));
     t.contrib.push_back(compiled.contribution(sid));
+    t.rows.push_back(
+        reinterpret_cast<const std::uint8_t*>(&compiled.closed_transition(sid, 0)));
   }
-  t.entries.reserve(k * k);
-  for (std::size_t a = 0; a < k; ++a) {
-    for (std::size_t b = 0; b < k; ++b) {
-      const auto& e = compiled.closed_transition(static_cast<state_id>(a),
-                                                 static_cast<state_id>(b));
-      t.entries.push_back({e.a2, e.b2, e.delta});
+  if constexpr (edge_census_protocol<P>) {
+    t.edge_classes = static_cast<std::uint32_t>(edge_census_traits<P>::kClasses);
+    t.classes.reserve(k);
+    for (std::size_t id = 0; id < k; ++id) {
+      t.classes.push_back(compiled.state_class(static_cast<state_id>(id)));
     }
   }
   return t;
-}
-
-// Compares the section with the compiled table where both lie: no snapshot
-// is built, so validation allocates nothing.
-template <compilable_protocol P>
-void validate_table(const table_section& section,
-                    const compiled_protocol<P>& compiled) {
-  expects(compiled.closed(), "snapshot_table: artifacts hold closed tables only");
-  using state_id = typename compiled_protocol<P>::state_id;
-  const std::size_t k = compiled.num_states();
-  bool same = section.counters == static_cast<std::uint32_t>(compiled.kCounters) &&
-              section.codes.size() == k && section.roles.size() == k &&
-              section.contrib.size() == k && section.entries.size() == k * k;
-  for (std::size_t id = 0; same && id < k; ++id) {
-    const auto sid = static_cast<state_id>(id);
-    same = section.codes[id] == compiled.protocol().encode(compiled.decode(sid)) &&
-           section.roles[id] == static_cast<std::uint8_t>(compiled.output(sid)) &&
-           section.contrib[id] == compiled.contribution(sid);
-  }
-  for (std::size_t a = 0; same && a < k; ++a) {
-    const table_section::entry* row = section.entries.data() + a * k;
-    for (std::size_t b = 0; same && b < k; ++b) {
-      const auto& e = compiled.closed_transition(static_cast<state_id>(a),
-                                                 static_cast<state_id>(b));
-      same = row[b].a2 == e.a2 && row[b].b2 == e.b2 && row[b].delta == e.delta;
-    }
-  }
-  expects(same,
-          "artifact: this build's closed table diverges from the stored one "
-          "(producer/worker version skew)");
-}
-
-template <edge_census_protocol P>
-edge_section snapshot_edge(const compiled_protocol<P>& compiled) {
-  expects(compiled.closed(), "snapshot_edge: artifacts hold closed tables only");
-  edge_section s;
-  s.num_classes = static_cast<std::uint32_t>(edge_census_traits<P>::kClasses);
-  s.classes.reserve(compiled.num_states());
-  using state_id = typename compiled_protocol<P>::state_id;
-  for (std::size_t id = 0; id < compiled.num_states(); ++id) {
-    s.classes.push_back(compiled.state_class(static_cast<state_id>(id)));
-  }
-  return s;
-}
-
-template <edge_census_protocol P>
-void validate_edge(const edge_section& section,
-                   const compiled_protocol<P>& compiled) {
-  expects(compiled.closed(), "snapshot_edge: artifacts hold closed tables only");
-  using state_id = typename compiled_protocol<P>::state_id;
-  const std::size_t k = compiled.num_states();
-  bool same = section.num_classes ==
-                  static_cast<std::uint32_t>(edge_census_traits<P>::kClasses) &&
-              section.classes.size() == k;
-  for (std::size_t id = 0; same && id < k; ++id) {
-    same = section.classes[id] == compiled.state_class(static_cast<state_id>(id));
-  }
-  expects(same,
-          "artifact: this build's edge classes diverge from the stored ones "
-          "(producer/worker version skew)");
 }
 
 template <node_census_protocol P>
@@ -320,100 +327,67 @@ wellmixed_section snapshot_wellmixed(const P& proto,
   return s;
 }
 
-// ---------------------------------------------------------------------------
-// Whole-sweep artifacts.
-
-// Snapshot of a prepared tuned_runner (per-interaction engine).  Requires
-// the reachable space to have closed — an artifact cannot pin a lazy table.
+// A tuned runner as its artifact; tables stay empty on the lazy fallback.
 template <compilable_protocol P>
-sweep_artifact make_tuned_artifact(const tuned_runner<P>& runner,
-                                   const graph& original, std::string family,
-                                   protocol_desc protocol) {
-  expects(runner.packed(),
-          "make_tuned_artifact: the reachable state space exceeded the "
-          "closure budget; artifacts hold closed tables only");
-  sweep_artifact a;
-  a.engine = artifact_engine::tuned;
-  a.family = std::move(family);
-  a.protocol = std::move(protocol);
-  a.pack_bits = static_cast<std::uint32_t>(runner.pack_bits());
-  a.graph = snapshot_graph(original, runner.order(), runner.old_of_new());
-  a.table = snapshot_table(runner.compiled());
-  // The runner's own packed table is the snapshot: copy its bytes.
-  const auto packed = runner.packed_bytes();
-  a.packed = packed_section{static_cast<std::uint32_t>(runner.pack_bits()),
-                            runner.compiled().num_states(),
-                            {packed.begin(), packed.end()}};
-  if constexpr (edge_census_protocol<P>) {
-    a.edge = snapshot_edge(runner.compiled());
+artifact_view view_of(const tuned_runner<P>& runner, const graph* original,
+                      std::string family, protocol_desc protocol) {
+  artifact_view v;
+  v.engine = artifact_engine::tuned;
+  v.family = std::move(family);
+  v.protocol = std::move(protocol);
+  v.pack_bits = static_cast<std::uint32_t>(runner.pack_bits());
+  v.graph = graph_view{original, runner.order(), runner.old_of_new()};
+  if (runner.packed()) {
+    v.tables = tables_of(runner.compiled());
+    v.tables->packed = runner.packed_bytes();
   }
-  return a;
+  return v;
 }
 
-// The engine_tuning a worker rebuilds the runner with: the stored order plus
-// the *resolved* width, forced so the rebuild cannot re-resolve differently.
-engine_tuning tuning_of(const sweep_artifact& artifact);
+// A well-mixed sweep as its artifact: the initial multiset plus — when the
+// reachable space closed within the engine budget — the closed table, so
+// workers can also gate their transition semantics.
+template <node_census_protocol P>
+artifact_view view_of(const wellmixed_sweep<P>& sweep, std::string family,
+                      protocol_desc protocol) {
+  artifact_view v;
+  v.engine = artifact_engine::wellmixed;
+  v.family = std::move(family);
+  v.protocol = std::move(protocol);
+  v.wellmixed = snapshot_wellmixed(sweep.compiled().protocol(), sweep.initial(),
+                                   sweep.population());
+  if (sweep.shared()) v.tables = tables_of(sweep.compiled());
+  return v;
+}
 
-// Validates a rebuilt runner against the artifact: same resolved layout,
-// same reorder permutation, byte-identical closed and packed tables — each
-// compared in place, so validation allocates nothing.
+// The artifact of a prepared tuned_runner (per-interaction engine), to be
+// saved while the runner and `original` live.  Requires the reachable space
+// to have closed — an artifact cannot pin a lazy table.
+template <compilable_protocol P>
+artifact_view make_tuned_artifact(const tuned_runner<P>& runner,
+                                  const graph& original, std::string family,
+                                  protocol_desc protocol) {
+  expect_closed(runner.packed());
+  return view_of(runner, &original, std::move(family), std::move(protocol));
+}
+
+template <node_census_protocol P>
+artifact_view make_wellmixed_artifact(const wellmixed_sweep<P>& sweep,
+                                      std::string family, protocol_desc protocol) {
+  return view_of(sweep, std::move(family), std::move(protocol));
+}
+
+// Validates a rebuilt runner against a loaded artifact: same resolved
+// layout, same reorder permutation, byte-identical closed and packed tables
+// and edge classes — each compared in place against the runner's own
+// serialization.
 template <compilable_protocol P>
 void validate_tuned_artifact(const sweep_artifact& artifact,
                              const tuned_runner<P>& runner) {
-  expects(artifact.engine == artifact_engine::tuned &&
-              artifact.graph.has_value() && artifact.table.has_value() &&
-              artifact.packed.has_value(),
-          "artifact: not a tuned-engine sweep artifact");
-  expects(runner.packed(), "artifact: rebuilt runner fell back to a lazy table");
-  expects(runner.pack_bits() == static_cast<int>(artifact.pack_bits),
-          "artifact: rebuilt runner resolved a different config word width");
-  expects(static_cast<std::uint32_t>(runner.order()) == artifact.graph->order,
-          "artifact: rebuilt runner uses a different vertex order");
-  const auto& map = runner.old_of_new();
-  expects(map.size() == artifact.graph->old_of_new.size(),
-          "artifact: reorder permutation size diverges from this build");
-  for (std::size_t v = 0; v < map.size(); ++v) {
-    expects(static_cast<std::uint32_t>(map[v]) == artifact.graph->old_of_new[v],
-            "artifact: reorder permutation diverges from this build");
-  }
-  validate_table(*artifact.table, runner.compiled());
-  const packed_section& packed = *artifact.packed;
-  expects(packed.width_bits == 8 || packed.width_bits == 16 || packed.width_bits == 32,
-          "artifact: packed section has an invalid word width");
-  const auto bytes = runner.packed_bytes();
-  expects(packed.width_bits == static_cast<std::uint32_t>(runner.pack_bits()) &&
-              packed.num_states == runner.compiled().num_states() &&
-              std::equal(packed.bytes.begin(), packed.bytes.end(), bytes.begin(),
-                         bytes.end()),
-          "artifact: this build's packed table diverges from the stored one");
-  if constexpr (edge_census_protocol<P>) {
-    expects(artifact.edge.has_value(),
-            "artifact: edge-census protocol without an EDGE section");
-    validate_edge(*artifact.edge, runner.compiled());
-  } else {
-    expects(!artifact.edge.has_value(),
-            "artifact: EDGE section on a counter-shaped protocol");
-  }
+  check_artifact(artifact, view_of(runner, nullptr, {}, {}));
 }
 
-// Snapshot of a prepared well-mixed sweep: the initial multiset plus — when
-// the reachable space closed within the engine budget — the closed table, so
-// workers can also gate their transition semantics.
-template <node_census_protocol P>
-sweep_artifact make_wellmixed_artifact(const wellmixed_sweep<P>& sweep,
-                                       std::string family,
-                                       protocol_desc protocol) {
-  sweep_artifact a;
-  a.engine = artifact_engine::wellmixed;
-  a.family = std::move(family);
-  a.protocol = std::move(protocol);
-  a.wellmixed = snapshot_wellmixed(sweep.compiled().protocol(), sweep.initial(),
-                                   sweep.population());
-  if (sweep.shared()) a.table = snapshot_table(sweep.compiled());
-  return a;
-}
-
-// Validates a rebuilt well-mixed sweep against the artifact: the same
+// Validates a rebuilt well-mixed sweep against a loaded artifact: the same
 // initial multiset, and TABL present exactly when this build's closure
 // closes — then equal to its closed table.  A producer omits TABL only past
 // the closure budget, so a missing one on a sweep that closes is a stripped
@@ -421,44 +395,37 @@ sweep_artifact make_wellmixed_artifact(const wellmixed_sweep<P>& sweep,
 template <node_census_protocol P>
 void validate_wellmixed_artifact(const sweep_artifact& artifact,
                                  const wellmixed_sweep<P>& sweep) {
-  expects(artifact.engine == artifact_engine::wellmixed &&
-              artifact.wellmixed.has_value(),
-          "artifact: not a well-mixed sweep artifact");
-  expects(snapshot_wellmixed(sweep.compiled().protocol(), sweep.initial(),
-                             sweep.population()) == *artifact.wellmixed,
-          "artifact: this build's initial multiset diverges from the stored "
-          "one");
-  expects(artifact.table.has_value() == sweep.shared(),
-          sweep.shared() ? "artifact: no stored table, but this build's "
-                           "closure closes within the budget"
-                         : "artifact: stored table is closed but this build's "
-                           "closure exceeded the budget");
-  if (sweep.shared()) validate_table(*artifact.table, sweep.compiled());
+  check_artifact(artifact, view_of(sweep, {}, {}));
 }
 
 // ---------------------------------------------------------------------------
 // Opening an artifact.
 //
-// An opened sweep is rebuilt from an artifact by this build and validated
-// against it.  It owns what its runner borrows: the protocol and, on the
-// tuned engine, the graph, declared before the runner so they are built
-// before it and destroyed after it.  The runner points into the object, so
-// it is neither copied nor moved.  `runner.run(gen, options[, probe])` runs
-// one trial on either engine.
+// An opened sweep is rebuilt from a stored artifact by this build and
+// validated against it.  It owns what its runner borrows: the protocol and,
+// on the tuned engine, the graph, declared before the runner so they are
+// built before it and destroyed after it.  The runner points into the
+// object, so it is neither copied nor moved.  `runner.run(gen, options[,
+// probe])` runs one trial on either engine, and view() is the sweep's own
+// artifact — byte-identical to the one it was opened from.
 
 template <compilable_protocol P>
 struct opened_tuned_sweep {
   static constexpr artifact_engine engine = artifact_engine::tuned;
 
-  opened_tuned_sweep(const sweep_artifact& artifact, P protocol)
-      : g(rebuild_graph(*artifact.graph)),
+  opened_tuned_sweep(const stored_artifact& stored, P protocol)
+      : meta(stored.outline()),
+        g(rebuild_graph(*stored.outline().graph)),
         proto(std::move(protocol)),
-        runner(proto, g, tuning_of(artifact)) {
-    validate_tuned_artifact(artifact, runner);
+        runner(proto, g, tuning_of(stored.outline())) {
+    stored.check(view_of(runner, nullptr, {}, {}));
   }
   opened_tuned_sweep(const opened_tuned_sweep&) = delete;
   opened_tuned_sweep& operator=(const opened_tuned_sweep&) = delete;
 
+  artifact_view view() const { return view_of(runner, &g, meta.family, meta.protocol); }
+
+  const artifact_meta meta;
   const graph g;  // in the original labelling
   const P proto;
   const tuned_runner<P> runner;
@@ -468,18 +435,23 @@ template <node_census_protocol P>
 struct opened_wellmixed_sweep {
   static constexpr artifact_engine engine = artifact_engine::wellmixed;
 
-  opened_wellmixed_sweep(const sweep_artifact& artifact, P protocol)
-      : proto(std::move(protocol)), runner(proto, artifact.wellmixed->population) {
-    validate_wellmixed_artifact(artifact, runner);
+  opened_wellmixed_sweep(const stored_artifact& stored, P protocol)
+      : meta(stored.outline()),
+        proto(std::move(protocol)),
+        runner(proto, stored.outline().wellmixed->population) {
+    stored.check(view_of(runner, {}, {}));
   }
   opened_wellmixed_sweep(const opened_wellmixed_sweep&) = delete;
   opened_wellmixed_sweep& operator=(const opened_wellmixed_sweep&) = delete;
 
+  artifact_view view() const { return view_of(runner, meta.family, meta.protocol); }
+
+  const artifact_meta meta;
   const P proto;
   const wellmixed_sweep<P> runner;
 };
 
-// Opens the sweep `artifact` describes and returns fn(sweep), where sweep is
+// Opens the sweep `stored` describes and returns fn(sweep), where sweep is
 // a std::shared_ptr<const S> and S is opened_tuned_sweep<P> (P fast or star)
 // or opened_wellmixed_sweep<P> (P fast or six), as the artifact's engine and
 // protocol descriptor name.  fn must return the same type for every S; a
@@ -487,25 +459,39 @@ struct opened_wellmixed_sweep {
 // std::invalid_argument when a section is missing, the descriptor does not
 // fit the engine, or the rebuild diverges from the stored sections.
 template <typename Fn>
-auto open_sweep(const sweep_artifact& artifact, Fn&& fn) {
-  if (artifact.engine == artifact_engine::tuned) {
-    expects(artifact.graph.has_value(), "artifact: tuned artifact without a graph section");
-    if (artifact.protocol.kind == protocol_kind::star) {
-      expect_star_desc(artifact.protocol);
+auto open_sweep(const stored_artifact& stored, Fn&& fn) {
+  const artifact_outline& a = stored.outline();
+  if (a.engine == artifact_engine::tuned) {
+    expects(a.graph.has_value(), "artifact: tuned artifact without a graph section");
+    if (a.protocol.kind == protocol_kind::star) {
+      expect_star_desc(a.protocol);
       return fn(std::make_shared<const opened_tuned_sweep<star_protocol>>(
-          artifact, star_protocol{}));
+          stored, star_protocol{}));
     }
     return fn(std::make_shared<const opened_tuned_sweep<fast_protocol>>(
-        artifact, fast_protocol(fast_params_of(artifact.protocol))));
+        stored, fast_protocol(fast_params_of(a.protocol))));
   }
-  expects(artifact.wellmixed.has_value(),
+  expects(a.wellmixed.has_value(),
           "artifact: well-mixed artifact without a multiset section");
-  if (artifact.protocol.kind == protocol_kind::six) {
+  if (a.protocol.kind == protocol_kind::six) {
     return fn(std::make_shared<const opened_wellmixed_sweep<beauquier_protocol>>(
-        artifact, beauquier_protocol(six_population_of(artifact.protocol))));
+        stored, beauquier_protocol(six_population_of(a.protocol))));
   }
   return fn(std::make_shared<const opened_wellmixed_sweep<fast_protocol>>(
-      artifact, fast_protocol(fast_params_of(artifact.protocol))));
+      stored, fast_protocol(fast_params_of(a.protocol))));
+}
+
+// open_sweep over an artifact file, or over artifact bytes already in
+// memory (popsimd's received frame), which are read in place.
+template <typename Fn>
+auto open_sweep(const std::string& path, Fn&& fn) {
+  const stored_artifact stored(path);
+  return open_sweep(stored, std::forward<Fn>(fn));
+}
+template <typename Fn>
+auto open_sweep(std::span<const std::uint8_t> bytes, Fn&& fn) {
+  const stored_artifact stored(bytes);
+  return open_sweep(stored, std::forward<Fn>(fn));
 }
 
 }  // namespace pp::fleet

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -210,6 +211,25 @@ void send_frame(int fd, const std::uint8_t* payload, std::size_t length,
                      "sending a frame");
 }
 
+void send_artifact_frame(int fd, const std::vector<std::uint8_t>& artifact_bytes,
+                         int timeout_ms) {
+  expects(artifact_bytes.size() < kMaxControlPayload, "fleet net: frame payload too large");
+  const auto length = static_cast<std::uint32_t>(1 + artifact_bytes.size());
+  std::array<std::uint8_t, wire::kLengthBytes + 1> head{};
+  std::memcpy(head.data(), &length, wire::kLengthBytes);
+  head[wire::kLengthBytes] = static_cast<std::uint8_t>(msg_type::artifact_data);
+  const std::uint64_t checksum = fnv1a64_from(
+      fnv1a64(head.data() + wire::kLengthBytes, 1), artifact_bytes.data(),
+      artifact_bytes.size());
+  const auto deadline =
+      steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+  write_all_deadline(fd, head.data(), head.size(), deadline, "sending a frame");
+  write_all_deadline(fd, artifact_bytes.data(), artifact_bytes.size(), deadline,
+                     "sending a frame");
+  write_all_deadline(fd, reinterpret_cast<const std::uint8_t*>(&checksum),
+                     sizeof(checksum), deadline, "sending a frame");
+}
+
 std::vector<std::uint8_t> recv_frame(int fd, std::uint32_t max_payload,
                                      int timeout_ms) {
   const auto deadline =
@@ -337,11 +357,7 @@ int request_sweep(const host_addr& addr, const sweep_request& request,
     if (reply[0] == static_cast<std::uint8_t>(msg_type::need_artifact)) {
       ensure(artifact_bytes.size() == request.artifact_size,
              "fleet net: artifact bytes do not match the request");
-      std::vector<std::uint8_t> data;
-      data.reserve(1 + artifact_bytes.size());
-      data.push_back(static_cast<std::uint8_t>(msg_type::artifact_data));
-      data.insert(data.end(), artifact_bytes.begin(), artifact_bytes.end());
-      send_frame(fd, data.data(), data.size(), timeout_ms);
+      send_artifact_frame(fd, artifact_bytes, timeout_ms);
       if (shipped != nullptr) *shipped = true;
       reply = recv_frame(fd, kMaxControlPayload, timeout_ms);
       ensure(!reply.empty(), "fleet net: empty handshake reply");

@@ -127,6 +127,11 @@ void send_frame(int fd, const std::uint8_t* payload, std::size_t length,
                 int timeout_ms);
 std::vector<std::uint8_t> recv_frame(int fd, std::uint32_t max_payload,
                                      int timeout_ms);
+// The ARTIFACT_DATA frame written from the artifact bytes where they lie:
+// the length, the type byte, the bytes and the FNV-1a trailer, the same
+// bytes as send_frame of the concatenated payload without copying it.
+void send_artifact_frame(int fd, const std::vector<std::uint8_t>& artifact_bytes,
+                         int timeout_ms);
 
 // TCP plumbing.  listen_on binds (port 0 picks an ephemeral port — read it
 // back with bound_port) and throws on failure; dial resolves and connects

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <span>
 #include <string>
 
 #include "fleet/artifact.h"
@@ -383,7 +384,8 @@ bool valid_request(const net::sweep_request& r, std::string& why) {
       return true;
     }
     // ARTIFACT_DATA: verify the declared checksum over the raw bytes, then
-    // parse + rebuild + validate before anything is cached or served.
+    // open the sweep over the frame in place (artifact.h: checksum, parse,
+    // rebuild, compare) before anything is cached or served.
     if (frame.payload_length < 1 ||
         frame.payload[0] != static_cast<std::uint8_t>(net::msg_type::artifact_data)) {
       return reject(conn, "expected ARTIFACT_DATA");
@@ -411,16 +413,16 @@ bool valid_request(const net::sweep_request& r, std::string& why) {
     std::shared_ptr<cached_sweep> entry = st.lookup(checksum);
     if (entry == nullptr) {
       try {
-        const sweep_artifact artifact =
-            artifact_from_bytes({data, static_cast<std::size_t>(size)});
         entry = std::make_shared<cached_sweep>();
         entry->checksum = checksum;
         entry->bytes = size;
-        entry->run_trial = open_sweep(artifact, [](auto sweep) -> trial_runner {
-          return [sweep](rng gen, const sim_options& options) {
-            return sweep->runner.run(gen, options);
-          };
-        });
+        entry->run_trial = open_sweep(
+            std::span<const std::uint8_t>(data, static_cast<std::size_t>(size)),
+            [](auto sweep) -> trial_runner {
+              return [sweep](rng gen, const sim_options& options) {
+                return sweep->runner.run(gen, options);
+              };
+            });
       } catch (const std::exception& e) {
         return reject(conn, std::string("artifact rejected: ") + e.what());
       }

@@ -8,9 +8,10 @@
 //   accept ─► REQ_SWEEP ─► version gate ─► cache lookup by checksum
 //     hit  ─► OK_CACHED ─► fork a runner child streaming the chunk
 //     miss ─► NEED_ARTIFACT ─► ARTIFACT_DATA ─► fnv1a64(bytes) == declared
-//             checksum? parse, rebuild, validate byte-for-byte against the
-//             stored sections (artifact.h's version-skew gate) ─► cache ─►
-//             OK_CACHED ─► fork a runner child
+//             checksum? open the sweep over the frame in place: parse,
+//             rebuild, compare byte-for-byte against the stored sections
+//             (artifact.h's version-skew gate) ─► cache ─► OK_CACHED ─►
+//             fork a runner child
 //     any failure (version skew, checksum mismatch, malformed request,
 //     validation divergence) ─► ERR {message} + stderr log, then close:
 //     rejections are loud, never silent.

@@ -33,6 +33,11 @@ namespace pp::fleet {
 // FNV-1a 64-bit over raw bytes (defined in artifact.cpp; also the artifact
 // container's integrity hash, so one hash covers every durability surface).
 std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size);
+// FNV-1a 64 continued from `hash` over more bytes: the checksum of bytes
+// streamed in pieces, starting from kFnvOffset, equals fnv1a64 of the whole.
+inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+std::uint64_t fnv1a64_from(std::uint64_t hash, const std::uint8_t* data,
+                           std::size_t size);
 
 namespace wire {
 

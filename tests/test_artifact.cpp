@@ -1,11 +1,14 @@
 // Fleet artifact container (src/fleet/artifact.h): byte-stable round trips,
-// header/checksum rejection, and snapshot/validate over the compiled engine.
+// header/checksum rejection, and save/open/validate over the compiled
+// engine, the stored sections compared against the runner's own.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <iterator>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,28 +35,73 @@ struct tuned_fixture {
             g, estimate_worst_case_broadcast_time(g, 5, 3, rng(3)).value)),
         runner(proto, g, tuning) {}
 
-  sweep_artifact artifact() const {
+  artifact_view artifact() const {
     return make_tuned_artifact(runner, g, "cycle", fast_desc(proto.params()));
   }
 };
 
+// The artifact `view` writes, loaded back: the small sections parsed, TABL,
+// PACK and EDGE as their stored bytes.
+sweep_artifact loaded(const artifact_view& view) {
+  return artifact_from_bytes(artifact_bytes(view));
+}
+
+const artifact_meta& meta_of(const artifact_meta& a) { return a; }
+
+// Offsets into a stored TABL payload (layout in artifact.h): u64 k, u32
+// counters, then per-state codes, roles and contributions, then the k²
+// 12-byte entries {a2, b2, delta} row-major.
+struct table_layout {
+  std::size_t k;
+  std::size_t code(std::size_t id) const { return 12 + 8 * id; }
+  std::size_t role(std::size_t id) const { return 12 + 8 * k + id; }
+  std::size_t contrib(std::size_t id, std::size_t c) const {
+    return 12 + 9 * k + kMaxCensusCounters * id + c;
+  }
+  std::size_t a2(std::size_t cell) const { return 12 + (9 + kMaxCensusCounters) * k + 12 * cell; }
+  std::size_t b2(std::size_t cell) const { return a2(cell) + 4; }
+  std::size_t delta(std::size_t cell, std::size_t c) const { return a2(cell) + 8 + c; }
+  std::size_t size() const { return a2(k * k); }
+};
+
+// Byte-level surgery on saved artifacts and their stored sections.
+std::uint32_t u32_at(const std::vector<std::uint8_t>& b, std::size_t at) {
+  std::uint32_t v;
+  std::memcpy(&v, b.data() + at, sizeof(v));
+  return v;
+}
+
+std::uint64_t u64_at(const std::vector<std::uint8_t>& b, std::size_t at) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, b.data() + at, sizeof(v));
+  return v;
+}
+
+// A u32 or u64 field rewritten in place.
+template <typename T>
+void put_at(std::vector<std::uint8_t>& b, std::size_t at, T value) {
+  std::memcpy(b.data() + at, &value, sizeof(value));
+}
+
 TEST(Artifact, TunedRoundTripIsByteStable) {
   const tuned_fixture fx;
-  const sweep_artifact a = fx.artifact();
+  const artifact_view a = fx.artifact();
   const auto bytes = artifact_bytes(a);
   const sweep_artifact b = artifact_from_bytes(bytes);
-  EXPECT_TRUE(a == b);
+  EXPECT_TRUE(meta_of(a) == meta_of(b));
   // save(load(x)) must reproduce x byte for byte — the CI round-trip gate.
   EXPECT_EQ(bytes, artifact_bytes(b));
 }
 
 TEST(Artifact, FileRoundTrip) {
   const tuned_fixture fx;
-  const sweep_artifact a = fx.artifact();
+  const artifact_view a = fx.artifact();
   const std::string path = testing::TempDir() + "/artifact_roundtrip.ppaf";
   save_artifact(a, path);
   const sweep_artifact b = load_artifact(path);
-  EXPECT_TRUE(a == b);
+  EXPECT_TRUE(meta_of(a) == meta_of(b));
+  EXPECT_TRUE(b == loaded(a));
+  EXPECT_EQ(artifact_bytes(b), artifact_bytes(a));
   std::remove(path.c_str());
 }
 
@@ -101,35 +149,39 @@ TEST(Artifact, RejectsBadMagicVersionAndEndianness) {
 TEST(Artifact, TableSnapshotValidatesAndDetectsSkew) {
   const tuned_fixture fx;
   const auto& compiled = fx.runner.compiled();
-  table_section t = snapshot_table(compiled);
-  EXPECT_NO_THROW(validate_table(t, compiled));
-  EXPECT_EQ(t.codes.size(), compiled.num_states());
-  EXPECT_EQ(t.entries.size(), compiled.num_states() * compiled.num_states());
+  const sweep_artifact t = loaded(fx.artifact());
+  ASSERT_TRUE(t.table.has_value());
+  EXPECT_NO_THROW(validate_tuned_artifact(t, fx.runner));
+  const table_layout at{compiled.num_states()};
+  EXPECT_EQ(u64_at(*t.table, 0), compiled.num_states());
+  EXPECT_EQ(t.table->size(), at.size());
 
-  table_section skewed = t;
-  skewed.codes[0] ^= 1;  // a producer whose states encode differently
-  EXPECT_THROW(validate_table(skewed, compiled), std::invalid_argument);
+  sweep_artifact skewed = t;
+  (*skewed.table)[at.code(0)] ^= 1;  // a producer whose states encode differently
+  EXPECT_THROW(validate_tuned_artifact(skewed, fx.runner), std::invalid_argument);
 
-  table_section wrong_entry = t;
-  wrong_entry.entries[1].a2 ^= 1;
-  EXPECT_THROW(validate_table(wrong_entry, compiled), std::invalid_argument);
+  sweep_artifact wrong_entry = t;
+  (*wrong_entry.table)[at.a2(1)] ^= 1;
+  EXPECT_THROW(validate_tuned_artifact(wrong_entry, fx.runner), std::invalid_argument);
 }
 
 TEST(Artifact, PackedSnapshotMatchesResolvedWidth) {
   const tuned_fixture fx;
   const auto& compiled = fx.runner.compiled();
   const int width = fx.runner.pack_bits();
-  const sweep_artifact a = fx.artifact();
+  const sweep_artifact a = loaded(fx.artifact());
   ASSERT_TRUE(a.packed.has_value());
-  const packed_section& p = *a.packed;
-  EXPECT_EQ(p.width_bits, static_cast<std::uint32_t>(width));
-  EXPECT_EQ(p.num_states, compiled.num_states());
+  // PACK: u32 width, u64 num_states, u64 byte count, then the bytes.
+  const std::vector<std::uint8_t>& p = *a.packed;
+  EXPECT_EQ(u32_at(p, 0), static_cast<std::uint32_t>(width));
+  EXPECT_EQ(u64_at(p, 4), compiled.num_states());
   // The section holds exactly a packed_table at the resolved width.
   const auto expect_table = [&]<typename W>() {
     const packed_table<W, fast_protocol> table(compiled);
     const auto entries = table.entries();
-    ASSERT_EQ(p.bytes.size(), entries.size_bytes());
-    EXPECT_EQ(std::memcmp(p.bytes.data(), entries.data(), p.bytes.size()), 0);
+    ASSERT_EQ(u64_at(p, 12), entries.size_bytes());
+    ASSERT_EQ(p.size(), 20 + entries.size_bytes());
+    EXPECT_EQ(std::memcmp(p.data() + 20, entries.data(), entries.size_bytes()), 0);
   };
   switch (width) {
     case 8: expect_table.template operator()<std::uint8_t>(); break;
@@ -139,14 +191,14 @@ TEST(Artifact, PackedSnapshotMatchesResolvedWidth) {
   EXPECT_NO_THROW(validate_tuned_artifact(a, fx.runner));
 
   sweep_artifact corrupt = a;
-  corrupt.packed->bytes[0] ^= 1;
+  (*corrupt.packed)[20] ^= 1;
   EXPECT_THROW(validate_tuned_artifact(corrupt, fx.runner), std::invalid_argument);
 }
 
 TEST(Artifact, GraphSectionRoundTripsWithPermutation) {
   // RCM order exercises the stored permutation path.
   const tuned_fixture fx({.order = vertex_order::rcm});
-  const sweep_artifact a = fx.artifact();
+  const sweep_artifact a = loaded(fx.artifact());
   ASSERT_TRUE(a.graph.has_value());
   EXPECT_EQ(a.graph->old_of_new.size(),
             static_cast<std::size_t>(fx.g.num_nodes()));
@@ -155,15 +207,20 @@ TEST(Artifact, GraphSectionRoundTripsWithPermutation) {
   EXPECT_EQ(rebuilt.num_nodes(), fx.g.num_nodes());
   EXPECT_EQ(rebuilt.num_edges(), fx.g.num_edges());
   EXPECT_TRUE(rebuilt.edges() == fx.g.edges());
-  // Snapshot of the rebuilt graph reproduces the section exactly.
-  std::vector<node_id> old_of_new(a.graph->old_of_new.begin(),
-                                  a.graph->old_of_new.end());
-  EXPECT_TRUE(snapshot_graph(rebuilt, vertex_order::rcm, old_of_new) == *a.graph);
+  // A runner over the rebuilt graph writes the section, and with it the
+  // whole artifact, exactly again.
+  const tuned_runner<fast_protocol> again(fx.proto, rebuilt, tuning_of(a));
+  ASSERT_EQ(again.old_of_new().size(), a.graph->old_of_new.size());
+  EXPECT_TRUE(std::equal(again.old_of_new().begin(), again.old_of_new().end(),
+                         a.graph->old_of_new.begin()));
+  EXPECT_EQ(artifact_bytes(make_tuned_artifact(again, rebuilt, "cycle",
+                                               fast_desc(fx.proto.params()))),
+            artifact_bytes(a));
 }
 
 TEST(Artifact, TunedArtifactValidatesAgainstFreshRebuild) {
   const tuned_fixture fx;
-  const sweep_artifact a = fx.artifact();
+  const sweep_artifact a = loaded(fx.artifact());
   // A worker's view: rebuild everything from the artifact alone.
   const fast_protocol proto(fast_params_of(a.protocol));
   const graph g = rebuild_graph(*a.graph);
@@ -184,26 +241,32 @@ struct star_fixture {
 
   explicit star_fixture(engine_tuning tuning = {}) : runner(proto, g, tuning) {}
 
-  sweep_artifact artifact() const {
+  artifact_view artifact() const {
     return make_tuned_artifact(runner, g, "cycle", star_desc());
   }
 };
 
+// EDGE: u32 class count, u64 k, then one class byte per state.
+constexpr std::size_t kEdgeClassesAt = 12;
+
 TEST(Artifact, StarArtifactCarriesTheEdgeSectionAndRoundTrips) {
   const star_fixture fx;
-  const sweep_artifact a = fx.artifact();
-  ASSERT_TRUE(a.edge.has_value());
-  EXPECT_EQ(a.edge->num_classes, 2u);
-  // Reachable states: undecided (class 0), leader and follower (class 1).
-  ASSERT_EQ(a.edge->classes.size(), fx.runner.compiled().num_states());
-  EXPECT_EQ(a.edge->classes[0], 0);
-  for (std::size_t id = 1; id < a.edge->classes.size(); ++id) {
-    EXPECT_EQ(a.edge->classes[id], 1) << "state id " << id;
-  }
-
+  const artifact_view a = fx.artifact();
   const auto bytes = artifact_bytes(a);
   const sweep_artifact b = artifact_from_bytes(bytes);
-  EXPECT_TRUE(a == b);
+  ASSERT_TRUE(b.edge.has_value());
+  const std::vector<std::uint8_t>& edge = *b.edge;
+  EXPECT_EQ(u32_at(edge, 0), 2u);
+  // Reachable states: undecided (class 0), leader and follower (class 1).
+  const std::size_t k = fx.runner.compiled().num_states();
+  ASSERT_EQ(u64_at(edge, 4), k);
+  ASSERT_EQ(edge.size(), kEdgeClassesAt + k);
+  EXPECT_EQ(edge[kEdgeClassesAt], 0);
+  for (std::size_t id = 1; id < k; ++id) {
+    EXPECT_EQ(edge[kEdgeClassesAt + id], 1) << "state id " << id;
+  }
+
+  EXPECT_TRUE(meta_of(a) == meta_of(b));
   EXPECT_EQ(bytes, artifact_bytes(b));  // the CI round-trip gate, star flavour
 
   // Checksum rejection holds for EDGE-bearing artifacts too.
@@ -214,14 +277,14 @@ TEST(Artifact, StarArtifactCarriesTheEdgeSectionAndRoundTrips) {
 
 TEST(Artifact, StarArtifactValidatesAgainstFreshRebuildAndDetectsSkew) {
   const star_fixture fx({.order = vertex_order::rcm});
-  const sweep_artifact a = fx.artifact();
+  const sweep_artifact a = loaded(fx.artifact());
   const graph g = rebuild_graph(*a.graph);
   const tuned_runner<star_protocol> rebuilt(star_protocol{}, g, tuning_of(a));
   EXPECT_NO_THROW(validate_tuned_artifact(a, rebuilt));
 
   // A producer whose build assigns different edge classes must fail loudly.
   sweep_artifact skewed = a;
-  skewed.edge->classes[0] ^= 1;
+  (*skewed.edge)[kEdgeClassesAt] ^= 1;
   EXPECT_THROW(validate_tuned_artifact(skewed, rebuilt), std::invalid_argument);
 
   // A star artifact stripped of its EDGE section is rejected outright.
@@ -248,9 +311,9 @@ std::string skew_rejection(sweep_artifact a, const Runner& runner, Skew&& skew) 
   return rejection([&] { validate_tuned_artifact(a, runner); });
 }
 
-// Validation compares in place, field by field: every single-field skew of a
-// stored section must still be rejected, with the message each check has
-// always thrown.
+// Validation compares the stored bytes with the runner's serialization:
+// every single-field skew of a stored section must still be rejected, with
+// the message each check has always thrown.
 TEST(Artifact, EverySingleFieldSkewIsRejectedWithItsMessage) {
   const std::string table_skew =
       "artifact: this build's closed table diverges from the stored one "
@@ -263,28 +326,33 @@ TEST(Artifact, EverySingleFieldSkewIsRejectedWithItsMessage) {
     std::function<void(sweep_artifact&)> skew;
   };
   const tuned_fixture fx;
-  const sweep_artifact a = fx.artifact();
-  const std::size_t k = a.table->codes.size();
+  const sweep_artifact a = loaded(fx.artifact());
+  const std::size_t k = u64_at(*a.table, 0);
+  const table_layout at{k};
+  // PACK: u32 width at 0, u64 num_states at 4, u64 byte count at 12.
   const skew_case skews[] = {
       {"none", "", [](sweep_artifact&) {}},
-      {"code", table_skew, [](sweep_artifact& s) { s.table->codes[3] ^= 1; }},
-      {"role", table_skew, [](sweep_artifact& s) { s.table->roles[1] ^= 1; }},
-      {"contrib", table_skew, [](sweep_artifact& s) { s.table->contrib[2][0] ^= 1; }},
-      {"counters", table_skew, [](sweep_artifact& s) { s.table->counters += 1; }},
-      {"a2", table_skew, [](sweep_artifact& s) { s.table->entries[5].a2 ^= 1; }},
-      {"b2", table_skew, [](sweep_artifact& s) { s.table->entries[7].b2 ^= 1; }},
-      {"delta", table_skew, [](sweep_artifact& s) { s.table->entries[9].delta[1] ^= 1; }},
-      {"last entry", table_skew,
-       [&](sweep_artifact& s) { s.table->entries[k * k - 1].b2 ^= 1; }},
+      {"code", table_skew, [&](sweep_artifact& s) { (*s.table)[at.code(3)] ^= 1; }},
+      {"role", table_skew, [&](sweep_artifact& s) { (*s.table)[at.role(1)] ^= 1; }},
+      {"contrib", table_skew, [&](sweep_artifact& s) { (*s.table)[at.contrib(2, 0)] ^= 1; }},
+      {"counters", table_skew,
+       [](sweep_artifact& s) { put_at(*s.table, 8, u32_at(*s.table, 8) + 1); }},
+      {"a2", table_skew, [&](sweep_artifact& s) { (*s.table)[at.a2(5)] ^= 1; }},
+      {"b2", table_skew, [&](sweep_artifact& s) { (*s.table)[at.b2(7)] ^= 1; }},
+      {"delta", table_skew, [&](sweep_artifact& s) { (*s.table)[at.delta(9, 1)] ^= 1; }},
+      {"last entry", table_skew, [&](sweep_artifact& s) { (*s.table)[at.b2(k * k - 1)] ^= 1; }},
       {"missing row", table_skew,
-       [&](sweep_artifact& s) { s.table->entries.resize(k * (k - 1)); }},
+       [&](sweep_artifact& s) { s.table->resize(at.a2(k * (k - 1))); }},
       {"PACK width", packed_skew,
-       [](sweep_artifact& s) { s.packed->width_bits = s.packed->width_bits == 32 ? 16 : 32; }},
+       [](sweep_artifact& s) {
+         put_at(*s.packed, 0, std::uint32_t{u32_at(*s.packed, 0) == 32 ? 16u : 32u});
+       }},
       {"PACK invalid width", "artifact: packed section has an invalid word width",
-       [](sweep_artifact& s) { s.packed->width_bits = 7; }},
-      {"PACK num_states", packed_skew, [](sweep_artifact& s) { s.packed->num_states += 1; }},
-      {"PACK bytes", packed_skew, [](sweep_artifact& s) { s.packed->bytes.back() ^= 0x10; }},
-      {"PACK length", packed_skew, [](sweep_artifact& s) { s.packed->bytes.pop_back(); }},
+       [](sweep_artifact& s) { put_at(*s.packed, 0, std::uint32_t{7}); }},
+      {"PACK num_states", packed_skew,
+       [](sweep_artifact& s) { put_at(*s.packed, 4, u64_at(*s.packed, 4) + 1); }},
+      {"PACK bytes", packed_skew, [](sweep_artifact& s) { s.packed->back() ^= 0x10; }},
+      {"PACK length", packed_skew, [](sweep_artifact& s) { s.packed->pop_back(); }},
       {"pack_bits", "artifact: rebuilt runner resolved a different config word width",
        [](sweep_artifact& s) { s.pack_bits = s.pack_bits == 32 ? 16 : 32; }},
   };
@@ -293,15 +361,20 @@ TEST(Artifact, EverySingleFieldSkewIsRejectedWithItsMessage) {
   }
 
   const star_fixture star({.order = vertex_order::rcm});
-  const sweep_artifact b = star.artifact();
+  const sweep_artifact b = loaded(star.artifact());
   const std::string edge_skew =
       "artifact: this build's edge classes diverge from the stored ones "
       "(producer/worker version skew)";
   const skew_case star_skews[] = {
       {"none", "", [](sweep_artifact&) {}},
-      {"EDGE class", edge_skew, [](sweep_artifact& s) { s.edge->classes[0] ^= 1; }},
-      {"EDGE class count", edge_skew, [](sweep_artifact& s) { s.edge->num_classes = 3; }},
-      {"EDGE length", edge_skew, [](sweep_artifact& s) { s.edge->classes.push_back(0); }},
+      {"EDGE class", edge_skew, [](sweep_artifact& s) { (*s.edge)[kEdgeClassesAt] ^= 1; }},
+      {"EDGE class count", edge_skew,
+       [](sweep_artifact& s) { put_at(*s.edge, 0, std::uint32_t{3}); }},
+      {"EDGE length", edge_skew,
+       [](sweep_artifact& s) {
+         s.edge->push_back(0);
+         put_at(*s.edge, 4, u64_at(*s.edge, 4) + 1);
+       }},
       {"permutation", "artifact: reorder permutation diverges from this build",
        [](sweep_artifact& s) { std::swap(s.graph->old_of_new[0], s.graph->old_of_new[1]); }},
       {"permutation size", "artifact: reorder permutation size diverges from this build",
@@ -316,8 +389,8 @@ TEST(Artifact, EverySingleFieldSkewIsRejectedWithItsMessage) {
 
 TEST(Artifact, EdgeSectionClassBoundsAreEnforcedOnParse) {
   const star_fixture fx;
-  sweep_artifact a = fx.artifact();
-  a.edge->classes[0] = 7;  // beyond num_classes = 2
+  sweep_artifact a = loaded(fx.artifact());
+  (*a.edge)[kEdgeClassesAt] = 7;  // beyond num_classes = 2
   EXPECT_THROW(artifact_from_bytes(artifact_bytes(a)), std::invalid_argument);
 }
 
@@ -345,16 +418,18 @@ TEST(Artifact, WellmixedArtifactRoundTripsAndValidates) {
   const beauquier_protocol proto(500);
   const std::uint64_t n = 500;
   const wellmixed_sweep<beauquier_protocol> sweep(proto, n);
-  const sweep_artifact a = make_wellmixed_artifact(sweep, "clique", six_desc(500));
+  const artifact_view a = make_wellmixed_artifact(sweep, "clique", six_desc(500));
   ASSERT_TRUE(a.wellmixed.has_value());
   EXPECT_EQ(a.wellmixed->population, n);
   // Six states, all candidates with a black token initially: one class.
   EXPECT_EQ(a.wellmixed->classes.size(), 1u);
-  EXPECT_TRUE(a.table.has_value());  // |Λ| = 6 closes easily
+  EXPECT_TRUE(a.tables.has_value());  // |Λ| = 6 closes easily
 
   const auto bytes = artifact_bytes(a);
   const sweep_artifact b = artifact_from_bytes(bytes);
-  EXPECT_TRUE(a == b);
+  EXPECT_TRUE(meta_of(a) == meta_of(b));
+  EXPECT_TRUE(b.wellmixed == a.wellmixed);
+  EXPECT_TRUE(b.table.has_value());
   EXPECT_EQ(bytes, artifact_bytes(b));
   EXPECT_NO_THROW(validate_wellmixed_artifact(b, sweep));
 
@@ -392,19 +467,6 @@ TEST(Artifact, HostileElementCountsAreRejectedBeforeAllocating) {
   put64(file, fnv1a64(payload.data(), payload.size()));
   file.insert(file.end(), payload.begin(), payload.end());
   EXPECT_THROW(artifact_from_bytes(file), std::invalid_argument);
-}
-
-// Byte-level surgery on a saved artifact, for the parsers' bounds checks.
-std::uint32_t u32_at(const std::vector<std::uint8_t>& b, std::size_t at) {
-  std::uint32_t v;
-  std::memcpy(&v, b.data() + at, sizeof(v));
-  return v;
-}
-
-std::uint64_t u64_at(const std::vector<std::uint8_t>& b, std::size_t at) {
-  std::uint64_t v = 0;
-  std::memcpy(&v, b.data() + at, sizeof(v));
-  return v;
 }
 
 // Offset of the payload of the first section tagged `tag`, walking the
@@ -536,11 +598,11 @@ TEST(Artifact, WellmixedArtifactWithoutItsTableIsRejected) {
   stripped = patched(stripped, 24, std::uint64_t{stripped.size() - 40});
   const sweep_artifact a = artifact_from_bytes(stripped);
   ASSERT_FALSE(a.table.has_value());
-  const auto open = [](const sweep_artifact& artifact) {
-    return rejection([&] { open_sweep(artifact, [](const auto&) {}); });
+  const auto open = [](const std::vector<std::uint8_t>& bytes) {
+    return rejection([&] { open_sweep(std::span(bytes), [](const auto&) {}); });
   };
-  EXPECT_EQ(open(artifact_from_bytes(good)), "");
-  EXPECT_EQ(open(a),
+  EXPECT_EQ(open(good), "");
+  EXPECT_EQ(open(stripped),
             "artifact: no stored table, but this build's closure closes within the budget");
 }
 
@@ -592,7 +654,7 @@ TEST(Artifact, BytesMatchTheParentWriter) {
     std::size_t size;
     std::uint64_t fnv;
   };
-  const auto check = [](const golden& want, const sweep_artifact& a) {
+  const auto check = [](const golden& want, const artifact_view& a) {
     const auto bytes = artifact_bytes(a);
     EXPECT_EQ(bytes.size(), want.size) << want.name;
     EXPECT_EQ(fnv1a64(bytes.data(), bytes.size()), want.fnv) << want.name;
@@ -703,42 +765,43 @@ std::vector<std::uint8_t> mutated(const std::vector<std::uint8_t>& valid, int i,
 // Every seeded mutation of a valid artifact must be rejected with
 // std::invalid_argument or parse to an artifact that re-serializes to the
 // very same bytes — never a crash, another exception type, or a value the
-// writer cannot reproduce.  When META survives, the parse is also opened as
-// a worker would (open_sweep): that must throw std::invalid_argument or
-// pass, and it may pass only with the original's tables (they are a
-// function of META).  A mutated META is not opened: its params could drive
-// a closure up to the engine budget.
+// writer cannot reproduce.  When META survives, the mutated bytes are also
+// opened as a worker would (open_sweep over them): that must throw
+// std::invalid_argument or pass, and it may pass only with the original's
+// tables (they are a function of META).  A mutated META is not opened: its
+// params could drive a closure up to the engine budget.
 TEST(Artifact, SeededMutationsAreRejectedOrRoundTrip) {
   struct fixture {
     const char* name;
-    sweep_artifact artifact;
+    std::vector<std::uint8_t> bytes;
   };
   std::vector<fixture> fixtures;
   {
     const graph g = make_cycle(40);
     const fast_protocol proto(fast_params{1, 2, 4});
     const tuned_runner<fast_protocol> runner(proto, g, {.order = vertex_order::rcm});
-    fixtures.push_back({"tuned fast rcm",
-                        make_tuned_artifact(runner, g, "cycle", fast_desc(proto.params()))});
+    fixtures.push_back({"tuned fast rcm", artifact_bytes(make_tuned_artifact(
+                                              runner, g, "cycle", fast_desc(proto.params())))});
   }
-  fixtures.push_back({"tuned star rcm", star_fixture({.order = vertex_order::rcm}).artifact()});
+  fixtures.push_back(
+      {"tuned star rcm", artifact_bytes(star_fixture({.order = vertex_order::rcm}).artifact())});
   {
     const fast_protocol proto(fast_params{2, 3, 6});
-    fixtures.push_back({"wellmixed fast",
-                        make_wellmixed_artifact(wellmixed_sweep<fast_protocol>(proto, 40),
-                                                "clique", fast_desc(proto.params()))});
+    fixtures.push_back({"wellmixed fast", artifact_bytes(make_wellmixed_artifact(
+                                              wellmixed_sweep<fast_protocol>(proto, 40),
+                                              "clique", fast_desc(proto.params())))});
   }
   {
     const beauquier_protocol proto(500);
-    fixtures.push_back({"wellmixed six",
-                        make_wellmixed_artifact(wellmixed_sweep<beauquier_protocol>(proto, 500),
-                                                "clique", six_desc(500))});
+    fixtures.push_back({"wellmixed six", artifact_bytes(make_wellmixed_artifact(
+                                             wellmixed_sweep<beauquier_protocol>(proto, 500),
+                                             "clique", six_desc(500)))});
   }
 
   rng gen(2024);
   for (const fixture& fx : fixtures) {
-    const sweep_artifact& original = fx.artifact;
-    const auto valid = artifact_bytes(original);
+    const auto& valid = fx.bytes;
+    const sweep_artifact original = artifact_from_bytes(valid);
     ASSERT_LT(valid.size(), 16'384u) << fx.name << ": keep the fixtures small";
     std::size_t rejected = 0;
     std::size_t accepted = 0;
@@ -767,7 +830,7 @@ TEST(Artifact, SeededMutationsAreRejectedOrRoundTrip) {
       const bool small = !parsed.wellmixed || parsed.wellmixed->population <= 4096;
       if (!same_meta || !small) continue;
       try {
-        open_sweep(parsed, [](const auto&) {});
+        open_sweep(std::span(bytes), [](const auto&) {});
       } catch (const std::invalid_argument&) {
         continue;
       }

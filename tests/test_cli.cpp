@@ -174,6 +174,25 @@ TEST(CliExitCodes, StarRunsOnTheTunedEngineWithTuningFlags) {
   EXPECT_NE(tuned.out.find("stabilized: 100%"), std::string::npos);
 }
 
+// A sweep that needs an artifact (--jobs, the flight recorder,
+// --save-artifact) over a reachable space past the closure budget is
+// refused before anything reaches stdout, with a message naming the budget.
+// cycle 4000 fast is accepted without those flags and runs on the lazy table.
+TEST(CliExitCodes, UnclosableArtifactSweepIsRefusedBeforeStdout) {
+  const std::string dir = testing::TempDir();
+  for (const std::string& flag :
+       {std::string("--jobs 2"), "--metrics " + dir + "/unclosable_metrics.json",
+        "--save-artifact " + dir + "/unclosable.ppaf"}) {
+    const std::string args = "cycle 4000 fast --trials 1 --seed 1 " + flag;
+    const cli_result r = run_cli(args);
+    EXPECT_EQ(r.code, 1) << args;
+    EXPECT_EQ(r.out, "") << args;
+    const cli_result err = run_cli_stderr(args);
+    EXPECT_NE(err.out.find("exceeded the closure budget (2048 states)"), std::string::npos)
+        << args << ": " << err.out;
+  }
+}
+
 // The CLI half of the fleet-determinism gate: a --jobs sweep over a saved
 // artifact prints exactly the serial stdout (worker chatter goes to stderr).
 TEST(CliFleet, ArtifactSweepStdoutIsIdenticalSerialVsJobs) {

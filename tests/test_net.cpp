@@ -5,11 +5,13 @@
 // network fault kind, cache state and rejection path.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/beauquier.h"
@@ -22,6 +24,7 @@
 #include "fleet/service.h"
 #include "fleet/supervisor.h"
 #include "fleet/sweep.h"
+#include "fleet/wire.h"
 #include "graph/generators.h"
 #include "mutation.h"
 #include "obs/metrics.h"
@@ -90,6 +93,34 @@ TEST(NetHandshake, SweepRequestRoundTrips) {
   net::sweep_request decoded;
   ASSERT_TRUE(net::decode_sweep_request(payload.data(), payload.size(), decoded));
   EXPECT_EQ(decoded, request);
+}
+
+// The ARTIFACT_DATA frame is written from the artifact where it lies; on
+// the wire it must be exactly the frame of the concatenated payload.
+TEST(NetHandshake, ArtifactFrameIsTheFrameOfTheConcatenatedPayload) {
+  std::vector<std::uint8_t> artifact(300'000);
+  for (std::size_t i = 0; i < artifact.size(); ++i) {
+    artifact[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  // The frame is larger than the socket buffer: drain it concurrently.
+  std::vector<std::uint8_t> received;
+  std::thread reader([&] {
+    std::uint8_t buf[1 << 14];
+    for (ssize_t n; (n = ::read(fds[1], buf, sizeof(buf))) > 0;) {
+      received.insert(received.end(), buf, buf + n);
+    }
+  });
+  net::send_artifact_frame(fds[0], artifact, 10'000);
+  ::close(fds[0]);
+  reader.join();
+  ::close(fds[1]);
+
+  std::vector<std::uint8_t> payload{static_cast<std::uint8_t>(net::msg_type::artifact_data)};
+  payload.insert(payload.end(), artifact.begin(), artifact.end());
+  EXPECT_TRUE(received ==
+              wire::encode_frame(payload.data(), static_cast<std::uint32_t>(payload.size())));
 }
 
 TEST(NetHandshake, MalformedRequestsAreRejected) {
