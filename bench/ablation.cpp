@@ -1,4 +1,4 @@
-// E14 — ablation of the fast protocol's design constants (DESIGN.md §4).
+// E11 — ablation of the fast protocol's design constants (Theorem 24, §5.2).
 //
 // Theorem 24 fixes h = 8 + ⌈log₂(BΔ/m)⌉ so that a maximum-degree node's
 // streak clock ticks no faster than ~Θ(B(G)) — slow enough that level
@@ -99,7 +99,7 @@ void sweep_offset(const graph& g, const std::string& name, double b, rng seed) {
 }
 
 void run() {
-  bench::banner("E14", "ablation: Theorem 24 constants (h offset, α)",
+  bench::banner("E11", "ablation: Theorem 24 constants (h offset, α)",
                 "larger h: slower clocks, fewer backup fall-throughs, more\n"
                 "waiting-phase steps; the calibrated offset 2 balances both.");
   rng seed(19);
@@ -120,7 +120,7 @@ void run() {
       "paper's offset-8 union bounds leave; only the degenerate (L=1) row\n"
       "forces the backup, confirming the hand-off path is exercised.\n"
       "Offset 2 is the calibrated default used by the other benches (same\n"
-      "asymptotic shape — see DESIGN.md §4).\n");
+      "asymptotic shape — see the paper's §5.2 and Theorem 24).\n");
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Shared helpers for the experiment binaries (bench/).
 //
-// Each binary regenerates one paper artefact (DESIGN.md §6) and prints
-// paper-style rows.  Absolute step counts are not expected to match the
-// paper's constants — only the shapes (who wins, growth exponents,
-// crossovers); EXPERIMENTS.md records the comparison.
+// Each binary regenerates one artefact of the paper (a Table 1 row, or the
+// theorem or lemma its header names) and prints paper-style rows.  Absolute
+// step counts are not expected to match the paper's constants — only the
+// shapes (who wins, growth exponents, crossovers).
 #pragma once
 
 #include <chrono>

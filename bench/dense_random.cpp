@@ -11,6 +11,7 @@
 
 #include "analysis/experiment.h"
 #include "bench_common.h"
+#include "core/beauquier.h"
 #include "core/fast_election.h"
 #include "core/id_election.h"
 #include "graph/generators.h"
@@ -49,9 +50,8 @@ void run() {
       const auto id_s = measure_election(ident, g, trials, seed.fork(stream++));
 
       const beauquier_protocol bq(n);
-      const auto bq_s = measure_beauquier_event_driven(bq, g, trials,
-                                                       seed.fork(stream++),
-                                                       UINT64_MAX);
+      const auto bq_s = measure_election_tuned(bq, g, trials, seed.fork(stream++),
+                                               {.scheduler = scheduler_kind::silent});
 
       table.add_row({format_number(p, 2), format_number(nn),
                      format_number(fast_s.steps.mean),

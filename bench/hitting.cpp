@@ -11,6 +11,7 @@
 
 #include "analysis/experiment.h"
 #include "bench_common.h"
+#include "core/beauquier.h"
 #include "dynamics/random_walk.h"
 #include "graph/generators.h"
 
@@ -72,8 +73,9 @@ void run() {
     const double cover = cover_total / cover_trials;
 
     const beauquier_protocol proto(g.num_nodes());
-    const auto s = measure_beauquier_event_driven(proto, g, bench::scaled(10),
-                                                  seed.fork(stream++), UINT64_MAX);
+    const auto s = measure_election_tuned(proto, g, bench::scaled(10),
+                                          seed.fork(stream++),
+                                          {.scheduler = scheduler_kind::silent});
 
     const double theorem16_shape = h * n * std::log2(n);
     table.add_row({fc.name, format_number(n), format_number(h), format_number(hp),

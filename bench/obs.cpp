@@ -1,4 +1,4 @@
-// E18 — flight recorder overhead (src/obs/): the probes' zero-cost contract.
+// E20 — flight recorder overhead (src/obs/): the probes' zero-cost contract.
 //
 // Two claims are pinned here:
 //
@@ -57,7 +57,7 @@ struct obs_cell {
 int run() {
   const double scale = bench_scale();
   bench::banner(
-      "E18", "flight recorder overhead (engine probes, src/obs/)",
+      "E20", "flight recorder overhead (engine probes, src/obs/)",
       "Compile-time-gated probes must cost nothing when disabled (the hooks\n"
       "are if-constexpr dead branches) and <= 10% when fully enabled, and\n"
       "must never change a seeded run's steps/leader.");

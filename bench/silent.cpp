@@ -96,8 +96,8 @@ struct agreement_cell {
 };
 
 // Stabilization-step and elected-leader distributions, step vs silent
-// scheduler, on one shared runner (independent seeds: the schedulers
-// consume draws differently by design).
+// scheduler, on one shared runner (independent seeds: once a node turns
+// inert the schedulers consume draws differently).
 agreement_cell run_agreement(const std::string& regime, const fast_params& p,
                              const graph& g, int trials, std::uint64_t seed) {
   agreement_cell c;
@@ -141,15 +141,16 @@ struct rate_cell {
 };
 
 // A complete backup-regime election under the silent scheduler.  The
-// incidence rows are built by an untimed 0-step run first, mirroring the
-// untimed graph/endpoint construction of the other engine benches.
+// incidence rows and the inert set are built by an untimed 0-step run
+// first, mirroring the untimed graph/endpoint construction of the other
+// engine benches.
 rate_cell silent_full(const tuned_runner<fast_protocol>& runner,
                       std::uint64_t n, std::uint64_t seed) {
   rate_cell c;
   c.scheduler = "silent";
   c.n = n;
   c.full_election = true;
-  runner.run(rng(seed), silent_options(0));  // warm incidence + table
+  runner.run(rng(seed), silent_options(0));  // warm silent views + table
   bench::stopwatch clock;
   const auto r = runner.run(rng(seed), silent_options());
   c.seconds = clock.seconds();
@@ -180,7 +181,7 @@ rate_cell packed_capped(const tuned_runner<fast_protocol>& runner,
 bool run() {
   bench::banner(
       "E19", "silent-edge scheduler (event-driven engine, src/engine/silent/)",
-      "Maintaining the active oriented-pair set and jumping silent runs\n"
+      "Tracking the edges with a non-inert endpoint and jumping the rest\n"
       "geometrically: statistical agreement with the step scheduler in both\n"
       "activity regimes, then a full backup-regime election at n = 1e6\n"
       "against the step scheduler's projected wall clock.");

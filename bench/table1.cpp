@@ -11,6 +11,7 @@
 
 #include "analysis/experiment.h"
 #include "bench_common.h"
+#include "core/beauquier.h"
 #include "core/fast_election.h"
 #include "graph/generators.h"
 #include "core/id_election.h"
@@ -85,8 +86,8 @@ void run() {
     // --- constant-state protocol (Theorem 16) ---
     {
       const beauquier_protocol proto(g.num_nodes());
-      const auto s = measure_beauquier_event_driven(proto, g, trials,
-                                                    seed.fork(stream++), UINT64_MAX);
+      const auto s = measure_election_tuned(proto, g, trials, seed.fork(stream++),
+                                            {.scheduler = scheduler_kind::silent});
       const double shape = h_shape * n * log_n;
       table.add_row({setup.name, format_number(n), "6-state (Thm 16)",
                      format_number(s.steps.mean), "6", format_number(shape),

@@ -14,7 +14,9 @@
 //   $ ./example_popsim_cli --worker MANIFEST INDEX BASE COUNT [FAULTS]
 //
 //   family    clique | cycle | star | torus | er_dense | rr8
-//   protocol  fast | id | six | star
+//   protocol  fast | id | six | star  (six on a graph runs the compiled
+//             engine on the silent scheduler, its token endgame being
+//             almost all silent steps)
 //   --trials  independent elections to aggregate (default 5, >= 1)
 //   --seed    master seed; every reported number is reproducible from it
 //             (default 1)
@@ -23,10 +25,11 @@
 //             engine (clique family + fast/six protocols only), which never
 //             materialises the graph and reaches n = 10⁸; silent runs the
 //             event-driven scheduler (src/engine/silent/) that draws only
-//             non-silent pairs and jumps the step counter over the waiting
-//             phase — statistically equivalent to auto, different seeded
-//             trajectories.  A runtime knob, not part of the artifact: it
-//             is the one --engine value allowed with --load-artifact
+//             edges with an endpoint outside the inert states and jumps the
+//             step counter over the rest — the same seeded trajectory as
+//             auto until a node turns inert, statistically equivalent
+//             after.  A runtime knob, not part of the artifact: it is the
+//             one --engine value allowed with --load-artifact
 //   --order   vertex order for the compiled engine (protocols fast and
 //             star): natural keeps per-seed reproducibility with the
 //             reference simulator; bfs/rcm relabel the graph for cache
@@ -121,6 +124,7 @@
 #include <vector>
 
 #include "analysis/experiment.h"
+#include "core/beauquier.h"
 #include "core/fast_election.h"
 #include "core/id_election.h"
 #include "core/star_protocol.h"
@@ -640,9 +644,17 @@ template <typename P>
 int run_tuned_mode(const pp::tuned_runner<P>& runner, const pp::graph& g,
                    const std::string& family, const pp::fleet::protocol_desc& desc,
                    const cli_config& cfg, const char* argv0) {
-  // A sweep that saves or ships an artifact needs a closed table: refuse
-  // a lazy one before anything reaches stdout.
+  // A sweep that saves or ships an artifact, or runs the silent scheduler,
+  // needs a closed table: refuse a lazy one before anything reaches stdout.
   if (cfg.needs_artifact()) pp::fleet::expect_closed(runner.packed());
+  if (cfg.engine == "silent" && !runner.packed()) {
+    std::fprintf(stderr,
+                 "popsim: --engine silent needs a closed table, and the "
+                 "reachable state space exceeded the closure budget (%zu "
+                 "states)\n",
+                 pp::kEngineClosureBudget);
+    return 1;
+  }
   pp::sim_options options = tuned_options(desc.kind);
   if (cfg.engine == "silent") options.scheduler = pp::scheduler_kind::silent;
   std::printf("graph: %s n=%d m=%lld Δ=%d\n", family.c_str(), g.num_nodes(),
@@ -1021,8 +1033,9 @@ int main(int argc, char** argv) {
       summary = pp::measure_election(proto, g, trial_count, seed.fork(2));
     } else if (protocol == "six") {
       const pp::beauquier_protocol proto(g.num_nodes());
-      summary = pp::measure_beauquier_event_driven(proto, g, trial_count,
-                                                   seed.fork(2), UINT64_MAX);
+      summary = pp::measure_election_tuned(
+          proto, g, trial_count, seed.fork(2),
+          {.scheduler = pp::scheduler_kind::silent});
     } else {
       return usage();
     }

@@ -12,6 +12,7 @@
 #include <cstdlib>
 
 #include "analysis/experiment.h"
+#include "core/beauquier.h"
 #include "core/fast_election.h"
 #include "dynamics/epidemic.h"
 #include "graph/generators.h"
@@ -50,8 +51,8 @@ int main(int argc, char** argv) {
               fast_s.steps.mean / (b * std::log2(nn)));
 
   const pp::beauquier_protocol bq(n);
-  const auto bq_s =
-      pp::measure_beauquier_event_driven(bq, g, 6, seed.fork(1002), UINT64_MAX);
+  const auto bq_s = pp::measure_election_tuned(
+      bq, g, 6, seed.fork(1002), {.scheduler = pp::scheduler_kind::silent});
   std::printf("6-state protocol (Thm 16): %.0f steps = %.2f · n³ "
               "(H(G)·n·log n with H = n²/4)\n",
               bq_s.steps.mean, bq_s.steps.mean / (nn * nn * nn));

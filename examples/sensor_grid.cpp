@@ -12,6 +12,7 @@
 #include <cstdlib>
 
 #include "analysis/experiment.h"
+#include "core/beauquier.h"
 #include "core/fast_election.h"
 #include "core/id_election.h"
 #include "dynamics/epidemic.h"
@@ -59,8 +60,8 @@ int main(int argc, char** argv) {
   }
   {
     const pp::beauquier_protocol proto(g.num_nodes());
-    const auto s = pp::measure_beauquier_event_driven(proto, g, trials,
-                                                      seed.fork(5), UINT64_MAX);
+    const auto s = pp::measure_election_tuned(
+        proto, g, trials, seed.fork(5), {.scheduler = pp::scheduler_kind::silent});
     table.add_row({"6-state tokens (Thm 16)", "6",
                    pp::format_number(s.steps.mean),
                    pp::format_number(s.steps.mean / b, 3)});

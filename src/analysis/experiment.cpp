@@ -26,25 +26,6 @@ election_summary summarize_election_results(
   return summary;
 }
 
-election_summary measure_beauquier_event_driven(const beauquier_protocol& proto,
-                                                const graph& g, int trials,
-                                                rng seed_gen,
-                                                std::uint64_t max_steps,
-                                                std::size_t threads) {
-  std::vector<election_result> results(static_cast<std::size_t>(trials));
-  parallel_for(
-      static_cast<std::size_t>(trials),
-      [&](std::size_t t) {
-        const bq_run_result r =
-            run_beauquier_event_driven(proto, g, seed_gen.fork(t), max_steps);
-        results[t] = {.stabilized = r.stabilized, .steps = r.steps, .leader = r.leader};
-      },
-      threads);
-  election_summary summary = summarize_election_results(results);
-  summary.max_states_used = 6;  // the protocol has six states by construction
-  return summary;
-}
-
 broadcast_summary measure_broadcast(const graph& g, const graph_family& family,
                                     int trials_per_source, int max_sources,
                                     rng seed_gen) {

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "analysis/families.h"
-#include "core/beauquier.h"
 #include "core/simulator.h"
 #include "dynamics/epidemic.h"
 #include "engine/engine.h"
@@ -143,14 +142,6 @@ election_summary measure_election_wellmixed(const P& proto, std::uint64_t n,
   return measure_election_sweep(wellmixed_sweep<P>(proto, n), trials, seed_gen,
                                 options, threads);
 }
-
-// As `measure_election` for the Beauquier protocol, but with the event-driven
-// runner (orders of magnitude faster on sparse graphs).
-election_summary measure_beauquier_event_driven(const beauquier_protocol& proto,
-                                                const graph& g, int trials,
-                                                rng seed_gen,
-                                                std::uint64_t max_steps,
-                                                std::size_t threads = 0);
 
 // Estimates B(G) and wraps it with the family's predicted shape for
 // measured/shape ratio reporting.

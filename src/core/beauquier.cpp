@@ -73,103 +73,4 @@ void beauquier_protocol::tracker_type::on_interaction(
   counts_.add(new_v, +1);
 }
 
-bq_run_result run_beauquier_event_driven(const beauquier_protocol& proto,
-                                         const graph& g, rng gen,
-                                         std::uint64_t max_steps) {
-  expects(g.num_nodes() == proto.num_nodes(),
-          "run_beauquier_event_driven: graph/protocol size mismatch");
-  const node_id n = g.num_nodes();
-  const double m = static_cast<double>(g.num_edges());
-
-  std::vector<bq_state> state(static_cast<std::size_t>(n));
-  bq_counts counts;
-  for (node_id v = 0; v < n; ++v) {
-    state[static_cast<std::size_t>(v)] = proto.initial_state(v);
-    counts.add(state[static_cast<std::size_t>(v)], +1);
-  }
-
-  // Active edges: those incident to at least one token holder.  Interactions
-  // on inactive edges swap two empty token slots — a no-op — so they can be
-  // skipped geometrically without changing any observable distribution.
-  const auto holds = [&](node_id v) {
-    return state[static_cast<std::size_t>(v)].token != bq_token::none;
-  };
-
-  std::vector<std::size_t> position(static_cast<std::size_t>(g.num_edges()),
-                                    static_cast<std::size_t>(-1));
-  std::vector<std::int64_t> active;
-  const auto edge_active = [&](std::int64_t id) {
-    const edge& e = g.edges()[static_cast<std::size_t>(id)];
-    return holds(e.u) || holds(e.v);
-  };
-  const auto insert_edge = [&](std::int64_t id) {
-    if (position[static_cast<std::size_t>(id)] != static_cast<std::size_t>(-1)) return;
-    position[static_cast<std::size_t>(id)] = active.size();
-    active.push_back(id);
-  };
-  const auto erase_edge = [&](std::int64_t id) {
-    const std::size_t pos = position[static_cast<std::size_t>(id)];
-    if (pos == static_cast<std::size_t>(-1)) return;
-    const std::int64_t last = active.back();
-    active[pos] = last;
-    position[static_cast<std::size_t>(last)] = pos;
-    active.pop_back();
-    position[static_cast<std::size_t>(id)] = static_cast<std::size_t>(-1);
-  };
-  const auto refresh_node_edges = [&](node_id v) {
-    for (const std::int64_t id : g.incident_edge_ids(v)) {
-      if (edge_active(id)) {
-        insert_edge(id);
-      } else {
-        erase_edge(id);
-      }
-    }
-  };
-
-  for (node_id v = 0; v < n; ++v) {
-    if (holds(v)) {
-      for (const std::int64_t id : g.incident_edge_ids(v)) insert_edge(id);
-    }
-  }
-
-  bq_run_result result;
-  std::uint64_t steps = 0;
-  while (!counts.stable()) {
-    ensure(!active.empty(), "run_beauquier_event_driven: no active edges");
-    steps += gen.geometric(static_cast<double>(active.size()) / m);
-    if (steps > max_steps) {
-      result.steps = max_steps;
-      return result;
-    }
-    const std::int64_t id =
-        active[static_cast<std::size_t>(gen.uniform_below(active.size()))];
-    const edge& e = g.edges()[static_cast<std::size_t>(id)];
-    const bool flip = gen.coin();
-    const node_id a = flip ? e.v : e.u;  // initiator
-    const node_id b = flip ? e.u : e.v;  // responder
-
-    auto& sa = state[static_cast<std::size_t>(a)];
-    auto& sb = state[static_cast<std::size_t>(b)];
-    const bool a_held = holds(a);
-    const bool b_held = holds(b);
-    counts.add(sa, -1);
-    counts.add(sb, -1);
-    bq_interact(sa, sb);
-    counts.add(sa, +1);
-    counts.add(sb, +1);
-    if (holds(a) != a_held) refresh_node_edges(a);
-    if (holds(b) != b_held) refresh_node_edges(b);
-  }
-
-  result.stabilized = true;
-  result.steps = steps;
-  for (node_id v = 0; v < n; ++v) {
-    if (state[static_cast<std::size_t>(v)].candidate) {
-      result.leader = v;
-      break;
-    }
-  }
-  return result;
-}
-
 }  // namespace pp

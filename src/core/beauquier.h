@@ -14,6 +14,13 @@
 // protocol is always correct; Theorem 16 shows it stabilizes in
 // O(H(G)·n·log n) steps in expectation and w.h.p., where H(G) is the
 // worst-case hitting time of a classic random walk.
+//
+// An interaction in which neither node holds a token is an identity, so the
+// two token-free states are the compiled engine's inert set, and almost
+// every step of an election is one of those.  Elections on graphs therefore
+// run on tuned_runner<beauquier_protocol> with the silent scheduler
+// (engine/silent/): it tracks only the edges incident to a token holder and
+// jumps over the rest geometrically.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +29,6 @@
 
 #include "core/protocol.h"
 #include "graph/graph.h"
-#include "support/rng.h"
 
 namespace pp {
 
@@ -101,20 +107,5 @@ class beauquier_protocol {
 
 static_assert(population_protocol<beauquier_protocol>);
 static_assert(stability_tracker<beauquier_protocol::tracker_type, beauquier_protocol>);
-
-// Event-driven run of the Beauquier protocol.  Interactions in which neither
-// node holds a token are no-ops, so the simulation advances by
-// Geometric(active/m) skips where `active` counts edges incident to token
-// holders; the step-count distribution is identical to the naive simulator
-// (differentially tested).  Returns the number of scheduler steps to
-// stability and the elected node.
-struct bq_run_result {
-  bool stabilized = false;
-  std::uint64_t steps = 0;
-  node_id leader = -1;
-};
-bq_run_result run_beauquier_event_driven(const beauquier_protocol& proto,
-                                         const graph& g, rng gen,
-                                         std::uint64_t max_steps);
 
 }  // namespace pp

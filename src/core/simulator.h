@@ -31,12 +31,13 @@ struct election_result {
 
 // Which scheduler advances the step counter.  `step` is the per-interaction
 // schedulers (one uniform pair draw per step); `silent` is the event-driven
-// scheduler (engine/silent/): it draws only from the currently *active*
-// (non-silent) oriented pairs and jumps the counter geometrically over the
-// silent steps in between.  The choice is a runtime knob — it never changes
-// the protocol, the graph or the artifact format — and the silent scheduler
-// preserves the distribution of (steps, leader) exactly, so results agree
-// with the step scheduler under the 3σ statistical contract.
+// scheduler (engine/silent/): it draws only from the edges with an endpoint
+// outside the table's inert states and jumps the counter geometrically over
+// the steps in between, which are all silent.  The choice is a runtime knob
+// — it never changes the protocol, the graph or the artifact format — and
+// the silent scheduler preserves the distribution of (steps, leader)
+// exactly, so results agree with the step scheduler under the 3σ
+// statistical contract (and per seed while every edge is tracked).
 enum class scheduler_kind : std::uint8_t { step = 0, silent = 1 };
 
 inline const char* to_string(scheduler_kind s) {

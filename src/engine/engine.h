@@ -556,9 +556,9 @@ election_result run_packed(const compiled_protocol<P>& compiled,
 
 }  // namespace pp
 
-// The event-driven silent-edge scheduler (run_silent + silent_adjacency)
-// builds on the packed views defined above; tuned_runner below dispatches
-// into it when sim_options::scheduler == scheduler_kind::silent.
+// The event-driven silent-edge scheduler (run_silent + silent_index) builds
+// on the packed views defined above; tuned_runner below dispatches into it
+// when sim_options::scheduler == scheduler_kind::silent.
 #include "engine/silent/silent.h"  // NOLINT(build/include_order)
 
 namespace pp {
@@ -794,10 +794,9 @@ class tuned_runner {
     if (const auto* e16 =
             std::get_if<packed_endpoints<std::uint16_t>>(&pairs_)) {
       if (silent) {
-        return run_silent(compiled_, table, *e16, incidence(), run_graph(),
-                          gen, options, map,
-                          std::get_if<packed_csr<std::uint16_t>>(&csr_),
-                          &start, probe);
+        return run_silent(compiled_, table, *e16, silent_views(), start, gen,
+                          options, map,
+                          std::get_if<packed_csr<std::uint16_t>>(&csr_), probe);
       }
       return run_packed(compiled_, table, *e16, run_graph(), gen, options, map,
                         std::get_if<packed_csr<std::uint16_t>>(&csr_), &start,
@@ -806,9 +805,8 @@ class tuned_runner {
     if (silent) {
       return run_silent(compiled_, table,
                         std::get<packed_endpoints<std::uint32_t>>(pairs_),
-                        incidence(), run_graph(), gen, options, map,
-                        std::get_if<packed_csr<std::uint32_t>>(&csr_), &start,
-                        probe);
+                        silent_views(), start, gen, options, map,
+                        std::get_if<packed_csr<std::uint32_t>>(&csr_), probe);
     }
     return run_packed(compiled_, table,
                       std::get<packed_endpoints<std::uint32_t>>(pairs_),
@@ -817,15 +815,15 @@ class tuned_runner {
                       probe);
   }
 
-  // The silent scheduler's incidence rows, built on first use and then
-  // shared read-only across trials.  std::call_once makes the lazy build
-  // safe for run()'s concurrent-trial contract (the TSan CI job covers
-  // this path).
-  const silent_adjacency& incidence() const {
-    std::call_once(adjacency_once_, [this] {
-      silent_adjacency_.emplace(run_graph());
+  // The silent scheduler's incidence rows and inert set, built on first use
+  // and then shared read-only across trials; the step scheduler never pays
+  // for them.  std::call_once makes the lazy build safe for run()'s
+  // concurrent-trial contract (the TSan CI job covers this path).
+  const silent_index& silent_views() const {
+    std::call_once(silent_once_, [this] {
+      silent_index_.emplace(compiled_, run_graph());
     });
-    return *silent_adjacency_;
+    return *silent_index_;
   }
 
   const P* proto_;
@@ -852,10 +850,10 @@ class tuned_runner {
       start_;
   std::optional<edge_endpoints> fallback_edges_;  // lazy fallback only
   std::size_t fallback_table_bytes_ = 0;          // released table's footprint
-  // Lazily built silent-scheduler incidence rows (mutable: run() is const
-  // and thread-safe; call_once guards the build).
-  mutable std::once_flag adjacency_once_;
-  mutable std::optional<silent_adjacency> silent_adjacency_;
+  // Lazily built silent-scheduler views (mutable: run() is const and
+  // thread-safe; call_once guards the build).
+  mutable std::once_flag silent_once_;
+  mutable std::optional<silent_index> silent_index_;
 };
 
 }  // namespace pp

@@ -1,22 +1,22 @@
 // Geometric jump sampling over silent scheduler steps.
 //
-// With A active oriented pairs out of 2m, each per-step scheduler draw is an
-// independent Bernoulli(p = A/2m) trial for "hits an active pair".  The
-// number of consecutive silent steps before the next active one is therefore
-// Geometric(p) on {0, 1, 2, ...}: P(skip = s) = (1 - p)^s · p.  The silent
-// scheduler samples that run length in O(1) by inversion —
-// floor(log(U) / log(1 - p)) with U ~ Uniform(0, 1] — instead of paying one
-// RNG draw plus two config loads per silent step.
+// With A tracked edges out of m, each per-step scheduler draw is an
+// independent Bernoulli(p = A/m) trial for "hits a tracked edge" (in either
+// orientation).  The number of consecutive untracked — hence silent — steps
+// before the next tracked one is therefore Geometric(p) on {0, 1, 2, ...}:
+// P(skip = s) = (1 - p)^s · p.  The silent scheduler samples that run length
+// in O(1) by inversion — floor(log(U) / log(1 - p)) with U ~ Uniform(0, 1] —
+// instead of paying one RNG draw plus two config loads per silent step.
 //
-// (When the active set is frozen between events this is exactly geometric —
-// draws are with replacement from the pair set.  The negative-hypergeometric
+// (When the tracked set is frozen between events this is exactly geometric —
+// draws are with replacement from the edge set.  The negative-hypergeometric
 // shape would arise only for draws *without* replacement, which the uniform
 // scheduler never does; see src/engine/silent/README.md.)
 //
 // Correctness at the boundaries (tests/test_silent.cpp pins each):
-//   * active == total: every draw is active, skip is identically 0 (no
-//     floating point involved);
-//   * active == 0: no draw can ever be active; the run is capped at `cap`
+//   * active == total: every draw is tracked, skip is identically 0 (no
+//     floating point involved, no uniform consumed);
+//   * active == 0: no draw can ever be tracked; the run is capped at `cap`
 //     (the caller's remaining step budget) — the configuration can never
 //     change again, so jumping to the cap is exact;
 //   * the inversion overflowing or reaching `cap` returns `cap`: the caller

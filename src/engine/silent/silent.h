@@ -1,43 +1,44 @@
-// Event-driven silent-edge scheduler (the ROADMAP's "skip the quiet phase
-// entirely" item; cost model and math in README.md next to this file).
+// Event-driven silent-edge scheduler: the engine's one event-driven loop
+// (cost model and math in README.md next to this file).
 //
 // Late in an election almost every scheduler step is *silent*: the drawn
 // oriented pair's transition changes neither endpoint.  run_packed's fast
 // path makes those steps cheap (one draw, two loads) but still pays for each
-// one; on the waiting phase (~2^h·L steps per agent) that is the entire wall
-// clock.  run_silent instead maintains the set of active (non-silent)
-// oriented pairs incrementally:
+// one; in a token endgame (Beauquier, or the fast protocol's backup) that is
+// the entire wall clock.  run_silent instead jumps over steps it knows are
+// silent:
 //
-//   * a pair k ∈ [0, 2m) is active iff its transition would change a config
-//     word; activity only depends on the two endpoint words, so it can only
-//     change when one of them flips — an O(deg(u) + deg(v)) re-evaluation
-//     walk over silent_adjacency per executed step;
-//   * the step counter advances over silent runs by one geometric jump
-//     (jump.h): with A active pairs of 2m, the silent run before the next
-//     active step is Geometric(A/2m), and the active step itself is a
-//     uniform draw from the active list;
+//   * the *inert set* (inert_states, compiled once per tuned_runner) is a set
+//     of states whose pairwise transitions — a state with itself, and any two
+//     members in both orientations — are all identities, so an edge whose
+//     endpoints are both inert is silent in both orientations;
+//   * the loop tracks the edges with at least one non-inert endpoint.  The
+//     untracked steps before the next tracked one are Geometric(A/m) for A
+//     tracked edges of m (jump.h); the tracked step is a uniform draw i in
+//     [0, 2A): edge list[i mod A], flipped when i >= A.  A tracked pair may
+//     still be silent; executing it is the no-op step the scheduler takes
+//     anyway, so the law is run_packed's;
+//   * the set changes only when a word change flips an endpoint's inert bit:
+//     then that node's incidence row is walked, reading the other endpoint's
+//     inert byte and no table entry;
 //   * stability is re-checked exactly when run_packed would re-check it
-//     (census delta nonzero, or an edge-census class flip) — silent steps
-//     cannot move the predicate, so skipping them analytically leaves the
-//     stopping rule's trigger set untouched.
+//     (census delta nonzero, or an edge-census class flip).
 //
-// The executed process is distributed identically to run_packed's: the same
-// per-configuration law for (next active pair, silent run length), hence the
-// same distribution of (steps-to-stabilization, elected leader, census).
-// Draw *consumption* differs (one uniform01 + one pick per active step
-// instead of one pick per step), so equality is statistical — the 3σ
-// contract of the wellmixed/RCM precedent (tests/test_silent.cpp,
-// bench/silent.cpp) — not per-seed.
+// With every edge tracked and the list in edge order — no node has entered an
+// inert state yet — the jump consumes no draw and i is run_packed's pick k,
+// so the run replays run_packed draw for draw: same steps, same leader
+// (default fast parameters on most graphs, tests/test_silent.cpp).  Once an
+// edge has left the set the draws differ and the agreement is the 3σ
+// contract of tests/test_silent.cpp and bench/silent.cpp.
 //
-// If the active set empties while the predicate is false the configuration
-// can never change again: the run jumps straight to max_steps and reports
-// unstabilized, which is the reference engine's t → max_steps behaviour
-// delivered in O(1).
+// If no edge is tracked, every node is inert and the configuration can never
+// change again: the run jumps straight to max_steps and reports
+// unstabilized, the reference engine's t → max_steps spin delivered in O(1).
 #pragma once
 
 #include <cstdint>
 #include <limits>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "core/simulator.h"
@@ -58,18 +59,15 @@
 
 namespace pp {
 
-// Incidence view for the activity re-evaluation walks: for every node, the
-// indices of its incident edges (row v lists each edge exactly once; both
-// oriented pairs j and j + m of edge j are re-evaluated when either endpoint
-// flips, so no orientation flag is stored).  Width-independent — neighbor
-// ids come from the packed_endpoints array — and built once per tuned_runner
-// (lazily, first silent run), then shared read-only across trials.
+// Incidence rows for the inert-flip walks: for every node, the indices of
+// its incident edges (each edge listed once per endpoint).  Width-independent
+// — neighbor ids come from the packed_endpoints array.
 struct silent_adjacency {
   explicit silent_adjacency(const graph& g) {
     const auto n = static_cast<std::size_t>(g.num_nodes());
     const auto m = static_cast<std::uint64_t>(g.num_edges());
-    expects(2 * m <= std::numeric_limits<std::uint32_t>::max(),
-            "silent_adjacency: oriented pair indices exceed u32");
+    expects(m <= std::numeric_limits<std::uint32_t>::max(),
+            "silent_adjacency: edge indices exceed u32");
     offsets.assign(n + 1, 0);
     for (const edge& e : g.edges()) {
       ++offsets[static_cast<std::size_t>(e.u) + 1];
@@ -98,13 +96,12 @@ struct silent_adjacency {
   }
 };
 
-// The active oriented-pair set: O(1) membership toggle (swap-with-last
-// removal through a position index), uniform draw by index.  Sized for
-// 2m oriented pairs.
+// The tracked-edge set: O(1) membership toggle (swap-with-last removal
+// through a position index), uniform draw by index, 8 bytes per edge.
 class active_pair_set {
  public:
-  explicit active_pair_set(std::uint64_t two_m)
-      : pos_(static_cast<std::size_t>(two_m), kNone) {}
+  explicit active_pair_set(std::uint64_t m)
+      : pos_(static_cast<std::size_t>(m), kNone) {}
 
   std::uint64_t size() const { return list_.size(); }
   std::uint32_t at(std::uint64_t i) const {
@@ -133,58 +130,92 @@ class active_pair_set {
   std::vector<std::uint32_t> pos_;
 };
 
+// The inert set of a closed table, one byte per dense id: greedy over the
+// ids in order, state s joins iff (s, s) and, for every member t, (s, t) and
+// (t, s) are identity transitions.  Beauquier's are its two token-free
+// states; the star protocol's its two decided ones.
+template <compilable_protocol P>
+std::vector<std::uint8_t> inert_states(const compiled_protocol<P>& compiled) {
+  using state_id = typename compiled_protocol<P>::state_id;
+  const auto identity = [&](state_id a, state_id b) {
+    const auto& e = compiled.closed_transition(a, b);
+    return e.a2 == a && e.b2 == b;
+  };
+  std::vector<std::uint8_t> inert(compiled.num_states(), 0);
+  std::vector<state_id> members;
+  for (state_id s = 0; s < inert.size(); ++s) {
+    if (!identity(s, s)) continue;
+    bool joins = true;
+    for (const state_id t : members) {
+      if (!identity(s, t) || !identity(t, s)) {
+        joins = false;
+        break;
+      }
+    }
+    if (joins) {
+      inert[s] = 1;
+      members.push_back(s);
+    }
+  }
+  return inert;
+}
+
+// What run_silent reads besides the step loop's views: the incidence rows
+// and the inert byte of every state.  tuned_runner builds it once, on its
+// first silent run, and shares it read-only across trials.
+struct silent_index {
+  template <compilable_protocol P>
+  silent_index(const compiled_protocol<P>& compiled, const graph& g)
+      : rows(g), inert(inert_states(compiled)) {}
+
+  silent_adjacency rows;
+  std::vector<std::uint8_t> inert;
+};
+
 // run_silent: the event-driven counterpart of run_packed over the same
-// packed table / endpoint / CSR views plus the silent_adjacency incidence
-// rows.  Same signature conventions as run_packed: `adjacency` is required
-// for edge-census protocols, `start` (when given) replaces the per-trial
-// initial-state computation, `probe` only reads the run.
-template <typename W, typename N, compilable_protocol P,
-          typename Probe = obs::null_probe>
+// packed table, endpoint array, CSR view (required for edge-census
+// protocols) and shared start, plus the runner's silent_index.  `probe` only
+// reads the run; its active steps are the executed steps that changed a
+// word, and its active-set samples count tracked oriented pairs (2A).
+template <typename W, typename N, compilable_protocol P, typename Probe>
 election_result run_silent(const compiled_protocol<P>& compiled,
                            const packed_table<W, P>& table,
                            const packed_endpoints<N>& edges,
-                           const silent_adjacency& adj, const graph& g,
-                           rng gen, const sim_options& options = {},
-                           const std::vector<node_id>* old_of_new = nullptr,
-                           const packed_csr<N>* adjacency = nullptr,
-                           const packed_start<W>* start = nullptr,
-                           [[maybe_unused]] Probe* probe = nullptr) {
+                           const silent_index& index,
+                           const packed_start<W>& start, rng gen,
+                           const sim_options& options,
+                           const std::vector<node_id>* old_of_new,
+                           const packed_csr<N>* adjacency,
+                           [[maybe_unused]] Probe* probe) {
   using traits = census_model_t<P>;
   constexpr bool kEdgeCensus = edge_census_protocol<P>;
-  const node_id n = g.num_nodes();
-  expects(edges.pairs.size() == static_cast<std::size_t>(g.num_edges()),
-          "run_silent: endpoint array does not match the graph");
-  expects(g.num_edges() >= 1, "run_silent: graph must have at least one edge");
-  expects(table.num_states() == compiled.num_states(),
-          "run_silent: packed table does not match the compiled table");
-  expects(adj.offsets.size() == static_cast<std::size_t>(n) + 1,
+  const std::size_t n = start.config.size();
+  const std::uint64_t m = edges.pairs.size();
+  expects(m >= 1, "run_silent: graph must have at least one edge");
+  expects(table.num_states() == compiled.num_states() &&
+              index.inert.size() == compiled.num_states(),
+          "run_silent: tables do not match the compiled table");
+  expects(index.rows.offsets.size() == n + 1 &&
+              index.rows.entries.size() == 2 * m,
           "run_silent: incidence rows do not match the graph");
-  expects(old_of_new == nullptr ||
-              old_of_new->size() == static_cast<std::size_t>(n),
+  expects(old_of_new == nullptr || old_of_new->size() == n,
           "run_silent: node map does not match the graph");
   if constexpr (kEdgeCensus) {
-    expects(adjacency != nullptr &&
-                adjacency->offsets.size() == static_cast<std::size_t>(n) + 1,
+    expects(adjacency != nullptr && adjacency->offsets.size() == n + 1,
             "run_silent: edge-census protocols need the graph's CSR adjacency "
             "view");
   }
-
-  std::optional<packed_start<W>> local_start;
-  if (start == nullptr) {
-    start = &local_start.emplace(make_packed_start<W>(compiled, g, old_of_new));
-  }
-  expects(start->config.size() == static_cast<std::size_t>(n),
-          "run_silent: shared initial state does not match the graph");
-  std::vector<W> config = start->config;
-  std::int64_t totals[kMaxCensusCounters] = {};
-  for (int i = 0; i < traits::kCounters; ++i) {
-    totals[i] = start->totals[static_cast<std::size_t>(i)];
-  }
-  edge_class_census ecensus;
-  if constexpr (kEdgeCensus) ecensus = start->ecensus;
   if constexpr (Probe::enabled) {
     expects(probe != nullptr, "run_silent: enabled probe type needs a probe");
   }
+
+  std::vector<W> config = start.config;
+  std::int64_t totals[kMaxCensusCounters] = {};
+  for (int i = 0; i < traits::kCounters; ++i) {
+    totals[i] = start.totals[static_cast<std::size_t>(i)];
+  }
+  edge_class_census ecensus;
+  if constexpr (kEdgeCensus) ecensus = start.ecensus;
   const auto stable_now = [&] {
     if constexpr (Probe::enabled) probe->on_predicate_evals(1);
     if constexpr (kEdgeCensus) {
@@ -201,70 +232,63 @@ election_result run_silent(const compiled_protocol<P>& compiled,
     for (const auto id : config) seen[id] = 1;
   }
 
-  const std::uint64_t m = static_cast<std::uint64_t>(edges.pairs.size());
-  const std::uint64_t two_m = 2 * m;
-  const auto* const pairs = edges.pairs.data();
-
-  // Activity of oriented pair k under the *current* config: k < m is edge k
-  // in stored orientation (initiator = a), k >= m is edge k - m flipped.
-  const auto pair_active = [&](std::uint64_t k) {
-    const bool flip = k >= m;
-    const auto pr = pairs[flip ? k - m : k];
-    const W ca = config[static_cast<std::size_t>(flip ? pr.b : pr.a)];
-    const W cb = config[static_cast<std::size_t>(flip ? pr.a : pr.b)];
-    const packed_entry<W> e = table.at(ca, cb);
-    return e.a2 != ca || e.b2 != cb;
+  std::uint64_t steps = 0;
+  const auto finish = [&](bool stabilized) {
+    election_result result;
+    result.stabilized = stabilized;
+    result.steps = steps;
+    if (census) {
+      for (const auto s : seen) result.distinct_states_used += s;
+    }
+    if (stabilized) {
+      result.leader = elected_leader_compiled(config, compiled, old_of_new);
+    }
+    return result;
+  };
+  // The rest of the budget is silent: no tracked edge, or a jump past it.
+  const auto capped = [&] {
+    if constexpr (Probe::enabled) probe->on_steps(options.max_steps - steps, 0);
+    steps = options.max_steps;
+    return finish(false);
   };
 
-  active_pair_set active(two_m);
-  for (std::uint64_t k = 0; k < two_m; ++k) {
-    active.set(static_cast<std::uint32_t>(k), pair_active(k));
+  if (stable_now()) return finish(true);
+  const auto* const pairs = edges.pairs.data();
+  const std::uint8_t* const inert = index.inert.data();
+  // Filled in edge order, so with every edge tracked list[j] == j.
+  active_pair_set tracked(m);
+  for (std::uint64_t j = 0; j < m; ++j) {
+    if (!inert[config[pairs[j].a]] || !inert[config[pairs[j].b]]) {
+      tracked.set(static_cast<std::uint32_t>(j), true);
+    }
   }
-  // Re-evaluates both orientations of every edge incident to v.  An edge
-  // whose other endpoint also flipped this step gets walked twice; the
-  // evaluation reads the current config, so the second pass is a no-op.
-  const auto reeval_node = [&](std::size_t v) {
-    for (const std::uint32_t j : adj.row(v)) {
-      active.set(j, pair_active(j));
-      active.set(j + static_cast<std::uint32_t>(m),
-                 pair_active(j + static_cast<std::uint64_t>(m)));
+  // After x's inert bit flipped: a non-inert x tracks every incident edge; an
+  // inert x keeps an edge iff its other endpoint is not inert.
+  const auto walk = [&](std::size_t x, bool x_inert) {
+    for (const std::uint32_t j : index.rows.row(x)) {
+      if (x_inert) {
+        const auto pr = pairs[j];
+        const std::size_t other = pr.a == x ? pr.b : pr.a;
+        tracked.set(j, !inert[config[other]]);
+      } else {
+        tracked.set(j, true);
+      }
     }
   };
 
   block_rng draw(gen);
-  election_result result;
-  std::uint64_t steps = 0;
-  const auto capped = [&](std::uint64_t at) {
-    result.steps = at;
-    if (census) {
-      for (const auto s : seen) result.distinct_states_used += s;
-    }
-    return result;
-  };
-
-  while (!stable_now()) {
-    if (steps >= options.max_steps) return capped(steps);
+  for (;;) {
+    if (steps >= options.max_steps) return finish(false);
+    const std::uint64_t a = tracked.size();
+    if (a == 0) return capped();
     const std::uint64_t remaining = options.max_steps - steps;
-    const std::uint64_t a = active.size();
-    if (a == 0) {
-      // No transition can ever fire again; the remaining budget is all
-      // silent.  (With the default unbounded budget this is the reference
-      // engine's forever-spin, delivered in O(1).)
-      if constexpr (Probe::enabled) probe->on_steps(remaining, 0);
-      return capped(options.max_steps);
-    }
     const std::uint64_t skip = sample_silent_run(
-        [&] { return draw.uniform01(); }, a, two_m, remaining);
-    if constexpr (Probe::enabled) probe->on_draws(1);
-    if (skip >= remaining) {
-      if constexpr (Probe::enabled) probe->on_steps(remaining, 0);
-      return capped(options.max_steps);
-    }
-    // The active step after the silent run: uniform over the active list.
-    const std::uint32_t k = active.at(draw.uniform_below(a));
-    if constexpr (Probe::enabled) probe->on_draws(1);
-    const bool flip = k >= m;
-    const auto pr = pairs[flip ? k - m : k];
+        [&] { return draw.uniform01(); }, a, m, remaining);
+    if constexpr (Probe::enabled) probe->on_draws(a == m ? 1 : 2);
+    if (skip >= remaining) return capped();
+    const std::uint64_t i = draw.uniform_below(2 * a);
+    const bool flip = i >= a;
+    const auto pr = pairs[tracked.at(flip ? i - a : i)];
     const auto u = static_cast<std::size_t>(flip ? pr.b : pr.a);
     const auto v = static_cast<std::size_t>(flip ? pr.a : pr.b);
     const W ca = config[u];
@@ -273,7 +297,9 @@ election_result run_silent(const compiled_protocol<P>& compiled,
     config[u] = e.a2;
     config[v] = e.b2;
     steps += skip + 1;
-    if constexpr (Probe::enabled) probe->on_steps(skip + 1, 1);
+    if constexpr (Probe::enabled) {
+      probe->on_steps(skip + 1, (e.a2 != ca || e.b2 != cb) ? 1 : 0);
+    }
     if (census) {
       if (e.a2 != ca) seen[e.a2] = 1;
       if (e.b2 != cb) seen[e.b2] = 1;
@@ -292,31 +318,19 @@ election_result run_silent(const compiled_protocol<P>& compiled,
         totals[c] += e.delta_of(c);
       }
     }
-    // Membership re-evaluation after both words are stored; the drawn pair
-    // itself is covered by its endpoints' walks.
-    if (e.a2 != ca) reeval_node(u);
-    if (e.b2 != cb) reeval_node(v);
+    // Both words are stored before either walk reads the other endpoint.
+    if (inert[ca] != inert[e.a2]) walk(u, inert[e.a2] != 0);
+    if (inert[cb] != inert[e.b2]) walk(v, inert[e.b2] != 0);
     if constexpr (Probe::enabled) {
       if (probe->want_census(steps)) {
         probe->on_census(steps, totals, traits::kCounters);
       }
       if (probe->want_active_set(steps)) {
-        probe->on_active_set(steps, active.size());
+        probe->on_active_set(steps, 2 * tracked.size());
       }
     }
-    if (moved && stable_now()) break;
-    // Loop condition re-checks stability; `moved == false` steps (pure
-    // state swaps) cannot flip the predicate, and the while-condition's
-    // extra evaluation keeps the loop structure simple.
+    if (moved && stable_now()) return finish(true);
   }
-
-  result.stabilized = true;
-  result.steps = steps;
-  if (census) {
-    for (const auto s : seen) result.distinct_states_used += s;
-  }
-  result.leader = elected_leader_compiled(config, compiled, old_of_new);
-  return result;
 }
 
 }  // namespace pp

@@ -2,14 +2,14 @@
 //
 // Several engines intentionally trade per-seed bit-identity for throughput
 // (the well-mixed batch engine has no edges to seed; reordered runs remap
-// the draw-to-edge assignment; the silent-edge scheduler consumes draws in
-// a different order).  Their correctness contract is *statistical*: over
-// independent trials, the mean stabilization step count must agree with the
-// exact per-interaction engine within `kSigmaGate` combined standard
-// errors.  This header holds that check — trial counts and the z-threshold
-// live here, in one place — for test_wellmixed, test_reorder and
-// test_silent; bench/ mirrors the same 3σ convention in its agreement
-// gates.
+// the draw-to-edge assignment; the silent-edge scheduler draws differently
+// once a node turns inert).  Their correctness contract is *statistical*:
+// over independent trials, the mean stabilization step count must agree
+// with the exact per-interaction engine within `kSigmaGate` combined
+// standard errors.  This header holds that check — trial counts and the
+// z-threshold live here, in one place — for test_wellmixed, test_reorder,
+// test_silent, test_beauquier and test_experiment; bench/ mirrors the same
+// 3σ convention in its agreement gates.
 #pragma once
 
 #include <gtest/gtest.h>

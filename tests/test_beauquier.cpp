@@ -6,11 +6,13 @@
 #include <tuple>
 #include <vector>
 
+#include "analysis/experiment.h"
 #include "core/simulator.h"
 #include "core/stable_checker.h"
+#include "engine/engine.h"
 #include "graph/generators.h"
 #include "sched/scheduler.h"
-#include "support/stats.h"
+#include "stat_gate.h"
 
 namespace pp {
 namespace {
@@ -234,47 +236,45 @@ TEST(BeauquierProtocol, TrackerMatchesBruteForceOnTinyGraphs) {
   }
 }
 
-TEST(BeauquierEventDriven, AgreesWithNaiveInDistribution) {
+// Elections on graphs run on tuned_runner<beauquier_protocol> with the
+// silent scheduler (popsim six, the benches, the examples).
+
+constexpr sim_options kSilent{.scheduler = scheduler_kind::silent};
+
+TEST(BeauquierSilentScheduler, AgreesWithReferenceInDistribution) {
   const graph g = make_cycle(16);
   const beauquier_protocol proto(16);
-  std::vector<double> naive;
-  std::vector<double> event;
-  rng seed(10);
-  for (int t = 0; t < 150; ++t) {
-    const auto rn = run_until_stable(proto, g, seed.fork(2 * t));
-    const auto re = run_beauquier_event_driven(proto, g, seed.fork(2 * t + 1),
-                                               UINT64_MAX);
-    ASSERT_TRUE(rn.stabilized);
-    ASSERT_TRUE(re.stabilized);
-    naive.push_back(static_cast<double>(rn.steps));
-    event.push_back(static_cast<double>(re.steps));
-  }
-  const auto a = summarize(naive);
-  const auto b = summarize(event);
-  EXPECT_NEAR(a.mean, b.mean, 3 * (a.ci95_halfwidth + b.ci95_halfwidth));
+  const auto reference = measure_election(proto, g, 150, rng(10));
+  const auto silent = measure_election_tuned(proto, g, 150, rng(11), kSilent);
+  stat_gate::expect_step_agreement(reference, silent,
+                                   "beauquier cycle 16: silent vs reference");
 }
 
-TEST(BeauquierEventDriven, RespectsMaxSteps) {
+TEST(BeauquierSilentScheduler, RespectsMaxSteps) {
   const graph g = make_cycle(32);
   const beauquier_protocol proto(32);
-  const auto r = run_beauquier_event_driven(proto, g, rng(11), 10);
+  const tuned_runner<beauquier_protocol> runner(proto, g);
+  const auto r = runner.run(
+      rng(11), {.max_steps = 10, .scheduler = scheduler_kind::silent});
   EXPECT_FALSE(r.stabilized);
   EXPECT_EQ(r.steps, 10u);
 }
 
-TEST(BeauquierEventDriven, DeterministicGivenSeed) {
+TEST(BeauquierSilentScheduler, DeterministicGivenSeed) {
   const graph g = make_star(20);
   const beauquier_protocol proto(20);
-  const auto a = run_beauquier_event_driven(proto, g, rng(12), UINT64_MAX);
-  const auto b = run_beauquier_event_driven(proto, g, rng(12), UINT64_MAX);
+  const tuned_runner<beauquier_protocol> runner(proto, g);
+  const auto a = runner.run(rng(12), kSilent);
+  const auto b = runner.run(rng(12), kSilent);
   EXPECT_EQ(a.steps, b.steps);
   EXPECT_EQ(a.leader, b.leader);
 }
 
-TEST(BeauquierEventDriven, StableConfigurationVerifiedByBruteForce) {
+TEST(BeauquierSilentScheduler, StableConfigurationVerifiedByBruteForce) {
   const graph g = make_path(3);
   const beauquier_protocol proto(3);
-  const auto r = run_beauquier_event_driven(proto, g, rng(13), UINT64_MAX);
+  const tuned_runner<beauquier_protocol> runner(proto, g);
+  const auto r = runner.run(rng(13), kSilent);
   ASSERT_TRUE(r.stabilized);
   // Rebuild the stable configuration shape: unique candidate with black token.
   std::vector<bq_state> config(3, bq_state{false, bq_token::none});

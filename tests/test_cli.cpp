@@ -174,15 +174,17 @@ TEST(CliExitCodes, StarRunsOnTheTunedEngineWithTuningFlags) {
   EXPECT_NE(tuned.out.find("stabilized: 100%"), std::string::npos);
 }
 
-// A sweep that needs an artifact (--jobs, the flight recorder,
-// --save-artifact) over a reachable space past the closure budget is
-// refused before anything reaches stdout, with a message naming the budget.
-// cycle 4000 fast is accepted without those flags and runs on the lazy table.
+// A sweep that needs a closed table (--jobs, the flight recorder,
+// --save-artifact, the silent scheduler) over a reachable space past the
+// closure budget is refused before anything reaches stdout, with a message
+// naming the budget.  cycle 4000 fast is accepted without those flags and
+// runs on the lazy table.
 TEST(CliExitCodes, UnclosableArtifactSweepIsRefusedBeforeStdout) {
   const std::string dir = testing::TempDir();
   for (const std::string& flag :
        {std::string("--jobs 2"), "--metrics " + dir + "/unclosable_metrics.json",
-        "--save-artifact " + dir + "/unclosable.ppaf"}) {
+        "--save-artifact " + dir + "/unclosable.ppaf",
+        std::string("--engine silent")}) {
     const std::string args = "cycle 4000 fast --trials 1 --seed 1 " + flag;
     const cli_result r = run_cli(args);
     EXPECT_EQ(r.code, 1) << args;

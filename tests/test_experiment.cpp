@@ -5,9 +5,11 @@
 #include <cstdlib>
 
 #include "analysis/families.h"
+#include "core/beauquier.h"
 #include "core/fast_election.h"
 #include "graph/generators.h"
 #include "graph/metrics.h"
+#include "stat_gate.h"
 
 namespace pp {
 namespace {
@@ -72,14 +74,15 @@ TEST(MeasureElection, CapsReportPartialStabilization) {
   EXPECT_LT(summary.stabilized_fraction, 1.0);
 }
 
-TEST(MeasureBeauquierEventDriven, AgreesWithGenericRunner) {
+constexpr sim_options kSilent{.scheduler = scheduler_kind::silent};
+
+TEST(MeasureElectionTuned, SilentBeauquierAgreesWithGenericRunner) {
   const graph g = make_cycle(16);
   const beauquier_protocol proto(16);
   const auto generic = measure_election(proto, g, 64, rng(6));
-  const auto event = measure_beauquier_event_driven(proto, g, 64, rng(7), UINT64_MAX);
-  EXPECT_DOUBLE_EQ(event.stabilized_fraction, 1.0);
-  EXPECT_NEAR(event.steps.mean, generic.steps.mean,
-              4 * (generic.steps.ci95_halfwidth + event.steps.ci95_halfwidth));
+  const auto silent = measure_election_tuned(proto, g, 64, rng(7), kSilent);
+  stat_gate::expect_step_agreement(generic, silent,
+                                   "beauquier cycle 16: silent vs generic");
 }
 
 // The summary's sample leader is trial 0's leader, which every sweep runs
@@ -109,11 +112,10 @@ TEST(SampleLeader, EverySweepReportsTrialZerosLeader) {
             run_until_stable(fast, g, seed.fork(0)).leader);
 
   const beauquier_protocol six(g.num_nodes());
-  const node_id event =
-      run_beauquier_event_driven(six, g, seed.fork(0), UINT64_MAX).leader;
-  EXPECT_GE(event, 0);
-  EXPECT_EQ(measure_beauquier_event_driven(six, g, 3, seed, UINT64_MAX).sample_leader,
-            event);
+  const node_id silent =
+      tuned_runner<beauquier_protocol>(six, g).run(seed.fork(0), kSilent).leader;
+  EXPECT_GE(silent, 0);
+  EXPECT_EQ(measure_election_tuned(six, g, 3, seed, kSilent).sample_leader, silent);
 }
 
 TEST(MeasureBroadcast, RatioIsOrderOne) {

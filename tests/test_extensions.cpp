@@ -13,6 +13,7 @@
 #include "dynamics/epidemic.h"
 #include "dynamics/influence.h"
 #include "dynamics/random_walk.h"
+#include "engine/engine.h"
 #include "graph/generators.h"
 #include "graph/metrics.h"
 
@@ -225,9 +226,11 @@ TEST_P(ExoticFamilies, BeauquierElectsEverywhere) {
   const graph& g = graphs[static_cast<std::size_t>(idx)];
 
   const beauquier_protocol proto(g.num_nodes());
+  const tuned_runner<beauquier_protocol> runner(proto, g);
   rng seed(40 + idx);
   for (int t = 0; t < 4; ++t) {
-    const auto r = run_beauquier_event_driven(proto, g, seed.fork(t), UINT64_MAX);
+    const auto r =
+        runner.run(seed.fork(t), {.scheduler = scheduler_kind::silent});
     EXPECT_TRUE(r.stabilized);
     EXPECT_GE(r.leader, 0);
     EXPECT_LT(r.leader, g.num_nodes());

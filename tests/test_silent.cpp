@@ -1,10 +1,12 @@
 // Tests for the event-driven silent-edge scheduler (src/engine/silent/).
 //
-// The scheduler intentionally trades per-seed equivalence with run_packed
-// for O(active) work (draw consumption differs: one uniform01 + one pick
-// per *active* step instead of one pick per step), so the contracts tested
-// here are: exact jump-sampler boundaries and distribution, exact
-// active-set/incidence bookkeeping, cap and frozen-configuration semantics,
+// While every edge is tracked (no node has entered an inert state) the
+// scheduler consumes run_packed's draws and replays its run per seed; once
+// a node turns inert it draws differently and agrees in distribution only.
+// The contracts tested here: exact jump-sampler boundaries and
+// distribution, the inert sets (brute force over the closed table, and
+// pinned per protocol), exact tracked-set/incidence bookkeeping, the
+// per-seed replay of run_packed, cap and frozen-configuration semantics,
 // determinism for a fixed seed, and 3σ statistical agreement of
 // stabilization times with the step scheduler (tests/stat_gate.h).
 #include "engine/engine.h"
@@ -20,6 +22,7 @@
 #include "core/beauquier.h"
 #include "core/fast_election.h"
 #include "core/star_protocol.h"
+#include "dynamics/epidemic.h"
 #include "engine/silent/jump.h"
 #include "graph/generators.h"
 #include "obs/probe.h"
@@ -160,6 +163,84 @@ TEST(SilentAdjacency, IncidenceRowsCoverEveryEdgeTwice) {
   for (std::size_t j = 0; j < m; ++j) EXPECT_EQ(seen[j], 2) << "edge " << j;
 }
 
+// --------------------------------------------------------------- inert set
+
+// Every pair of inert states — a state with itself included — is an
+// identity transition in both orientations; returns the inert ids.
+template <typename P>
+std::vector<std::uint32_t> checked_inert_ids(const tuned_runner<P>& runner) {
+  const auto& compiled = runner.compiled();
+  const auto inert = inert_states(compiled);
+  EXPECT_EQ(inert.size(), compiled.num_states());
+  std::vector<std::uint32_t> ids;
+  for (std::uint32_t s = 0; s < inert.size(); ++s) {
+    if (inert[s] != 0) ids.push_back(s);
+  }
+  for (const std::uint32_t a : ids) {
+    for (const std::uint32_t b : ids) {
+      const auto& e = compiled.closed_transition(a, b);
+      EXPECT_EQ(e.a2, a) << "(" << a << ", " << b << ")";
+      EXPECT_EQ(e.b2, b) << "(" << a << ", " << b << ")";
+    }
+  }
+  return ids;
+}
+
+TEST(InertSet, BeauquierIsItsTokenFreeStates) {
+  const beauquier_protocol proto(16);
+  const tuned_runner<beauquier_protocol> runner(proto, make_cycle(16));
+  const auto ids = checked_inert_ids(runner);
+  EXPECT_EQ(runner.compiled().num_states(), 5u);
+  std::vector<bq_state> states;
+  for (const auto id : ids) states.push_back(runner.compiled().decode(id));
+  EXPECT_EQ(states, (std::vector<bq_state>{{false, bq_token::none},
+                                           {true, bq_token::none}}));
+}
+
+TEST(InertSet, StarIsItsDecidedStates) {
+  const star_protocol proto;
+  const tuned_runner<star_protocol> runner(proto, make_cycle(16));
+  const auto ids = checked_inert_ids(runner);
+  EXPECT_EQ(runner.compiled().num_states(), 3u);
+  std::vector<star_protocol::state_type> states;
+  for (const auto id : ids) states.push_back(runner.compiled().decode(id));
+  EXPECT_EQ(states, (std::vector<star_protocol::state_type>{
+                        star_protocol::state_type::leader,
+                        star_protocol::state_type::follower}));
+}
+
+// The fast protocol's inert states are exactly its token-free backup states.
+void expect_fast_inert_set(const fast_params& p, std::size_t states,
+                           std::size_t inert) {
+  const fast_protocol proto(p);
+  const tuned_runner<fast_protocol> runner(proto, make_cycle(16));
+  const auto ids = checked_inert_ids(runner);
+  EXPECT_EQ(runner.compiled().num_states(), states);
+  EXPECT_EQ(ids.size(), inert);
+  for (std::uint32_t s = 0; s < runner.compiled().num_states(); ++s) {
+    const auto& st = runner.compiled().decode(s);
+    const bool token_free_backup = st.in_backup && st.backup.token == bq_token::none;
+    EXPECT_EQ(std::count(ids.begin(), ids.end(), s) == 1, token_free_backup)
+        << "state " << s;
+  }
+}
+
+TEST(InertSet, FastBackupRegimeIsItsTokenFreeBackupStates) {
+  fast_params p;  // bench/silent.cpp's backup-dominated regime
+  p.h = 4;
+  p.level_threshold = 8;
+  p.max_level = 9;
+  expect_fast_inert_set(p, 57, 6);
+}
+
+TEST(InertSet, FastDefaultParamsAreItsTokenFreeBackupStates) {
+  fast_params p;  // popsim rr8 20000 fast --seed 1's calibrated parameters
+  p.h = 7;
+  p.level_threshold = 29;
+  p.max_level = 116;
+  expect_fast_inert_set(p, 1447, 9);
+}
+
 // ---------------------------------------------------------------- scheduler
 
 sim_options silent_options(std::uint64_t max_steps =
@@ -284,6 +365,33 @@ TEST(SilentScheduler, ProbeRecordsActiveSetTrajectory) {
     EXPECT_GE(s.step, prev_step);
     EXPECT_LE(s.active_pairs, two_m);
     prev_step = s.step;
+  }
+}
+
+TEST(SilentScheduler, ReplaysThePackedRunWhileEveryEdgeIsTracked) {
+  // Default parameters: elections end in the fast phase, so no node ever
+  // reaches the token-free backup states and every edge stays tracked.  The
+  // jump then consumes no draw and each pick is run_packed's, so the two
+  // schedulers run the same election per seed.
+  rng gg(23);
+  const graph g = make_random_regular(400, 8, gg);
+  const fast_protocol proto(fast_params::practical(
+      g, estimate_worst_case_broadcast_time(g, 10, 3, rng(24)).value));
+  const tuned_runner<fast_protocol> runner(proto, g);
+  const std::uint64_t two_m = 2 * static_cast<std::uint64_t>(g.num_edges());
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const auto step = runner.run(rng(seed));
+    obs::run_probe probe(4096);
+    const auto silent = runner.run(rng(seed), silent_options(), &probe);
+    ASSERT_TRUE(step.stabilized) << "seed " << seed;
+    EXPECT_TRUE(silent.stabilized) << "seed " << seed;
+    EXPECT_EQ(silent.steps, step.steps) << "seed " << seed;
+    EXPECT_EQ(silent.leader, step.leader) << "seed " << seed;
+    ASSERT_FALSE(probe.stats().active_sets.empty()) << "seed " << seed;
+    for (const auto& sample : probe.stats().active_sets) {
+      EXPECT_EQ(sample.active_pairs, two_m)
+          << "seed " << seed << " step " << sample.step;
+    }
   }
 }
 
