@@ -120,6 +120,7 @@
 #include <cstdlib>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -204,31 +205,29 @@ int usage() {
 using pp::parse_u64;
 
 struct cli_config {
+  std::set<std::string> given;  // every flag on the command line
   std::uint64_t trials = 5;
   std::uint64_t seed = 1;
   std::string engine = "auto";
-  bool engine_requested = false;
   pp::engine_tuning tuning;
-  bool tuning_requested = false;
   std::uint64_t jobs = 1;
   std::string save_path;
   std::string load_path;
   std::string journal_path;
   bool resume = false;
   std::uint64_t retries = 2;
-  bool retries_requested = false;
   std::uint64_t worker_timeout_ms = 0;
   std::vector<pp::fleet::fault_spec> faults;
   std::string metrics_path;
   std::string trace_path;
   std::uint64_t probe_stride = pp::obs::run_probe::kDefaultStride;
-  bool probe_stride_requested = false;
   bool progress = false;
   std::vector<pp::fleet::net::host_addr> hosts;
-  bool serve_requested = false;
   std::uint64_t serve_port = 0;
   std::uint64_t cache_mb = 256;
-  bool cache_mb_requested = false;
+
+  bool has(const char* flag) const { return given.count(flag) > 0; }
+  bool tuning_given() const { return has("--order") || has("--pack"); }
 
   // Any supervision or observability flag routes the sweep through the
   // fault-tolerant supervisor (fleet/supervisor.h) even at --jobs 1, so
@@ -236,7 +235,7 @@ struct cli_config {
   // A --hosts sweep is always supervised: the socket slots live inside the
   // same loop.
   bool supervised() const {
-    return !journal_path.empty() || resume || retries_requested ||
+    return !journal_path.empty() || resume || has("--retries") ||
            worker_timeout_ms > 0 || !faults.empty() || observed() ||
            progress || !hosts.empty();
   }
@@ -274,6 +273,7 @@ struct cli_config {
 bool parse_flags(int argc, char** argv, int start, cli_config& cfg) {
   for (int i = start; i < argc; ++i) {
     const std::string flag = argv[i];
+    cfg.given.insert(flag);
     if (flag == "--trials" && i + 1 < argc) {
       if (!parse_u64(argv[++i], cfg.trials) || cfg.trials < 1 ||
           cfg.trials > 1'000'000) {
@@ -287,7 +287,6 @@ bool parse_flags(int argc, char** argv, int start, cli_config& cfg) {
       }
     } else if (flag == "--engine" && i + 1 < argc) {
       cfg.engine = argv[++i];
-      cfg.engine_requested = true;
       if (cfg.engine != "auto" && cfg.engine != "wellmixed" &&
           cfg.engine != "silent") {
         std::fprintf(stderr, "popsim: unknown engine '%s'\n", cfg.engine.c_str());
@@ -299,7 +298,6 @@ bool parse_flags(int argc, char** argv, int start, cli_config& cfg) {
         std::fprintf(stderr, "popsim: unknown order '%s'\n", name.c_str());
         return false;
       }
-      cfg.tuning_requested = true;
     } else if (flag == "--pack" && i + 1 < argc) {
       const std::string name = argv[++i];
       if (name == "auto") {
@@ -310,7 +308,6 @@ bool parse_flags(int argc, char** argv, int start, cli_config& cfg) {
         std::fprintf(stderr, "popsim: --pack must be auto, 8, 16 or 32\n");
         return false;
       }
-      cfg.tuning_requested = true;
     } else if (flag == "--jobs" && i + 1 < argc) {
       if (!parse_u64(argv[++i], cfg.jobs) || cfg.jobs < 1 || cfg.jobs > 256) {
         std::fprintf(stderr, "popsim: --jobs must be in [1, 256]\n");
@@ -341,7 +338,6 @@ bool parse_flags(int argc, char** argv, int start, cli_config& cfg) {
         std::fprintf(stderr, "popsim: --retries must be in [0, 1000]\n");
         return false;
       }
-      cfg.retries_requested = true;
     } else if (flag == "--worker-timeout-ms" && i + 1 < argc) {
       if (!parse_u64(argv[++i], cfg.worker_timeout_ms) ||
           cfg.worker_timeout_ms < 1 || cfg.worker_timeout_ms > 3'600'000) {
@@ -368,7 +364,6 @@ bool parse_flags(int argc, char** argv, int start, cli_config& cfg) {
                      "popsim: --probe-stride must be in [1, 10^12]\n");
         return false;
       }
-      cfg.probe_stride_requested = true;
     } else if (flag == "--progress") {
       cfg.progress = true;
     } else if (flag == "--log-level" && i + 1 < argc) {
@@ -404,14 +399,12 @@ bool parse_flags(int argc, char** argv, int start, cli_config& cfg) {
         std::fprintf(stderr, "popsim: --serve port must be in [0, 65535]\n");
         return false;
       }
-      cfg.serve_requested = true;
     } else if (flag == "--cache-mb" && i + 1 < argc) {
       if (!parse_u64(argv[++i], cfg.cache_mb) || cfg.cache_mb < 1 ||
           cfg.cache_mb > 1'048'576) {
         std::fprintf(stderr, "popsim: --cache-mb must be in [1, 1048576]\n");
         return false;
       }
-      cfg.cache_mb_requested = true;
     } else {
       std::fprintf(stderr, "popsim: unknown or incomplete flag '%s'\n",
                    flag.c_str());
@@ -427,29 +420,27 @@ bool validate_fleet_flags(const cli_config& cfg) {
     std::fprintf(stderr, "popsim: --resume needs --journal\n");
     return false;
   }
-  if (cfg.probe_stride_requested && !cfg.observed()) {
+  if (cfg.has("--probe-stride") && !cfg.observed()) {
     std::fprintf(stderr,
                  "popsim: --probe-stride needs --metrics or --trace\n");
     return false;
   }
-  if (cfg.serve_requested) {
-    if (!cfg.hosts.empty()) {
+  if (cfg.has("--serve")) {
+    if (cfg.has("--hosts")) {
       std::fprintf(stderr,
                    "popsim: --serve runs the daemon side of --hosts; pick "
                    "one per invocation\n");
       return false;
     }
-    if (!cfg.load_path.empty() || !cfg.save_path.empty() ||
-        !cfg.journal_path.empty() || cfg.resume || cfg.retries_requested ||
-        cfg.worker_timeout_ms > 0 || !cfg.faults.empty() || cfg.observed() ||
-        cfg.progress || cfg.engine_requested || cfg.tuning_requested ||
-        cfg.jobs != 1) {
-      std::fprintf(stderr,
-                   "popsim: --serve is a resident daemon; it takes only "
-                   "--cache-mb and --log-level\n");
-      return false;
+    for (const std::string& flag : cfg.given) {
+      if (flag != "--serve" && flag != "--cache-mb" && flag != "--log-level") {
+        std::fprintf(stderr,
+                     "popsim: --serve is a resident daemon; it takes only "
+                     "--cache-mb and --log-level\n");
+        return false;
+      }
     }
-  } else if (cfg.cache_mb_requested) {
+  } else if (cfg.has("--cache-mb")) {
     std::fprintf(stderr, "popsim: --cache-mb needs --serve\n");
     return false;
   }
@@ -495,6 +486,22 @@ class temp_file {
   std::string path_;
 };
 
+// How the supervisor deals the sweep, named on stderr before any worker
+// starts: its opening deal (supervisor.h), or on --resume only a bound,
+// since it deals the trials the journal lacks once it has replayed it.
+std::string deal_shape(const cli_config& cfg, int jobs) {
+  const std::vector<pp::fleet::trial_range> deal = pp::fleet::opening_deal(cfg.trials, jobs);
+  const bool plural = deal.size() > 1;
+  const std::string workers = std::to_string(deal.size()) + (plural ? " workers" : " worker");
+  if (cfg.resume) return "at most " + workers + " over the trials " + cfg.journal_path + " lacks";
+  std::string shape = workers + " x " + std::to_string(deal.front().count) +
+                      (plural ? "-trial blocks" : "-trial block");
+  if (deal.back().count != deal.front().count) {
+    shape += ", the last of " + std::to_string(deal.back().count);
+  }
+  return shape;
+}
+
 // Shards the sweep described by (artifact, cfg) across cfg.jobs worker
 // subprocesses of this binary and merges their record streams under the
 // fault-tolerant supervisor (fleet/supervisor.h): crashed workers are
@@ -524,22 +531,18 @@ pp::election_summary run_fleet(const std::string& artifact_path,
   pp::fleet::supervise_options sup = cfg.supervision();
   if (!cfg.metrics_path.empty()) sup.metrics = &metrics;
   if (!cfg.trace_path.empty()) sup.trace = &trace;
+  const std::string shape = deal_shape(cfg, manifest.jobs);
   std::vector<pp::election_result> results;
   if (!cfg.hosts.empty()) {
     // Distributed sweep: the slots are TCP connections to resident popsimd
     // daemons (fleet/net.h); remote workers cannot drop local sidecars, so
     // the flight recorder carries supervisor + fleet.net.* data only.
-    std::fprintf(stderr,
-                 "popsim: distributed sweep, %d slot(s) across %zu host(s)\n",
-                 manifest.jobs, cfg.hosts.size());
+    std::fprintf(stderr, "popsim: distributed sweep, %s across %zu host(s)\n",
+                 shape.c_str(), cfg.hosts.size());
     results = pp::fleet::net::supervised_remote_sweep(
         cfg.hosts, manifest.jobs, manifest, sup, inline_fn);
   } else {
-    std::fprintf(stderr,
-                 "popsim: fleet sweep, %d workers x %llu-trial blocks\n",
-                 manifest.jobs,
-                 static_cast<unsigned long long>(
-                     cfg.trials / cfg.effective_jobs()));
+    std::fprintf(stderr, "popsim: fleet sweep, %s\n", shape.c_str());
     if (cfg.observed()) sup.sidecar_dir = manifest_file.dir();
     results = pp::fleet::supervised_spawn_sweep(
         pp::fleet::self_exe_path(argv0), manifest_file.path(), manifest, sup,
@@ -612,7 +615,7 @@ pp::sim_options tuned_options(pp::fleet::protocol_kind kind) {
 // or a wellmixed_sweep): pick the artifact the fleet reads — the loaded
 // one, or make_artifact() saved to --save-artifact or a temp file — then run
 // the trials on the supervised fleet, or serially on this process's thread
-// pool.  Trial t runs rng(seed).fork(2).fork(t) either way, so the summary
+// pool.  Both follow the one seed rule (sweep_seed_gen), so the summary
 // does not depend on the route.
 template <typename Sweep, typename MakeArtifact>
 pp::election_summary run_sweep(const Sweep& sweep, const pp::sim_options& options,
@@ -628,10 +631,9 @@ pp::election_summary run_sweep(const Sweep& sweep, const pp::sim_options& option
     }
     pp::fleet::save_artifact(make_artifact(), artifact_path);
   }
-  const pp::rng trial_gen = pp::rng(cfg.seed).fork(2);
   if (!fleet) {
     return pp::measure_election_sweep(sweep, static_cast<int>(cfg.trials),
-                                      trial_gen, options);
+                                      pp::fleet::sweep_seed_gen(cfg.seed), options);
   }
   return run_fleet(artifact_path, cfg, argv0, options,
                    [&](std::uint64_t, pp::rng gen) { return sweep.run(gen, options); });
@@ -812,9 +814,6 @@ int worker_main(int argc, char** argv) {
     options.max_steps = manifest.max_steps;
     options.wellmixed_batch = manifest.wellmixed_batch;
     options.scheduler = manifest.scheduler;
-    // Trial t of the sweep uses rng(seed).fork(2).fork(t) — the exact
-    // generator the serial measure_election_* call hands it.
-    const pp::rng trial_gen = pp::rng(manifest.seed).fork(2);
 
     pp::fleet::open_sweep(manifest.artifact_path, [&](const auto& sweep) {
       pp::fleet::run_trial_block(
@@ -824,7 +823,7 @@ int worker_main(int argc, char** argv) {
               return sweep->runner.run(g, options, probe);
             });
           },
-          trial_gen, injector);
+          pp::fleet::sweep_seed_gen(manifest.seed), injector);
     });
     return 0;
   } catch (const std::exception& e) {
@@ -836,8 +835,8 @@ int worker_main(int argc, char** argv) {
 // popsim --load-artifact FILE ...: open the sweep the artifact describes
 // (rebuilt and validated against the stored sections) and run it.
 int artifact_main(const cli_config& cfg, const char* argv0) {
-  const pp::fleet::stored_artifact stored(cfg.load_path);
-  if (stored.outline().engine == pp::fleet::artifact_engine::wellmixed &&
+  const pp::fleet::sweep_artifact stored(cfg.load_path);
+  if (stored.engine == pp::fleet::artifact_engine::wellmixed &&
       cfg.engine == "silent") {
     std::fprintf(stderr,
                  "popsim: --engine silent schedules graph interactions; this "
@@ -875,7 +874,7 @@ int main(int argc, char** argv) {
       cli_config cfg;
       if (!parse_flags(argc, argv, 1, cfg)) return usage();
       if (!validate_fleet_flags(cfg)) return usage();
-      if (cfg.serve_requested) {
+      if (cfg.has("--serve")) {
         // Resident popsimd daemon: print the bound port (ephemeral when
         // --serve 0) as the one stdout line, then serve forever.
         pp::fleet::service_options options;
@@ -890,8 +889,7 @@ int main(int argc, char** argv) {
       // The engine choice and data layout are recorded in the artifact.  The
       // silent scheduler is the exception: a runtime knob like max_steps, it
       // never changes what the artifact validates against.
-      if ((cfg.engine_requested && cfg.engine != "silent") ||
-          cfg.tuning_requested) {
+      if ((cfg.has("--engine") && cfg.engine != "silent") || cfg.tuning_given()) {
         std::fprintf(stderr,
                      "popsim: --engine/--order/--pack are recorded in the "
                      "artifact; only --engine silent (a runtime scheduler "
@@ -920,7 +918,7 @@ int main(int argc, char** argv) {
                    "<family> <n> <protocol> arguments\n");
       return usage();
     }
-    if (cfg.serve_requested) {
+    if (cfg.has("--serve")) {
       std::fprintf(stderr,
                    "popsim: --serve takes no positional arguments (the "
                    "daemon's sweeps arrive over the socket)\n");
@@ -932,7 +930,7 @@ int main(int argc, char** argv) {
 
     // --- well-mixed multiset engine: no graph object, clique only ---
     if (cfg.engine == "wellmixed") {
-      if (cfg.tuning_requested) {
+      if (cfg.tuning_given()) {
         std::fprintf(stderr,
                      "popsim: --order/--pack tune the per-interaction compiled "
                      "engine; the wellmixed engine has no node array to pack\n");
@@ -971,7 +969,7 @@ int main(int argc, char** argv) {
                    "i.e. protocol fast or star\n");
       return usage();
     }
-    if (cfg.tuning_requested && !compiled_engine) {
+    if (cfg.tuning_given() && !compiled_engine) {
       std::fprintf(stderr,
                    "popsim: --order/--pack apply to the compiled engine, i.e. "
                    "protocol fast or star\n");
@@ -1030,11 +1028,12 @@ int main(int argc, char** argv) {
     pp::election_summary summary;
     if (protocol == "id") {
       const pp::id_protocol proto(pp::id_protocol::suggested_k(g.num_nodes()));
-      summary = pp::measure_election(proto, g, trial_count, seed.fork(2));
+      summary = pp::measure_election(proto, g, trial_count,
+                                     pp::fleet::sweep_seed_gen(cfg.seed));
     } else if (protocol == "six") {
       const pp::beauquier_protocol proto(g.num_nodes());
       summary = pp::measure_election_tuned(
-          proto, g, trial_count, seed.fork(2),
+          proto, g, trial_count, pp::fleet::sweep_seed_gen(cfg.seed),
           {.scheduler = pp::scheduler_kind::silent});
     } else {
       return usage();

@@ -117,15 +117,6 @@ election_summary measure_election_fleet(const Sweep& sweep, int trials,
       sup));
 }
 
-// One tuned election (single-run convenience over tuned_runner; callers that
-// run many trials should build the runner once instead).
-template <compilable_protocol P>
-election_result run_election_tuned(const P& proto, const graph& g, rng gen,
-                                   const sim_options& options = {},
-                                   const engine_tuning& tuning = {}) {
-  return tuned_runner<P>(proto, g, tuning).run(gen, options);
-}
-
 // Well-mixed (clique) sweep on the multiset batch engine: trial t runs
 // run_wellmixed with seed_gen.fork(t) on a population of n agents.  The O(n)
 // initial multiset is built once and shared by every trial, so each trial

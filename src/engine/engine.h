@@ -253,9 +253,10 @@ struct packed_start {
 };
 
 // Builds the initial state a run on (compiled, g, old_of_new) starts from.
-// The single definition serves tuned_runner's per-sweep precompute,
-// run_packed's no-start fallback and run_compiled, so they can never drift —
-// the "identical by construction" half of the bit-identity contract.
+// The single definition serves tuned_runner's per-sweep precompute (which
+// run_packed and run_silent start from) and run_compiled, so they can never
+// drift — the "identical by construction" half of the bit-identity
+// contract.
 // Requires every initial state to be interned already (id_of).
 template <typename W, compilable_protocol P>
 packed_start<W> make_packed_start(const compiled_protocol<P>& compiled,
@@ -514,20 +515,17 @@ election_result run_until_stable_fast(const P& proto, const graph& g, rng gen,
 // table the packed_table snapshot was taken from.
 //
 // Edge-census protocols additionally need `adjacency` — the packed CSR view
-// their class-flip walks load (edgecensus/edgecensus.h).  `start`, when
-// given, replaces the per-trial initial-state computation with copies of the
-// precomputed values (identical by construction, so bit-identity holds
-// either way).
-template <typename W, typename N, compilable_protocol P,
-          typename Probe = obs::null_probe>
+// their class-flip walks load (edgecensus/edgecensus.h).  Every run starts
+// from `start`, the runner's precomputed initial state (make_packed_start).
+// Only tuned_runner calls it.
+template <typename W, typename N, compilable_protocol P, typename Probe>
 election_result run_packed(const compiled_protocol<P>& compiled,
                            const packed_table<W, P>& table,
                            const packed_endpoints<N>& edges, const graph& g,
-                           rng gen, const sim_options& options = {},
-                           const std::vector<node_id>* old_of_new = nullptr,
-                           const packed_csr<N>* adjacency = nullptr,
-                           const packed_start<W>* start = nullptr,
-                           Probe* probe = nullptr) {
+                           rng gen, const sim_options& options,
+                           const std::vector<node_id>* old_of_new,
+                           const packed_csr<N>* adjacency,
+                           const packed_start<W>& start, Probe* probe) {
   const node_id n = g.num_nodes();
   expects(edges.pairs.size() == static_cast<std::size_t>(g.num_edges()),
           "run_packed: endpoint array does not match the graph");
@@ -543,14 +541,10 @@ election_result run_packed(const compiled_protocol<P>& compiled,
             "run_packed: edge-census protocols need the graph's CSR adjacency "
             "view");
   }
-  expects(start == nullptr ||
-              start->config.size() == static_cast<std::size_t>(n),
+  expects(start.config.size() == static_cast<std::size_t>(n),
           "run_packed: shared initial state does not match the graph");
-  // Without a caller-provided start, build the identical one locally.
-  return detail::step_loop(
-      compiled, table, edges, adjacency,
-      start ? *start : make_packed_start<W>(compiled, g, old_of_new), gen,
-      options, old_of_new, probe);
+  return detail::step_loop(compiled, table, edges, adjacency, start, gen, options,
+                           old_of_new, probe);
 }
 
 
@@ -595,8 +589,7 @@ class tuned_runner {
   // Borrows `proto` and `g`, which must outlive the runner: natural-order
   // runs read `g`, and runs past the closure budget compile their own tables
   // from `proto`.
-  tuned_runner(const P& proto, const graph& g, const engine_tuning& tuning = {},
-               std::size_t closure_budget = kEngineClosureBudget)
+  tuned_runner(const P& proto, const graph& g, const engine_tuning& tuning = {})
       : proto_(&proto), tuning_(tuning), original_(&g), compiled_(proto) {
     expects(tuning.pack_bits == 0 || tuning.pack_bits == 8 ||
                 tuning.pack_bits == 16 || tuning.pack_bits == 32,
@@ -609,7 +602,7 @@ class tuned_runner {
     for (node_id v = 0; v < g.num_nodes(); ++v) {
       compiled_.intern(proto.initial_state(v));
     }
-    closed_ = compiled_.close(closure_budget);
+    closed_ = compiled_.close(kEngineClosureBudget);
     if (!closed_) {
       expects(tuning_.pack_bits == 0 || tuning_.pack_bits == 32,
               "tuned_runner: packed widths need a closed table (reachable "
@@ -774,8 +767,8 @@ class tuned_runner {
  private:
   // Precomputes the sweep's shared initial state (config, totals, edge-class
   // census) for the resolved width; run() hands it to every trial.  The
-  // construction itself is make_packed_start — the same function run_packed
-  // falls back to without a start — so the two cannot drift.
+  // construction itself is make_packed_start — the same function
+  // run_compiled starts from — so the two cannot drift.
   template <typename W>
   void build_start() {
     start_ = make_packed_start<W>(
@@ -799,7 +792,7 @@ class tuned_runner {
                           std::get_if<packed_csr<std::uint16_t>>(&csr_), probe);
       }
       return run_packed(compiled_, table, *e16, run_graph(), gen, options, map,
-                        std::get_if<packed_csr<std::uint16_t>>(&csr_), &start,
+                        std::get_if<packed_csr<std::uint16_t>>(&csr_), start,
                         probe);
     }
     if (silent) {
@@ -811,7 +804,7 @@ class tuned_runner {
     return run_packed(compiled_, table,
                       std::get<packed_endpoints<std::uint32_t>>(pairs_),
                       run_graph(), gen, options, map,
-                      std::get_if<packed_csr<std::uint32_t>>(&csr_), &start,
+                      std::get_if<packed_csr<std::uint32_t>>(&csr_), start,
                       probe);
   }
 

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <limits>
 #include <string_view>
+#include <type_traits>
 
 #include "fleet/wire.h"
 
@@ -166,6 +167,16 @@ class byte_source {
       got += static_cast<std::size_t>(n);
     }
     return {chunk_.get(), want};
+  }
+
+  // Calls fn(chunk) over the `length` bytes from `offset` on, in order.
+  template <typename Fn>
+  void for_each_chunk(std::uint64_t offset, std::uint64_t length, Fn&& fn) const {
+    for (const std::uint64_t end = offset + length; offset < end;) {
+      const auto chunk = read(offset, end - offset);
+      fn(chunk);
+      offset += chunk.size();
+    }
   }
 
  private:
@@ -501,14 +512,36 @@ void for_each_section(const artifact_view& a, Fn&& fn) {
   if (a.wellmixed) fn(kTagWellmixed, [&](auto& w) { put_wellmixed(w, *a.wellmixed); });
 }
 
+// A stored section's payload written out as it lies, chunk by chunk (a
+// byte_counter just takes its length).
+template <typename Out>
+void put_stored(Out& w, const stored_section& s) {
+  if constexpr (std::is_same_v<Out, byte_counter>) {
+    w.size += s.length;
+  } else {
+    s.source->for_each_chunk(s.offset, s.length, [&](std::span<const std::uint8_t> chunk) {
+      w.bytes(chunk.data(), chunk.size());
+    });
+  }
+}
+
+// A stored artifact as for_each_section walks it: the parsed outline, and
+// where its TABL, PACK and EDGE lie.
+struct stored_view {
+  const artifact_outline& outline;
+  const stored_tables& tables;
+};
+
 template <typename Fn>
-void for_each_section(const sweep_artifact& a, Fn&& fn) {
-  fn(kTagMeta, [&](auto& w) { put_meta(w, a); });
-  if (a.graph) fn(kTagGraph, [&](auto& w) { put_graph(w, *a.graph); });
-  if (a.table) fn(kTagTable, [&](auto& w) { put_array(w, *a.table); });
-  if (a.packed) fn(kTagPacked, [&](auto& w) { put_array(w, *a.packed); });
-  if (a.edge) fn(kTagEdge, [&](auto& w) { put_array(w, *a.edge); });
-  if (a.wellmixed) fn(kTagWellmixed, [&](auto& w) { put_wellmixed(w, *a.wellmixed); });
+void for_each_section(const stored_view& a, Fn&& fn) {
+  const artifact_outline& o = a.outline;
+  const stored_tables& t = a.tables;
+  fn(kTagMeta, [&](auto& w) { put_meta(w, o); });
+  if (o.graph) fn(kTagGraph, [&](auto& w) { put_graph(w, *o.graph); });
+  if (t.table) fn(kTagTable, [&](auto& w) { put_stored(w, t.table); });
+  if (t.packed) fn(kTagPacked, [&](auto& w) { put_stored(w, t.packed); });
+  if (t.edge) fn(kTagEdge, [&](auto& w) { put_stored(w, t.edge); });
+  if (o.wellmixed) fn(kTagWellmixed, [&](auto& w) { put_wellmixed(w, *o.wellmixed); });
 }
 
 // Writes the sections through `w` (flushed); returns their count.
@@ -543,7 +576,7 @@ std::array<std::uint8_t, kHeaderBytes> header_bytes(artifact_engine engine,
 }
 
 template <typename Artifact>
-std::vector<std::uint8_t> bytes_of(const Artifact& artifact) {
+std::vector<std::uint8_t> bytes_of(const Artifact& artifact, artifact_engine engine) {
   std::uint64_t payload_size = 0;
   for_each_section(artifact, [&](std::uint32_t, const auto& body) {
     byte_counter length;
@@ -557,7 +590,7 @@ std::vector<std::uint8_t> bytes_of(const Artifact& artifact) {
   const std::uint32_t sections = write_payload(artifact, w);
   ensure(w.size() == payload_size && out.size() == kHeaderBytes + payload_size,
          "artifact_bytes: the payload's size diverges from its count");
-  const auto header = header_bytes(artifact.engine, sections, w.size(), w.checksum());
+  const auto header = header_bytes(engine, sections, w.size(), w.checksum());
   std::copy(header.begin(), header.end(), out.begin());
   return out;
 }
@@ -706,17 +739,6 @@ void check_stored(const artifact_outline& a, const stored_tables& s,
   }
 }
 
-std::vector<std::uint8_t> copy_of(const stored_section& s) {
-  std::vector<std::uint8_t> out;
-  out.reserve(static_cast<std::size_t>(s.length));
-  for (std::uint64_t at = s.offset; at < s.offset + s.length;) {
-    const auto chunk = s.source->read(at, s.offset + s.length - at);
-    out.insert(out.end(), chunk.begin(), chunk.end());
-    at += chunk.size();
-  }
-  return out;
-}
-
 // A descriptor param (read from an artifact or a REQ_SWEEP frame) as the
 // field it constructs: rejected, not truncated, when it does not fit.
 template <typename Field>
@@ -769,11 +791,7 @@ void expect_star_desc(const protocol_desc& desc) {
 }
 
 std::vector<std::uint8_t> artifact_bytes(const artifact_view& artifact) {
-  return bytes_of(artifact);
-}
-
-std::vector<std::uint8_t> artifact_bytes(const sweep_artifact& artifact) {
-  return bytes_of(artifact);
+  return bytes_of(artifact, artifact.engine);
 }
 
 void save_artifact(const artifact_view& artifact, const std::string& path) {
@@ -792,19 +810,11 @@ void save_artifact(const artifact_view& artifact, const std::string& path) {
   expects(ok && closed, "save_artifact: short write to " + path);
 }
 
-struct stored_artifact::impl {
-  explicit impl(const std::string& path) : source(path) {}
-  explicit impl(std::span<const std::uint8_t> bytes) : source(bytes) {}
-
-  void read();
-
-  byte_source source;
-  artifact_outline outline;
-  stored_tables tables;
-};
+namespace {
 
 // Pass 1, then the parse of what it kept.
-void stored_artifact::impl::read() {
+void read_stored(const byte_source& source, artifact_outline& outline,
+                 stored_tables& tables) {
   expects(source.size() >= kHeaderBytes, "artifact: file shorter than the header");
   std::array<std::uint8_t, kHeaderBytes> h{};
   const auto first = source.read(0, kHeaderBytes);
@@ -833,12 +843,10 @@ void stored_artifact::impl::read() {
 
   section_walker walker(sections, kHeaderBytes, source.size());
   std::uint64_t hash = kFnvOffset;
-  for (std::uint64_t at = kHeaderBytes; at < source.size();) {
-    const auto chunk = source.read(at, source.size() - at);
+  source.for_each_chunk(kHeaderBytes, payload_size, [&](std::span<const std::uint8_t> chunk) {
     hash = fnv1a64_from(hash, chunk.data(), chunk.size());
     walker.feed(chunk.data(), chunk.size());
-    at += chunk.size();
-  }
+  });
   expects(hash == checksum, "artifact: checksum mismatch (file is corrupt)");
 
   bool saw_meta = false;
@@ -887,65 +895,56 @@ void stored_artifact::impl::read() {
   expects(walker.trailing() == 0, "artifact: trailing bytes after the sections");
 }
 
-stored_artifact::stored_artifact(const std::string& path)
-    : impl_(std::make_unique<impl>(path)) {
-  impl_->read();
+}  // namespace
+
+struct sweep_artifact::stored {
+  explicit stored(const std::string& path) : source(path) {}
+  explicit stored(std::span<const std::uint8_t> bytes) : source(bytes) {}
+
+  byte_source source;
+  stored_tables tables;
+};
+
+sweep_artifact::sweep_artifact(const std::string& path)
+    : stored_(std::make_unique<stored>(path)) {
+  read_stored(stored_->source, *this, stored_->tables);
 }
 
-stored_artifact::stored_artifact(std::span<const std::uint8_t> bytes)
-    : impl_(std::make_unique<impl>(bytes)) {
-  impl_->read();
+sweep_artifact::sweep_artifact(std::span<const std::uint8_t> bytes)
+    : stored_(std::make_unique<stored>(bytes)) {
+  read_stored(stored_->source, *this, stored_->tables);
 }
 
-stored_artifact::~stored_artifact() = default;
+sweep_artifact::sweep_artifact(sweep_artifact&&) noexcept = default;
+sweep_artifact& sweep_artifact::operator=(sweep_artifact&&) noexcept = default;
+sweep_artifact::~sweep_artifact() = default;
 
-const artifact_outline& stored_artifact::outline() const { return impl_->outline; }
-
-void stored_artifact::check(const artifact_view& rebuilt) const {
-  check_stored(impl_->outline, impl_->tables, rebuilt);
+void sweep_artifact::check(const artifact_view& rebuilt) const {
+  check_stored(*this, stored_->tables, rebuilt);
 }
 
-sweep_artifact stored_artifact::load() const {
-  sweep_artifact a;
-  static_cast<artifact_outline&>(a) = impl_->outline;
-  const stored_tables& t = impl_->tables;
-  if (t.table) a.table = copy_of(t.table);
-  if (t.packed) a.packed = copy_of(t.packed);
-  if (t.edge) a.edge = copy_of(t.edge);
-  return a;
+std::vector<std::uint8_t> artifact_bytes(const sweep_artifact& artifact) {
+  return bytes_of(stored_view{artifact, artifact.stored_->tables}, artifact.engine);
 }
 
-void check_artifact(const sweep_artifact& artifact, const artifact_view& rebuilt) {
-  const auto section_of = [](const std::optional<std::vector<std::uint8_t>>& bytes,
-                             std::optional<byte_source>& source) {
-    if (!bytes) return stored_section{};
-    return stored_section{&source.emplace(*bytes), 0, bytes->size()};
-  };
-  std::optional<byte_source> table, packed, edge;
-  const stored_tables stored{section_of(artifact.table, table),
-                             section_of(artifact.packed, packed),
-                             section_of(artifact.edge, edge)};
-  check_stored(artifact, stored, rebuilt);
-}
+sweep_artifact load_artifact(const std::string& path) { return sweep_artifact(path); }
 
-sweep_artifact artifact_from_bytes(std::span<const std::uint8_t> bytes) {
-  return stored_artifact(bytes).load();
-}
+struct artifact_file::source {
+  explicit source(const std::string& path) : bytes(path) {}
 
-sweep_artifact load_artifact(const std::string& path) {
-  return stored_artifact(path).load();
-}
+  byte_source bytes;
+};
 
-std::vector<std::uint8_t> read_artifact_file(const std::string& path) {
-  const byte_source source(path);
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(static_cast<std::size_t>(source.size()));
-  for (std::uint64_t at = 0; at < source.size();) {
-    const auto chunk = source.read(at, source.size() - at);
-    bytes.insert(bytes.end(), chunk.begin(), chunk.end());
-    at += chunk.size();
-  }
-  return bytes;
+artifact_file::artifact_file(const std::string& path)
+    : source_(std::make_unique<source>(path)) {}
+
+artifact_file::~artifact_file() = default;
+
+std::uint64_t artifact_file::size() const { return source_->bytes.size(); }
+
+void artifact_file::for_each_chunk(
+    const std::function<void(std::span<const std::uint8_t>)>& fn) const {
+  source_->bytes.for_each_chunk(0, size(), fn);
 }
 
 graph rebuild_graph(const graph_section& section) {

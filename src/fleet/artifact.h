@@ -37,37 +37,45 @@
 //     40-byte header last (a save that dies midway leaves a zero header,
 //     which no open accepts).  Only O(|Λ|) per-state arrays are built.
 //   * Open.  open_sweep(path | bytes, fn) reads the artifact in two passes
-//     of fixed kChunkBytes (64 KiB) chunks (stored_artifact):
-//       pass 1 streams every payload byte through FNV-1a and checks the
-//       checksum before any section is parsed.  As the bytes stream past it
-//       indexes the sections and keeps META, GRPH, EDGE and WMIX whole and
-//       the first bytes of TABL and PACK; those kept bytes are all pass 2
-//       parses, so a file changed between the passes cannot slip in.
-//       pass 2 parses META, GRPH and WMIX, checks the layout of TABL, PACK
-//       and EDGE, builds the runner (protocol, graph, closure, pack — the
-//       closure is deterministic), then compares TABL, PACK and EDGE
-//       against the runner's own serialization, reading the stored bytes
-//       again chunk by chunk at their indexed offsets.  WMIX follows TABL
-//       in the section order but a well-mixed runner is built from it, so
-//       it has to be parsed before TABL can be compared: hence the index.
+//     of fixed kChunkBytes (64 KiB) chunks:
+//       pass 1 (sweep_artifact) streams every payload byte through FNV-1a
+//       and checks the checksum before any section is parsed.  As the bytes
+//       stream past it indexes the sections and keeps META, GRPH, EDGE and
+//       WMIX whole and the first bytes of TABL and PACK.  Then it parses
+//       META, GRPH and WMIX and checks the layout of TABL, PACK and EDGE,
+//       from those kept bytes only, so a file changed after the checksum
+//       cannot slip in; TABL, PACK and EDGE stay where they are stored.
+//       pass 2 (validate_*_artifact) builds the runner (protocol, graph,
+//       closure, pack — the closure is deterministic), then compares TABL,
+//       PACK and EDGE against the runner's own serialization, reading the
+//       stored bytes again chunk by chunk at their indexed offsets.  WMIX
+//       follows TABL in the section order but a well-mixed runner is built
+//       from it, so it has to be parsed before TABL can be compared: hence
+//       the index.
 //     A process therefore holds its runner, the small sections and one
 //     chunk.  popsimd opens the ARTIFACT_DATA frame it received in place
-//     (open_sweep over its bytes); that frame is its one extra copy.
-//     popsim's --worker and --load-artifact modes open the file.  A build
-//     that compiles a different table than the artifact's producer fails
-//     loudly instead of silently computing a different sweep; this is the
-//     version-skew gate of the fleet protocol (src/fleet/README.md).
-//   * Inspect.  load_artifact / artifact_from_bytes return a sweep_artifact:
-//     the small sections parsed and TABL, PACK and EDGE as their stored
-//     bytes, for tools and tests (it re-serializes byte for byte, and
-//     validate_*_artifact compares it against a runner with the same one
-//     comparison routine the opener uses).  It holds a full copy of the
-//     tables, so no production path uses it.
+//     (open_sweep over its bytes); that frame is its one extra copy, and
+//     the only whole artifact any process holds.  popsim's --worker and
+//     --load-artifact modes open the file.  A build that compiles a
+//     different table than the artifact's producer fails loudly instead of
+//     silently computing a different sweep; this is the version-skew gate
+//     of the fleet protocol (src/fleet/README.md).
+//   * Inspect.  A sweep_artifact (load_artifact(path), or over bytes the
+//     caller holds) is pass 1 on its own: the outline, for tools and tests.
+//     validate_*_artifact runs pass 2 against a runner the caller built,
+//     and artifact_bytes writes it back byte for byte — META, GRPH and WMIX
+//     from their parsed fields, TABL, PACK and EDGE streamed from where they
+//     are stored — so it is also the oracle that the parse is canonical.
+//   * Ship.  A --hosts supervisor (net.h) reads its file through
+//     artifact_file, the same chunked reader: one pass for the REQ_SWEEP
+//     checksum, then one per daemon that misses its cache, straight into
+//     the ARTIFACT_DATA frame.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -159,25 +167,6 @@ struct wellmixed_section {
 struct artifact_outline : artifact_meta {
   std::optional<graph_section> graph;
   std::optional<wellmixed_section> wellmixed;
-
-  friend bool operator==(const artifact_outline&, const artifact_outline&) = default;
-};
-
-// A loaded artifact, for inspection and tests: the outline plus the
-// payloads of TABL, PACK and EDGE exactly as stored (artifact_bytes writes
-// it back byte for byte).
-//   TABL: u64 k, u32 counters, k u64 codes, k u8 roles,
-//         k × kMaxCensusCounters contributions, k² 12-byte entries
-//         {u32 a2, u32 b2, i8 delta[kMaxCensusCounters]}, row-major;
-//   PACK: u32 width, u64 num_states, u64 byte count, then num_states²
-//         packed_entry<W> bytes;
-//   EDGE: u32 class count, u64 k, then one class byte per state.
-struct sweep_artifact : artifact_outline {
-  std::optional<std::vector<std::uint8_t>> table;   // closed tables only
-  std::optional<std::vector<std::uint8_t>> packed;  // tuned engine
-  std::optional<std::vector<std::uint8_t>> edge;    // edge-census protocols only
-
-  friend bool operator==(const sweep_artifact&, const sweep_artifact&) = default;
 };
 
 // A runner's closed table as TABL and EDGE serialize it: O(|Λ|) per-state
@@ -213,56 +202,76 @@ struct artifact_view : artifact_meta {
   std::optional<wellmixed_section> wellmixed;  // well-mixed engine
 };
 
+// Pass 1 of an open (see the header comment): the artifact checksummed,
+// indexed and outlined, its TABL, PACK and EDGE left where they are stored —
+// in the file, or in the caller's buffer, which must outlive this object.
+// Their payloads, as the writer lays them out:
+//   TABL: u64 k, u32 counters, k u64 codes, k u8 roles,
+//         k × kMaxCensusCounters contributions, k² 12-byte entries
+//         {u32 a2, u32 b2, i8 delta[kMaxCensusCounters]}, row-major;
+//   PACK: u32 width, u64 num_states, u64 byte count, then num_states²
+//         packed_entry<W> bytes;
+//   EDGE: u32 class count, u64 k, then one class byte per state.
+// Throws std::invalid_argument on a file it cannot read or a payload that
+// fails the checksum or does not parse.  A file-backed one keeps the file
+// open and one chunk buffer.
+class sweep_artifact : public artifact_outline {
+ public:
+  explicit sweep_artifact(const std::string& path);
+  explicit sweep_artifact(std::span<const std::uint8_t> bytes);
+  // The reader keeps pointing into the buffer: a temporary would dangle.
+  explicit sweep_artifact(std::vector<std::uint8_t>&&) = delete;
+  sweep_artifact(sweep_artifact&&) noexcept;
+  sweep_artifact& operator=(sweep_artifact&&) noexcept;
+  ~sweep_artifact();
+
+  // Pass 2's comparison: throws std::invalid_argument naming the first
+  // divergence between the stored sections and the rebuilt runner's view
+  // (validate_*_artifact below build the view).
+  void check(const artifact_view& rebuilt) const;
+
+ private:
+  struct stored;
+  friend std::vector<std::uint8_t> artifact_bytes(const sweep_artifact& artifact);
+  std::unique_ptr<stored> stored_;
+};
+
 // FNV-1a 64-bit hash (the header checksum).
 std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size);
 
-// Serialization is deterministic: a runner's view and a loaded artifact of
+// Serialization is deterministic: a runner's view and a stored artifact of
 // it produce the same bytes, so save → load → save round-trips
 // byte-identically (the CI round-trip gate), and save_artifact's file
 // equals artifact_bytes.
 std::vector<std::uint8_t> artifact_bytes(const artifact_view& artifact);
 std::vector<std::uint8_t> artifact_bytes(const sweep_artifact& artifact);
 void save_artifact(const artifact_view& artifact, const std::string& path);
-sweep_artifact artifact_from_bytes(std::span<const std::uint8_t> bytes);
 sweep_artifact load_artifact(const std::string& path);
-// The whole file in one buffer: what a --hosts supervisor checksums and
-// ships (net.h), the one reader that holds a whole artifact.
-std::vector<std::uint8_t> read_artifact_file(const std::string& path);
+
+// An artifact file read front to back, a chunk at a time, by the reader an
+// open uses: what a --hosts supervisor checksums and ships (net.h) without
+// holding the file.  The size is the file's when it was opened.  Throws
+// std::invalid_argument on a file it cannot open, or read to that size.
+class artifact_file {
+ public:
+  explicit artifact_file(const std::string& path);
+  ~artifact_file();
+
+  std::uint64_t size() const;
+  // Calls fn(chunk) for every chunk in file order; a chunk is valid only
+  // during its call.
+  void for_each_chunk(const std::function<void(std::span<const std::uint8_t>)>& fn) const;
+
+ private:
+  struct source;
+  std::unique_ptr<source> source_;
+};
 
 graph rebuild_graph(const graph_section& section);
 
 // The engine_tuning a worker rebuilds the runner with: the stored order plus
 // the *resolved* width, forced so the rebuild cannot re-resolve differently.
 engine_tuning tuning_of(const artifact_outline& artifact);
-
-// Throws std::invalid_argument naming the first divergence between a loaded
-// artifact and a rebuilt runner's view (validate_*_artifact below).
-void check_artifact(const sweep_artifact& artifact, const artifact_view& rebuilt);
-
-// An artifact after pass 1 (see the header comment): checksummed, indexed
-// and outlined, its TABL, PACK and EDGE left where they are stored — in the
-// file, or in the caller's buffer, which must outlive this object.  Throws
-// std::invalid_argument on a file it cannot read or a payload that fails
-// the checksum or does not parse.
-class stored_artifact {
- public:
-  explicit stored_artifact(const std::string& path);
-  explicit stored_artifact(std::span<const std::uint8_t> bytes);
-  ~stored_artifact();
-  stored_artifact(const stored_artifact&) = delete;
-  stored_artifact& operator=(const stored_artifact&) = delete;
-
-  const artifact_outline& outline() const;
-  // Pass 2's comparison: throws std::invalid_argument naming the first
-  // divergence between the stored sections and the rebuilt runner's view.
-  void check(const artifact_view& rebuilt) const;
-  // The stored sections copied out in full (inspection and tests only).
-  sweep_artifact load() const;
-
- private:
-  struct impl;
-  std::unique_ptr<impl> impl_;
-};
 
 // ---------------------------------------------------------------------------
 // Views of prepared sweeps.
@@ -377,25 +386,25 @@ artifact_view make_wellmixed_artifact(const wellmixed_sweep<P>& sweep,
   return view_of(sweep, std::move(family), std::move(protocol));
 }
 
-// Validates a rebuilt runner against a loaded artifact: same resolved
-// layout, same reorder permutation, byte-identical closed and packed tables
-// and edge classes — each compared in place against the runner's own
-// serialization.
+// Pass 2 on the tuned engine: validates a rebuilt runner against a stored
+// artifact — same resolved layout, same reorder permutation, byte-identical
+// closed and packed tables and edge classes, each compared chunk by chunk
+// against the runner's own serialization.
 template <compilable_protocol P>
 void validate_tuned_artifact(const sweep_artifact& artifact,
                              const tuned_runner<P>& runner) {
-  check_artifact(artifact, view_of(runner, nullptr, {}, {}));
+  artifact.check(view_of(runner, nullptr, {}, {}));
 }
 
-// Validates a rebuilt well-mixed sweep against a loaded artifact: the same
-// initial multiset, and TABL present exactly when this build's closure
-// closes — then equal to its closed table.  A producer omits TABL only past
-// the closure budget, so a missing one on a sweep that closes is a stripped
-// file, not a large sweep.
+// Pass 2 on the well-mixed engine: validates a rebuilt sweep against a
+// stored artifact — the same initial multiset, and TABL present exactly
+// when this build's closure closes, then equal to its closed table.  A
+// producer omits TABL only past the closure budget, so a missing one on a
+// sweep that closes is a stripped file, not a large sweep.
 template <node_census_protocol P>
 void validate_wellmixed_artifact(const sweep_artifact& artifact,
                                  const wellmixed_sweep<P>& sweep) {
-  check_artifact(artifact, view_of(sweep, {}, {}));
+  artifact.check(view_of(sweep, {}, {}));
 }
 
 // ---------------------------------------------------------------------------
@@ -413,12 +422,12 @@ template <compilable_protocol P>
 struct opened_tuned_sweep {
   static constexpr artifact_engine engine = artifact_engine::tuned;
 
-  opened_tuned_sweep(const stored_artifact& stored, P protocol)
-      : meta(stored.outline()),
-        g(rebuild_graph(*stored.outline().graph)),
+  opened_tuned_sweep(const sweep_artifact& stored, P protocol)
+      : meta(stored),
+        g(rebuild_graph(*stored.graph)),
         proto(std::move(protocol)),
-        runner(proto, g, tuning_of(stored.outline())) {
-    stored.check(view_of(runner, nullptr, {}, {}));
+        runner(proto, g, tuning_of(stored)) {
+    validate_tuned_artifact(stored, runner);
   }
   opened_tuned_sweep(const opened_tuned_sweep&) = delete;
   opened_tuned_sweep& operator=(const opened_tuned_sweep&) = delete;
@@ -435,11 +444,11 @@ template <node_census_protocol P>
 struct opened_wellmixed_sweep {
   static constexpr artifact_engine engine = artifact_engine::wellmixed;
 
-  opened_wellmixed_sweep(const stored_artifact& stored, P protocol)
-      : meta(stored.outline()),
+  opened_wellmixed_sweep(const sweep_artifact& stored, P protocol)
+      : meta(stored),
         proto(std::move(protocol)),
-        runner(proto, stored.outline().wellmixed->population) {
-    stored.check(view_of(runner, {}, {}));
+        runner(proto, stored.wellmixed->population) {
+    validate_wellmixed_artifact(stored, runner);
   }
   opened_wellmixed_sweep(const opened_wellmixed_sweep&) = delete;
   opened_wellmixed_sweep& operator=(const opened_wellmixed_sweep&) = delete;
@@ -459,8 +468,8 @@ struct opened_wellmixed_sweep {
 // std::invalid_argument when a section is missing, the descriptor does not
 // fit the engine, or the rebuild diverges from the stored sections.
 template <typename Fn>
-auto open_sweep(const stored_artifact& stored, Fn&& fn) {
-  const artifact_outline& a = stored.outline();
+auto open_sweep(const sweep_artifact& stored, Fn&& fn) {
+  const artifact_outline& a = stored;
   if (a.engine == artifact_engine::tuned) {
     expects(a.graph.has_value(), "artifact: tuned artifact without a graph section");
     if (a.protocol.kind == protocol_kind::star) {
@@ -485,12 +494,12 @@ auto open_sweep(const stored_artifact& stored, Fn&& fn) {
 // memory (popsimd's received frame), which are read in place.
 template <typename Fn>
 auto open_sweep(const std::string& path, Fn&& fn) {
-  const stored_artifact stored(path);
+  const sweep_artifact stored(path);
   return open_sweep(stored, std::forward<Fn>(fn));
 }
 template <typename Fn>
 auto open_sweep(std::span<const std::uint8_t> bytes, Fn&& fn) {
-  const stored_artifact stored(bytes);
+  const sweep_artifact stored(bytes);
   return open_sweep(stored, std::forward<Fn>(fn));
 }
 

@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <span>
 
 #include "fleet/artifact.h"
 #include "fleet/wire.h"
@@ -211,21 +212,20 @@ void send_frame(int fd, const std::uint8_t* payload, std::size_t length,
                      "sending a frame");
 }
 
-void send_artifact_frame(int fd, const std::vector<std::uint8_t>& artifact_bytes,
-                         int timeout_ms) {
-  expects(artifact_bytes.size() < kMaxControlPayload, "fleet net: frame payload too large");
-  const auto length = static_cast<std::uint32_t>(1 + artifact_bytes.size());
+void send_artifact_frame(int fd, const artifact_file& file, int timeout_ms) {
+  expects(file.size() < kMaxControlPayload, "fleet net: frame payload too large");
+  const auto length = static_cast<std::uint32_t>(1 + file.size());
   std::array<std::uint8_t, wire::kLengthBytes + 1> head{};
   std::memcpy(head.data(), &length, wire::kLengthBytes);
   head[wire::kLengthBytes] = static_cast<std::uint8_t>(msg_type::artifact_data);
-  const std::uint64_t checksum = fnv1a64_from(
-      fnv1a64(head.data() + wire::kLengthBytes, 1), artifact_bytes.data(),
-      artifact_bytes.size());
   const auto deadline =
       steady_clock::now() + std::chrono::milliseconds(timeout_ms);
   write_all_deadline(fd, head.data(), head.size(), deadline, "sending a frame");
-  write_all_deadline(fd, artifact_bytes.data(), artifact_bytes.size(), deadline,
-                     "sending a frame");
+  std::uint64_t checksum = fnv1a64(head.data() + wire::kLengthBytes, 1);
+  file.for_each_chunk([&](std::span<const std::uint8_t> chunk) {
+    checksum = fnv1a64_from(checksum, chunk.data(), chunk.size());
+    write_all_deadline(fd, chunk.data(), chunk.size(), deadline, "sending a frame");
+  });
   write_all_deadline(fd, reinterpret_cast<const std::uint8_t*>(&checksum),
                      sizeof(checksum), deadline, "sending a frame");
 }
@@ -343,8 +343,7 @@ int dial(const host_addr& addr, int timeout_ms) {
 }
 
 int request_sweep(const host_addr& addr, const sweep_request& request,
-                  const std::vector<std::uint8_t>& artifact_bytes,
-                  int timeout_ms, bool* shipped) {
+                  const artifact_file& artifact, int timeout_ms, bool* shipped) {
   if (shipped != nullptr) *shipped = false;
   const int fd = dial(addr, timeout_ms);
   if (fd < 0) return -1;
@@ -355,9 +354,9 @@ int request_sweep(const host_addr& addr, const sweep_request& request,
                                                  timeout_ms);
     ensure(!reply.empty(), "fleet net: empty handshake reply");
     if (reply[0] == static_cast<std::uint8_t>(msg_type::need_artifact)) {
-      ensure(artifact_bytes.size() == request.artifact_size,
+      ensure(artifact.size() == request.artifact_size,
              "fleet net: artifact bytes do not match the request");
-      send_artifact_frame(fd, artifact_bytes, timeout_ms);
+      send_artifact_frame(fd, artifact, timeout_ms);
       if (shipped != nullptr) *shipped = true;
       reply = recv_frame(fd, kMaxControlPayload, timeout_ms);
       ensure(!reply.empty(), "fleet net: empty handshake reply");
@@ -418,42 +417,6 @@ std::int64_t ping_daemon(int fd, std::uint64_t token, int timeout_ms) {
   }
 }
 
-bool fetch_stats(const host_addr& addr, std::string& json_out, int timeout_ms) {
-  const int fd = dial(addr, timeout_ms);
-  if (fd < 0) return false;
-  bool ok = false;
-  try {
-    std::vector<std::uint8_t> payload;
-    payload.reserve(5);
-    pack<std::uint8_t>(payload, static_cast<std::uint8_t>(msg_type::stats));
-    pack<std::uint32_t>(payload, kNetVersion);
-    send_frame(fd, payload.data(), payload.size(), timeout_ms);
-    const std::vector<std::uint8_t> reply =
-        recv_frame(fd, kMaxControlPayload, timeout_ms);
-    if (!reply.empty() &&
-        reply[0] == static_cast<std::uint8_t>(msg_type::stats_ok)) {
-      json_out.assign(reply.begin() + 1, reply.end());
-      ok = true;
-    } else if (!reply.empty() &&
-               reply[0] == static_cast<std::uint8_t>(msg_type::err)) {
-      const std::string message(reply.begin() + 1, reply.end());
-      obs::logf(obs::log_level::error,
-                "fleet net: %s rejected the stats request: %s",
-                to_string(addr).c_str(), message.c_str());
-    } else {
-      obs::logf(obs::log_level::error,
-                "fleet net: unexpected stats reply 0x%02x from %s",
-                reply.empty() ? 0 : reply[0], to_string(addr).c_str());
-    }
-  } catch (const std::exception& e) {
-    obs::logf(obs::log_level::warn,
-              "fleet net: stats request to %s failed: %s",
-              to_string(addr).c_str(), e.what());
-  }
-  ::close(fd);
-  return ok;
-}
-
 namespace {
 
 // Host health prober state, one entry per listed host.  Owns a persistent
@@ -479,10 +442,13 @@ std::vector<election_result> supervised_remote_sweep(
   expects(!hosts.empty(), "supervised_remote_sweep: empty host list");
   expects(jobs >= 1, "supervised_remote_sweep: jobs must be >= 1");
 
-  // Read + checksum the artifact once; connections ship it only on a cache
-  // miss at their daemon.
-  const std::vector<std::uint8_t> blob = read_artifact_file(manifest.artifact_path);
-  const std::uint64_t checksum = fnv1a64(blob.data(), blob.size());
+  // Checksum the artifact file in one chunked pass; connections ship it
+  // from the file, and only on a cache miss at their daemon.
+  const artifact_file artifact(manifest.artifact_path);
+  std::uint64_t checksum = kFnvOffset;
+  artifact.for_each_chunk([&](std::span<const std::uint8_t> chunk) {
+    checksum = fnv1a64_from(checksum, chunk.data(), chunk.size());
+  });
 
   std::vector<int> generation(static_cast<std::size_t>(jobs), 0);
   const detail::launch_fn launch = [&](int slot, trial_range chunk, bool inject,
@@ -490,7 +456,7 @@ std::vector<election_result> supervised_remote_sweep(
     const host_addr& addr = hosts[static_cast<std::size_t>(slot) % hosts.size()];
     sweep_request request;
     request.artifact_checksum = checksum;
-    request.artifact_size = blob.size();
+    request.artifact_size = artifact.size();
     request.slot = static_cast<std::uint32_t>(slot);
     request.seed = manifest.seed;
     request.trials = manifest.trials;
@@ -505,7 +471,7 @@ std::vector<election_result> supervised_remote_sweep(
     const int gen = generation[static_cast<std::size_t>(slot)]++;
     bool shipped = false;
     const int fd =
-        request_sweep(addr, request, blob, kHandshakeTimeoutMs, &shipped);
+        request_sweep(addr, request, artifact, kHandshakeTimeoutMs, &shipped);
     if (options.trace != nullptr) {
       options.trace->instant(
           gen == 0 ? "connect" : "reconnect", 0,
@@ -517,8 +483,7 @@ std::vector<election_result> supervised_remote_sweep(
         options.trace->instant(
             "artifact_ship", 0,
             {obs::trace_arg::num("slot", static_cast<std::int64_t>(slot)),
-             obs::trace_arg::num("bytes",
-                                 static_cast<std::uint64_t>(blob.size()))});
+             obs::trace_arg::num("bytes", artifact.size())});
       }
     }
     if (options.metrics != nullptr) {
@@ -530,8 +495,7 @@ std::vector<election_result> supervised_remote_sweep(
       }
       if (shipped) {
         options.metrics->add("fleet.net.artifacts_shipped");
-        options.metrics->add("fleet.net.artifact_bytes",
-                             static_cast<std::uint64_t>(blob.size()));
+        options.metrics->add("fleet.net.artifact_bytes", artifact.size());
       }
     }
     return detail::worker_stream{-1, fd};
@@ -614,12 +578,8 @@ std::vector<election_result> supervised_remote_sweep(
     return dead_slots;
   };
 
-  // Trial t uses rng(seed).fork(2).fork(t) — the exact derivation of serial
-  // sweeps, popsim --worker, and popsimd runner children (service.cpp), so
-  // a remote merge is byte-identical to a serial run.
-  const rng seed_gen = rng(manifest.seed).fork(2);
-  return detail::supervise(manifest.trials, seed_gen, jobs, probed_options,
-                           launch, inline_fn, "supervised_remote_sweep");
+  return detail::supervise(manifest.trials, sweep_seed_gen(manifest.seed), jobs,
+                           probed_options, launch, inline_fn, "supervised_remote_sweep");
 }
 
 }  // namespace pp::fleet::net

@@ -51,6 +51,10 @@
 #include "fleet/supervisor.h"
 #include "fleet/sweep.h"
 
+namespace pp::fleet {
+class artifact_file;  // artifact.h
+}  // namespace pp::fleet
+
 namespace pp::fleet::net {
 
 // Protocol version both ends must agree on exactly; bumped whenever a
@@ -100,8 +104,7 @@ struct sweep_request {
   std::uint64_t artifact_checksum = 0;  // fnv1a64 of the whole .ppaf file
   std::uint64_t artifact_size = 0;      // byte size of the .ppaf file
   std::uint32_t slot = 0;               // supervisor slot (fault addressing)
-  std::uint64_t seed = 1;               // master seed; trial t uses
-                                        // rng(seed).fork(2).fork(t)
+  std::uint64_t seed = 1;               // master seed (sweep_seed_gen)
   std::uint64_t trials = 1;             // whole-sweep trial count
   std::uint64_t base = 0;               // this chunk
   std::uint64_t count = 0;
@@ -127,11 +130,11 @@ void send_frame(int fd, const std::uint8_t* payload, std::size_t length,
                 int timeout_ms);
 std::vector<std::uint8_t> recv_frame(int fd, std::uint32_t max_payload,
                                      int timeout_ms);
-// The ARTIFACT_DATA frame written from the artifact bytes where they lie:
-// the length, the type byte, the bytes and the FNV-1a trailer, the same
-// bytes as send_frame of the concatenated payload without copying it.
-void send_artifact_frame(int fd, const std::vector<std::uint8_t>& artifact_bytes,
-                         int timeout_ms);
+// The ARTIFACT_DATA frame of an artifact file, streamed from the file a
+// chunk at a time: the length, the type byte, the file's bytes and the
+// FNV-1a trailer — the bytes send_frame writes for the concatenated
+// payload, without holding the file.
+void send_artifact_frame(int fd, const artifact_file& file, int timeout_ms);
 
 // TCP plumbing.  listen_on binds (port 0 picks an ephemeral port — read it
 // back with bound_port) and throws on failure; dial resolves and connects
@@ -143,11 +146,10 @@ int dial(const host_addr& addr, int timeout_ms);
 
 // Dials `addr` and runs the client half of the handshake; returns the
 // connected fd ready to stream record frames, or -1 on any failure
-// (connect, timeout, ERR reply — all logged).  `artifact_bytes` is shipped
-// only on NEED_ARTIFACT; `shipped` (optional) reports whether it was.
+// (connect, timeout, ERR reply — all logged).  `artifact` is shipped only
+// on NEED_ARTIFACT; `shipped` (optional) reports whether it was.
 int request_sweep(const host_addr& addr, const sweep_request& request,
-                  const std::vector<std::uint8_t>& artifact_bytes,
-                  int timeout_ms, bool* shipped);
+                  const artifact_file& artifact, int timeout_ms, bool* shipped);
 
 // One health round-trip on an already-connected control fd: sends
 // PING{token} and awaits the matching PONG.  Returns the rtt in
@@ -156,19 +158,16 @@ int request_sweep(const host_addr& addr, const sweep_request& request,
 // open, so one fd serves a sweep's whole ping train.
 std::int64_t ping_daemon(int fd, std::uint64_t token, int timeout_ms);
 
-// Dials `addr` and snapshots the daemon's metrics registry: STATS ->
-// STATS_OK{json}.  Returns false (logged) on connect failure, timeout or
-// rejection; on success `json_out` holds the deterministic metrics JSON.
-bool fetch_stats(const host_addr& addr, std::string& json_out, int timeout_ms);
-
 // Distributed supervised sweep: slot i of `jobs` dials hosts[i % size] —
 // pass jobs == hosts.size() for one connection per listed host, or more for
 // several concurrent chunks per daemon.  Fault specs in `options` are
 // forwarded to first-generation connections only (reconnections run clean),
 // mirroring the local injection contract.  Emits connect / reconnect /
 // artifact_ship trace instants and fleet.net.* metrics into the options'
-// sinks.  The manifest's artifact_path is read and checksummed locally;
-// its jobs field is ignored in favour of `jobs`.
+// sinks.  The manifest's artifact file is checksummed in one chunked pass
+// and shipped from the file on each cache miss, so the client never holds
+// it whole (a daemon rejects a ship whose bytes changed since the
+// checksum); the manifest's jobs field is ignored in favour of `jobs`.
 //
 // Installs a host health prober on the supervisor's health_tick hook: each
 // listed host gets a persistent control connection carrying a PING about

@@ -272,15 +272,12 @@ bool valid_request(const net::sweep_request& r, std::string& why) {
         options.wellmixed_batch = request.wellmixed_batch;
         options.scheduler = request.scheduler == 1 ? scheduler_kind::silent
                                                    : scheduler_kind::step;
-        // Trial t uses rng(seed).fork(2).fork(t) — the serial derivation, so
-        // remote merges are byte-identical to serial runs.
-        const rng seed_gen = rng(request.seed).fork(2);
         run_trial_block(
             {request.base, request.count}, conn.fd,
             [&](std::uint64_t, rng gen) {
               return entry->run_trial(gen, options);
             },
-            seed_gen, injector);
+            sweep_seed_gen(request.seed), injector);
       } catch (const std::exception& e) {
         obs::logf(obs::log_level::error, "popsimd runner: %s", e.what());
         status = 1;

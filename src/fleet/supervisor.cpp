@@ -641,6 +641,12 @@ std::vector<election_result> supervise(std::uint64_t trials, rng seed_gen,
 
 }  // namespace detail
 
+std::vector<trial_range> opening_deal(std::uint64_t trials, int jobs) {
+  const std::deque<trial_range> queue =
+      chunk_pending(std::vector<std::uint8_t>(trials, 0), trials, jobs);
+  return {queue.begin(), queue.end()};
+}
+
 void run_trial_block(trial_range range, int fd, const trial_fn& fn,
                      const rng& seed_gen, const fault_injector& injector) {
   std::uint64_t written = 0;
@@ -756,12 +762,9 @@ std::vector<election_result> supervised_spawn_sweep(
     ::close(fds[1]);
     return detail::worker_stream{pid, fds[0]};
   };
-  // Trial t of the sweep uses rng(seed).fork(2).fork(t), exactly the serial
-  // derivation (sweep.h) — needed here for the inline degraded path.
-  const rng seed_gen = rng(manifest.seed).fork(2);
   std::vector<election_result> results =
-      detail::supervise(manifest.trials, seed_gen, manifest.jobs, options,
-                        launch, inline_fn, "supervised_spawn_sweep");
+      detail::supervise(manifest.trials, sweep_seed_gen(manifest.seed), manifest.jobs,
+                        options, launch, inline_fn, "supervised_spawn_sweep");
   if (options.trace != nullptr) {
     options.trace->begin("sidecar_merge", 0);
     std::size_t merged = 0;

@@ -113,6 +113,12 @@ std::vector<election_result> supervised_spawn_sweep(
     const worker_manifest& manifest, const supervise_options& options,
     const trial_fn& inline_fn = {});
 
+// The chunks a sweep with no trial done yet opens with: [0, trials) cut into
+// contiguous blocks of ceil(trials / jobs) trials, the last holding the
+// remainder, one per worker — so never more workers than blocks.  A resumed
+// sweep deals the trials its journal lacks by the same rule.
+std::vector<trial_range> opening_deal(std::uint64_t trials, int jobs);
+
 // Worker-side block runner shared by fork-mode workers and popsim --worker:
 // streams trials [range.base, range.base + range.count) to `fd` in order,
 // trial t using seed_gen.fork(t), firing the injector's fault (if armed for

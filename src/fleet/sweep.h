@@ -78,7 +78,7 @@ using trial_fn = std::function<election_result(std::uint64_t trial, rng gen)>;
 // key=value text file so it is diffable and host-portable.
 struct worker_manifest {
   std::string artifact_path;
-  std::uint64_t seed = 1;       // master seed; trial t uses rng(seed).fork(2).fork(t)
+  std::uint64_t seed = 1;       // master seed (sweep_seed_gen)
   std::uint64_t trials = 1;
   int jobs = 1;
   std::uint64_t max_steps = UINT64_MAX;
@@ -89,6 +89,16 @@ struct worker_manifest {
 
   friend bool operator==(const worker_manifest&, const worker_manifest&) = default;
 };
+
+// The one seed rule: trial t of the sweep with master seed `seed` runs
+// sweep_seed_gen(seed).fork(t), that is rng(seed).fork(2).fork(t) (popsim
+// builds its graph from fork 0 and estimates B(G) on fork 1).  Every route a
+// trial can take derives its generator here — popsim's in-process thread
+// pool and `popsim --worker`, the exec supervisor's inline fallback
+// (supervised_spawn_sweep), the --hosts supervisor's (net.h) and popsimd's
+// runner children (service.h) — so a fleet, remote, resumed or degraded
+// sweep merges byte-identical to the serial one.
+inline rng sweep_seed_gen(std::uint64_t seed) { return rng(seed).fork(2); }
 
 // read_manifest reads whole lines and throws std::invalid_argument on a
 // missing header or artifact line, an unknown key, an out-of-range value, a

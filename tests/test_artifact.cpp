@@ -6,8 +6,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <functional>
 #include <iterator>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -40,11 +42,13 @@ struct tuned_fixture {
   }
 };
 
-// The artifact `view` writes, loaded back: the small sections parsed, TABL,
-// PACK and EDGE as their stored bytes.
-sweep_artifact loaded(const artifact_view& view) {
-  return artifact_from_bytes(artifact_bytes(view));
-}
+// Section tags as they lie in a file (four ASCII bytes, little-endian).
+constexpr std::uint32_t kMeta = 0x4154454d;    // 'META'
+constexpr std::uint32_t kGraph = 0x48505247;   // 'GRPH'
+constexpr std::uint32_t kTable = 0x4c424154;   // 'TABL'
+constexpr std::uint32_t kPacked = 0x4b434150;  // 'PACK'
+constexpr std::uint32_t kEdge = 0x45474445;    // 'EDGE'
+constexpr std::uint32_t kWellmixed = 0x58494d57;  // 'WMIX'
 
 const artifact_meta& meta_of(const artifact_meta& a) { return a; }
 
@@ -83,11 +87,99 @@ void put_at(std::vector<std::uint8_t>& b, std::size_t at, T value) {
   std::memcpy(b.data() + at, &value, sizeof(value));
 }
 
+// Offset of the payload of the first section tagged `tag`, walking the
+// section headers (u32 tag, u32 reserved, u64 length) past the 40-byte file
+// header; b.size() if there is none.
+std::size_t payload_of(const std::vector<std::uint8_t>& b, std::uint32_t tag) {
+  std::size_t at = 40;
+  while (at + 16 <= b.size() && u32_at(b, at) != tag) {
+    at += 16 + u64_at(b, at + 8);
+  }
+  return at + 16 <= b.size() ? at + 16 : b.size();
+}
+
+// A copy of the payload of the first section tagged `tag` (empty if none).
+std::vector<std::uint8_t> section_of(const std::vector<std::uint8_t>& b, std::uint32_t tag) {
+  const std::size_t at = payload_of(b, tag);
+  if (at == b.size()) return {};
+  const auto begin = b.begin() + static_cast<std::ptrdiff_t>(at);
+  return {begin, begin + static_cast<std::ptrdiff_t>(u64_at(b, at - 8))};
+}
+
+// `bytes` with the header checksum at offset 32 recomputed over the payload,
+// so a mutation reaches the section parsers.
+std::vector<std::uint8_t> resealed(std::vector<std::uint8_t> bytes) {
+  put_at(bytes, 32, fnv1a64(bytes.data() + 40, bytes.size() - 40));
+  return bytes;
+}
+
+// `bytes` with `value` written at `at`, resealed.
+template <typename T>
+std::vector<std::uint8_t> patched(std::vector<std::uint8_t> bytes, std::size_t at, T value) {
+  put_at(bytes, at, value);
+  return resealed(std::move(bytes));
+}
+
+// `bytes` with the payload of its section tagged `tag` edited in place by
+// `edit`, which may resize it; the section's length and the payload length
+// are fixed up and the checksum resealed, so the edit reaches the parsers.
+template <typename Edit>
+std::vector<std::uint8_t> with_section(std::vector<std::uint8_t> bytes, std::uint32_t tag,
+                                       Edit&& edit) {
+  const std::size_t at = payload_of(bytes, tag);
+  EXPECT_LT(at, bytes.size()) << "no section " << tag;
+  const auto begin = bytes.begin() + static_cast<std::ptrdiff_t>(at);
+  const auto end = begin + static_cast<std::ptrdiff_t>(u64_at(bytes, at - 8));
+  std::vector<std::uint8_t> payload(begin, end);
+  edit(payload);
+  bytes.erase(begin, end);
+  bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at), payload.begin(), payload.end());
+  put_at(bytes, at - 8, std::uint64_t{payload.size()});
+  put_at(bytes, 24, std::uint64_t{bytes.size() - 40});
+  return resealed(std::move(bytes));
+}
+
+// `bytes` with its section tagged `tag` dropped (section count, payload
+// length and checksum fixed up).
+std::vector<std::uint8_t> without_section(std::vector<std::uint8_t> bytes, std::uint32_t tag) {
+  const std::size_t at = payload_of(bytes, tag) - 16;
+  EXPECT_LT(at + 16, bytes.size()) << "no section " << tag;
+  const auto begin = bytes.begin() + static_cast<std::ptrdiff_t>(at);
+  bytes.erase(begin, begin + static_cast<std::ptrdiff_t>(16 + u64_at(bytes, at + 8)));
+  put_at(bytes, 16, u32_at(bytes, 16) - 1);
+  put_at(bytes, 24, std::uint64_t{bytes.size() - 40});
+  return resealed(std::move(bytes));
+}
+
+// The whole file at `path`.
+std::vector<std::uint8_t> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// The message a rejected call throws, or "" if it returns.
+template <typename Fn>
+std::string rejection(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// What opening `bytes` against `runner` throws — pass 1 (sweep_artifact),
+// then pass 2 (validate_tuned_artifact) — or "" if both pass.
+template <typename Runner>
+std::string open_rejection(const std::vector<std::uint8_t>& bytes, const Runner& runner) {
+  return rejection([&] { validate_tuned_artifact(sweep_artifact(bytes), runner); });
+}
+
 TEST(Artifact, TunedRoundTripIsByteStable) {
   const tuned_fixture fx;
   const artifact_view a = fx.artifact();
   const auto bytes = artifact_bytes(a);
-  const sweep_artifact b = artifact_from_bytes(bytes);
+  const sweep_artifact b(bytes);
   EXPECT_TRUE(meta_of(a) == meta_of(b));
   // save(load(x)) must reproduce x byte for byte — the CI round-trip gate.
   EXPECT_EQ(bytes, artifact_bytes(b));
@@ -98,10 +190,13 @@ TEST(Artifact, FileRoundTrip) {
   const artifact_view a = fx.artifact();
   const std::string path = testing::TempDir() + "/artifact_roundtrip.ppaf";
   save_artifact(a, path);
-  const sweep_artifact b = load_artifact(path);
+  sweep_artifact b = load_artifact(path);
   EXPECT_TRUE(meta_of(a) == meta_of(b));
-  EXPECT_TRUE(b == loaded(a));
   EXPECT_EQ(artifact_bytes(b), artifact_bytes(a));
+  // Moving a reader keeps it reading the same file.
+  const sweep_artifact moved = std::move(b);
+  EXPECT_EQ(artifact_bytes(moved), artifact_bytes(a));
+  EXPECT_NO_THROW(validate_tuned_artifact(moved, fx.runner));
   std::remove(path.c_str());
 }
 
@@ -110,7 +205,7 @@ TEST(Artifact, ChecksumDetectsPayloadCorruption) {
   auto bytes = artifact_bytes(fx.artifact());
   ASSERT_GT(bytes.size(), 64u);
   bytes[60] ^= 0x01;  // flip one payload bit past the 40-byte header
-  EXPECT_THROW(artifact_from_bytes(bytes), std::invalid_argument);
+  EXPECT_THROW(sweep_artifact{bytes}, std::invalid_argument);
 }
 
 TEST(Artifact, RejectsBadMagicVersionAndEndianness) {
@@ -119,60 +214,62 @@ TEST(Artifact, RejectsBadMagicVersionAndEndianness) {
 
   auto bad_magic = good;
   bad_magic[0] ^= 0xFF;
-  EXPECT_THROW(artifact_from_bytes(bad_magic), std::invalid_argument);
+  EXPECT_THROW(sweep_artifact{bad_magic}, std::invalid_argument);
 
   auto bad_endian = good;
   // Byte-swap the endianness tag: exactly what a foreign-endian writer
   // would have produced.
   std::swap(bad_endian[4], bad_endian[7]);
   std::swap(bad_endian[5], bad_endian[6]);
-  EXPECT_THROW(artifact_from_bytes(bad_endian), std::invalid_argument);
+  EXPECT_THROW(sweep_artifact{bad_endian}, std::invalid_argument);
 
   auto bad_version = good;
   bad_version[8] = static_cast<std::uint8_t>(kArtifactVersion + 1);
-  EXPECT_THROW(artifact_from_bytes(bad_version), std::invalid_argument);
+  EXPECT_THROW(sweep_artifact{bad_version}, std::invalid_argument);
 
   // v1 files stay loadable: v2 only added the optional EDGE section, so a
   // version-1 header over the same layout parses (the version byte is
   // outside the checksummed payload).
   auto v1 = good;
   v1[8] = 1;
-  EXPECT_NO_THROW(artifact_from_bytes(v1));
+  EXPECT_NO_THROW(sweep_artifact{v1});
 
   auto truncated = good;
   truncated.resize(truncated.size() - 1);
-  EXPECT_THROW(artifact_from_bytes(truncated), std::invalid_argument);
+  EXPECT_THROW(sweep_artifact{truncated}, std::invalid_argument);
 
-  EXPECT_THROW(artifact_from_bytes({}), std::invalid_argument);
+  const std::vector<std::uint8_t> empty;
+  EXPECT_THROW(sweep_artifact{empty}, std::invalid_argument);
 }
 
 TEST(Artifact, TableSnapshotValidatesAndDetectsSkew) {
   const tuned_fixture fx;
   const auto& compiled = fx.runner.compiled();
-  const sweep_artifact t = loaded(fx.artifact());
-  ASSERT_TRUE(t.table.has_value());
-  EXPECT_NO_THROW(validate_tuned_artifact(t, fx.runner));
+  const auto bytes = artifact_bytes(fx.artifact());
+  EXPECT_EQ(open_rejection(bytes, fx.runner), "");
+  const auto table = section_of(bytes, kTable);
   const table_layout at{compiled.num_states()};
-  EXPECT_EQ(u64_at(*t.table, 0), compiled.num_states());
-  EXPECT_EQ(t.table->size(), at.size());
+  EXPECT_EQ(u64_at(table, 0), compiled.num_states());
+  EXPECT_EQ(table.size(), at.size());
 
-  sweep_artifact skewed = t;
-  (*skewed.table)[at.code(0)] ^= 1;  // a producer whose states encode differently
-  EXPECT_THROW(validate_tuned_artifact(skewed, fx.runner), std::invalid_argument);
+  // A producer whose states encode differently.
+  const auto skewed = with_section(bytes, kTable, [&](auto& t) { t[at.code(0)] ^= 1; });
+  EXPECT_THROW(validate_tuned_artifact(sweep_artifact(skewed), fx.runner),
+               std::invalid_argument);
 
-  sweep_artifact wrong_entry = t;
-  (*wrong_entry.table)[at.a2(1)] ^= 1;
-  EXPECT_THROW(validate_tuned_artifact(wrong_entry, fx.runner), std::invalid_argument);
+  const auto wrong_entry = with_section(bytes, kTable, [&](auto& t) { t[at.a2(1)] ^= 1; });
+  EXPECT_THROW(validate_tuned_artifact(sweep_artifact(wrong_entry), fx.runner),
+               std::invalid_argument);
 }
 
 TEST(Artifact, PackedSnapshotMatchesResolvedWidth) {
   const tuned_fixture fx;
   const auto& compiled = fx.runner.compiled();
   const int width = fx.runner.pack_bits();
-  const sweep_artifact a = loaded(fx.artifact());
-  ASSERT_TRUE(a.packed.has_value());
+  const auto bytes = artifact_bytes(fx.artifact());
   // PACK: u32 width, u64 num_states, u64 byte count, then the bytes.
-  const std::vector<std::uint8_t>& p = *a.packed;
+  const std::vector<std::uint8_t> p = section_of(bytes, kPacked);
+  ASSERT_FALSE(p.empty());
   EXPECT_EQ(u32_at(p, 0), static_cast<std::uint32_t>(width));
   EXPECT_EQ(u64_at(p, 4), compiled.num_states());
   // The section holds exactly a packed_table at the resolved width.
@@ -188,17 +285,18 @@ TEST(Artifact, PackedSnapshotMatchesResolvedWidth) {
     case 16: expect_table.template operator()<std::uint16_t>(); break;
     default: expect_table.template operator()<std::uint32_t>(); break;
   }
-  EXPECT_NO_THROW(validate_tuned_artifact(a, fx.runner));
+  EXPECT_EQ(open_rejection(bytes, fx.runner), "");
 
-  sweep_artifact corrupt = a;
-  (*corrupt.packed)[20] ^= 1;
-  EXPECT_THROW(validate_tuned_artifact(corrupt, fx.runner), std::invalid_argument);
+  const auto corrupt = with_section(bytes, kPacked, [](auto& q) { q[20] ^= 1; });
+  EXPECT_THROW(validate_tuned_artifact(sweep_artifact(corrupt), fx.runner),
+               std::invalid_argument);
 }
 
 TEST(Artifact, GraphSectionRoundTripsWithPermutation) {
   // RCM order exercises the stored permutation path.
   const tuned_fixture fx({.order = vertex_order::rcm});
-  const sweep_artifact a = loaded(fx.artifact());
+  const auto bytes = artifact_bytes(fx.artifact());
+  const sweep_artifact a(bytes);
   ASSERT_TRUE(a.graph.has_value());
   EXPECT_EQ(a.graph->old_of_new.size(),
             static_cast<std::size_t>(fx.g.num_nodes()));
@@ -218,18 +316,24 @@ TEST(Artifact, GraphSectionRoundTripsWithPermutation) {
             artifact_bytes(a));
 }
 
+// META's last field is the resolved config word width.
+void swap_pack_bits(std::vector<std::uint8_t>& meta) {
+  const std::size_t at = meta.size() - 4;
+  put_at(meta, at, std::uint32_t{u32_at(meta, at) == 32 ? 16u : 32u});
+}
+
 TEST(Artifact, TunedArtifactValidatesAgainstFreshRebuild) {
   const tuned_fixture fx;
-  const sweep_artifact a = loaded(fx.artifact());
+  const auto bytes = artifact_bytes(fx.artifact());
+  const sweep_artifact a(bytes);
   // A worker's view: rebuild everything from the artifact alone.
   const fast_protocol proto(fast_params_of(a.protocol));
   const graph g = rebuild_graph(*a.graph);
   const tuned_runner<fast_protocol> rebuilt(proto, g, tuning_of(a));
   EXPECT_NO_THROW(validate_tuned_artifact(a, rebuilt));
 
-  sweep_artifact skewed = a;
-  skewed.pack_bits = skewed.pack_bits == 32 ? 16 : 32;
-  EXPECT_THROW(validate_tuned_artifact(skewed, rebuilt), std::invalid_argument);
+  const auto skewed = with_section(bytes, kMeta, swap_pack_bits);
+  EXPECT_THROW(validate_tuned_artifact(sweep_artifact(skewed), rebuilt), std::invalid_argument);
 }
 
 // Star fixture: the edge-census protocol on a small cycle (the EDGE-section
@@ -253,9 +357,9 @@ TEST(Artifact, StarArtifactCarriesTheEdgeSectionAndRoundTrips) {
   const star_fixture fx;
   const artifact_view a = fx.artifact();
   const auto bytes = artifact_bytes(a);
-  const sweep_artifact b = artifact_from_bytes(bytes);
-  ASSERT_TRUE(b.edge.has_value());
-  const std::vector<std::uint8_t>& edge = *b.edge;
+  const sweep_artifact b(bytes);
+  const std::vector<std::uint8_t> edge = section_of(bytes, kEdge);
+  ASSERT_FALSE(edge.empty());
   EXPECT_EQ(u32_at(edge, 0), 2u);
   // Reachable states: undecided (class 0), leader and follower (class 1).
   const std::size_t k = fx.runner.compiled().num_states();
@@ -272,126 +376,138 @@ TEST(Artifact, StarArtifactCarriesTheEdgeSectionAndRoundTrips) {
   // Checksum rejection holds for EDGE-bearing artifacts too.
   auto corrupt = bytes;
   corrupt[corrupt.size() - 1] ^= 0x01;
-  EXPECT_THROW(artifact_from_bytes(corrupt), std::invalid_argument);
+  EXPECT_THROW(sweep_artifact{corrupt}, std::invalid_argument);
 }
 
 TEST(Artifact, StarArtifactValidatesAgainstFreshRebuildAndDetectsSkew) {
   const star_fixture fx({.order = vertex_order::rcm});
-  const sweep_artifact a = loaded(fx.artifact());
+  const auto bytes = artifact_bytes(fx.artifact());
+  const sweep_artifact a(bytes);
   const graph g = rebuild_graph(*a.graph);
   const tuned_runner<star_protocol> rebuilt(star_protocol{}, g, tuning_of(a));
   EXPECT_NO_THROW(validate_tuned_artifact(a, rebuilt));
 
   // A producer whose build assigns different edge classes must fail loudly.
-  sweep_artifact skewed = a;
-  (*skewed.edge)[kEdgeClassesAt] ^= 1;
-  EXPECT_THROW(validate_tuned_artifact(skewed, rebuilt), std::invalid_argument);
+  const auto skewed = with_section(bytes, kEdge, [](auto& e) { e[kEdgeClassesAt] ^= 1; });
+  EXPECT_THROW(validate_tuned_artifact(sweep_artifact(skewed), rebuilt), std::invalid_argument);
 
   // A star artifact stripped of its EDGE section is rejected outright.
-  sweep_artifact stripped = a;
-  stripped.edge.reset();
-  EXPECT_THROW(validate_tuned_artifact(stripped, rebuilt), std::invalid_argument);
-}
-
-// The message a rejected call throws, or "" if it returns.
-template <typename Fn>
-std::string rejection(Fn&& fn) {
-  try {
-    fn();
-  } catch (const std::invalid_argument& e) {
-    return e.what();
-  }
-  return "";
-}
-
-// What validate_tuned_artifact throws for `a` after one `skew`.
-template <typename Runner, typename Skew>
-std::string skew_rejection(sweep_artifact a, const Runner& runner, Skew&& skew) {
-  skew(a);
-  return rejection([&] { validate_tuned_artifact(a, runner); });
+  const auto stripped = without_section(bytes, kEdge);
+  EXPECT_EQ(open_rejection(stripped, rebuilt),
+            "artifact: edge-census protocol without an EDGE section");
 }
 
 // Validation compares the stored bytes with the runner's serialization:
 // every single-field skew of a stored section must still be rejected, with
-// the message each check has always thrown.
+// the message each check has always thrown.  Each skew edits the file's own
+// bytes and reseals it.  A skew that would leave a section inconsistent with
+// itself (a shorter table, a PACK whose size no longer fits its width or
+// state count, a partial permutation) is written as a whole section that
+// pass 1 accepts, so it reaches the comparison; only the invalid PACK width
+// is caught by pass 1, which throws pass 2's message.
 TEST(Artifact, EverySingleFieldSkewIsRejectedWithItsMessage) {
   const std::string table_skew =
       "artifact: this build's closed table diverges from the stored one "
       "(producer/worker version skew)";
   const std::string packed_skew =
       "artifact: this build's packed table diverges from the stored one";
+  using section = std::vector<std::uint8_t>;
   struct skew_case {
     const char* what;
     std::string message;
-    std::function<void(sweep_artifact&)> skew;
+    std::uint32_t tag;
+    std::function<void(section&)> skew;
   };
   const tuned_fixture fx;
-  const sweep_artifact a = loaded(fx.artifact());
-  const std::size_t k = u64_at(*a.table, 0);
+  const auto good = artifact_bytes(fx.artifact());
+  const std::size_t k = u64_at(section_of(good, kTable), 0);
   const table_layout at{k};
-  // PACK: u32 width at 0, u64 num_states at 4, u64 byte count at 12.
+  // PACK: u32 width at 0, u64 num_states at 4, u64 byte count at 12, then
+  // num_states² entries of 4, 8 or 12 bytes.  A PACK for `states` states at
+  // `width` bits, laid out as pass 1 requires.
+  const auto reshape_pack = [](section& p, std::uint32_t width, std::uint64_t states) {
+    const std::uint64_t size = states * states * (width == 8 ? 4 : width == 16 ? 8 : 12);
+    p.resize(20 + size);
+    put_at(p, 0, width);
+    put_at(p, 4, states);
+    put_at(p, 12, size);
+  };
   const skew_case skews[] = {
-      {"none", "", [](sweep_artifact&) {}},
-      {"code", table_skew, [&](sweep_artifact& s) { (*s.table)[at.code(3)] ^= 1; }},
-      {"role", table_skew, [&](sweep_artifact& s) { (*s.table)[at.role(1)] ^= 1; }},
-      {"contrib", table_skew, [&](sweep_artifact& s) { (*s.table)[at.contrib(2, 0)] ^= 1; }},
-      {"counters", table_skew,
-       [](sweep_artifact& s) { put_at(*s.table, 8, u32_at(*s.table, 8) + 1); }},
-      {"a2", table_skew, [&](sweep_artifact& s) { (*s.table)[at.a2(5)] ^= 1; }},
-      {"b2", table_skew, [&](sweep_artifact& s) { (*s.table)[at.b2(7)] ^= 1; }},
-      {"delta", table_skew, [&](sweep_artifact& s) { (*s.table)[at.delta(9, 1)] ^= 1; }},
-      {"last entry", table_skew, [&](sweep_artifact& s) { (*s.table)[at.b2(k * k - 1)] ^= 1; }},
-      {"missing row", table_skew,
-       [&](sweep_artifact& s) { s.table->resize(at.a2(k * (k - 1))); }},
-      {"PACK width", packed_skew,
-       [](sweep_artifact& s) {
-         put_at(*s.packed, 0, std::uint32_t{u32_at(*s.packed, 0) == 32 ? 16u : 32u});
+      {"none", "", kTable, [](section&) {}},
+      {"code", table_skew, kTable, [&](section& t) { t[at.code(3)] ^= 1; }},
+      {"role", table_skew, kTable, [&](section& t) { t[at.role(1)] ^= 1; }},
+      {"contrib", table_skew, kTable, [&](section& t) { t[at.contrib(2, 0)] ^= 1; }},
+      {"counters", table_skew, kTable, [](section& t) { put_at(t, 8, u32_at(t, 8) + 1); }},
+      {"a2", table_skew, kTable, [&](section& t) { t[at.a2(5)] ^= 1; }},
+      {"b2", table_skew, kTable, [&](section& t) { t[at.b2(7)] ^= 1; }},
+      {"delta", table_skew, kTable, [&](section& t) { t[at.delta(9, 1)] ^= 1; }},
+      {"last entry", table_skew, kTable, [&](section& t) { t[at.b2(k * k - 1)] ^= 1; }},
+      {"table for k - 1 states", table_skew, kTable,
+       [&](section& t) {
+         t.resize(table_layout{k - 1}.size());
+         put_at(t, 0, std::uint64_t{k - 1});
        }},
-      {"PACK invalid width", "artifact: packed section has an invalid word width",
-       [](sweep_artifact& s) { put_at(*s.packed, 0, std::uint32_t{7}); }},
-      {"PACK num_states", packed_skew,
-       [](sweep_artifact& s) { put_at(*s.packed, 4, u64_at(*s.packed, 4) + 1); }},
-      {"PACK bytes", packed_skew, [](sweep_artifact& s) { s.packed->back() ^= 0x10; }},
-      {"PACK length", packed_skew, [](sweep_artifact& s) { s.packed->pop_back(); }},
-      {"pack_bits", "artifact: rebuilt runner resolved a different config word width",
-       [](sweep_artifact& s) { s.pack_bits = s.pack_bits == 32 ? 16 : 32; }},
+      {"PACK width", packed_skew, kPacked,
+       [&](section& p) { reshape_pack(p, u32_at(p, 0) == 32 ? 16u : 32u, k); }},
+      {"PACK invalid width", "artifact: packed section has an invalid word width", kPacked,
+       [](section& p) { put_at(p, 0, std::uint32_t{7}); }},
+      {"PACK for k + 1 states", packed_skew, kPacked,
+       [&](section& p) { reshape_pack(p, u32_at(p, 0), k + 1); }},
+      {"PACK bytes", packed_skew, kPacked, [](section& p) { p.back() ^= 0x10; }},
+      {"PACK for k - 1 states", packed_skew, kPacked,
+       [&](section& p) { reshape_pack(p, u32_at(p, 0), k - 1); }},
+      {"pack_bits", "artifact: rebuilt runner resolved a different config word width", kMeta,
+       swap_pack_bits},
   };
   for (const auto& s : skews) {
-    EXPECT_EQ(skew_rejection(a, fx.runner, s.skew), s.message) << s.what;
+    EXPECT_EQ(open_rejection(with_section(good, s.tag, s.skew), fx.runner), s.message)
+        << s.what;
   }
 
   const star_fixture star({.order = vertex_order::rcm});
-  const sweep_artifact b = loaded(star.artifact());
+  const auto star_good = artifact_bytes(star.artifact());
   const std::string edge_skew =
       "artifact: this build's edge classes diverge from the stored ones "
       "(producer/worker version skew)";
+  // GRPH: u32 nodes, u64 m, m (u, v) pairs, u32 order, u64 permutation
+  // size, then the permutation.
+  const std::size_t order_at = 12 + 8 * static_cast<std::size_t>(star.g.num_edges());
+  const std::size_t perm_at = order_at + 12;
   const skew_case star_skews[] = {
-      {"none", "", [](sweep_artifact&) {}},
-      {"EDGE class", edge_skew, [](sweep_artifact& s) { (*s.edge)[kEdgeClassesAt] ^= 1; }},
-      {"EDGE class count", edge_skew,
-       [](sweep_artifact& s) { put_at(*s.edge, 0, std::uint32_t{3}); }},
-      {"EDGE length", edge_skew,
-       [](sweep_artifact& s) {
-         s.edge->push_back(0);
-         put_at(*s.edge, 4, u64_at(*s.edge, 4) + 1);
+      {"none", "", kEdge, [](section&) {}},
+      {"EDGE class", edge_skew, kEdge, [](section& e) { e[kEdgeClassesAt] ^= 1; }},
+      {"EDGE class count", edge_skew, kEdge, [](section& e) { put_at(e, 0, std::uint32_t{3}); }},
+      {"EDGE length", edge_skew, kEdge,
+       [](section& e) {
+         e.push_back(0);
+         put_at(e, 4, u64_at(e, 4) + 1);
        }},
-      {"permutation", "artifact: reorder permutation diverges from this build",
-       [](sweep_artifact& s) { std::swap(s.graph->old_of_new[0], s.graph->old_of_new[1]); }},
-      {"permutation size", "artifact: reorder permutation size diverges from this build",
-       [](sweep_artifact& s) { s.graph->old_of_new.pop_back(); }},
-      {"order", "artifact: rebuilt runner uses a different vertex order",
-       [](sweep_artifact& s) { s.graph->order = 0; }},
+      {"permutation", "artifact: reorder permutation diverges from this build", kGraph,
+       [&](section& g) {
+         const std::uint32_t first = u32_at(g, perm_at);
+         put_at(g, perm_at, u32_at(g, perm_at + 4));
+         put_at(g, perm_at + 4, first);
+       }},
+      {"empty permutation", "artifact: reorder permutation size diverges from this build",
+       kGraph,
+       [&](section& g) {
+         g.resize(perm_at);
+         put_at(g, perm_at - 8, std::uint64_t{0});
+       }},
+      {"order", "artifact: rebuilt runner uses a different vertex order", kGraph,
+       [&](section& g) { put_at(g, order_at, std::uint32_t{0}); }},
   };
   for (const auto& s : star_skews) {
-    EXPECT_EQ(skew_rejection(b, star.runner, s.skew), s.message) << s.what;
+    EXPECT_EQ(open_rejection(with_section(star_good, s.tag, s.skew), star.runner), s.message)
+        << s.what;
   }
 }
 
 TEST(Artifact, EdgeSectionClassBoundsAreEnforcedOnParse) {
   const star_fixture fx;
-  sweep_artifact a = loaded(fx.artifact());
-  (*a.edge)[kEdgeClassesAt] = 7;  // beyond num_classes = 2
-  EXPECT_THROW(artifact_from_bytes(artifact_bytes(a)), std::invalid_argument);
+  const auto bytes = with_section(artifact_bytes(fx.artifact()), kEdge,
+                                  [](auto& e) { e[kEdgeClassesAt] = 7; });  // beyond 2 classes
+  EXPECT_THROW(sweep_artifact{bytes}, std::invalid_argument);
 }
 
 TEST(Artifact, ProtocolDescriptorsRoundTrip) {
@@ -426,10 +542,10 @@ TEST(Artifact, WellmixedArtifactRoundTripsAndValidates) {
   EXPECT_TRUE(a.tables.has_value());  // |Λ| = 6 closes easily
 
   const auto bytes = artifact_bytes(a);
-  const sweep_artifact b = artifact_from_bytes(bytes);
+  const sweep_artifact b(bytes);
   EXPECT_TRUE(meta_of(a) == meta_of(b));
   EXPECT_TRUE(b.wellmixed == a.wellmixed);
-  EXPECT_TRUE(b.table.has_value());
+  EXPECT_FALSE(section_of(bytes, kTable).empty());
   EXPECT_EQ(bytes, artifact_bytes(b));
   EXPECT_NO_THROW(validate_wellmixed_artifact(b, sweep));
 
@@ -466,30 +582,7 @@ TEST(Artifact, HostileElementCountsAreRejectedBeforeAllocating) {
   put64(file, payload.size());
   put64(file, fnv1a64(payload.data(), payload.size()));
   file.insert(file.end(), payload.begin(), payload.end());
-  EXPECT_THROW(artifact_from_bytes(file), std::invalid_argument);
-}
-
-// Offset of the payload of the first section tagged `tag`, walking the
-// section headers (u32 tag, u32 reserved, u64 length) past the 40-byte file
-// header; b.size() if there is none.
-std::size_t payload_of(const std::vector<std::uint8_t>& b, std::uint32_t tag) {
-  std::size_t at = 40;
-  while (at + 16 <= b.size() && u32_at(b, at) != tag) {
-    std::uint64_t length;
-    std::memcpy(&length, b.data() + at + 8, sizeof(length));
-    at += 16 + length;
-  }
-  return at + 16 <= b.size() ? at + 16 : b.size();
-}
-
-// `bytes` with `value` written at `at` and the checksum fixed up, so the
-// mutation reaches the section parsers.
-template <typename T>
-std::vector<std::uint8_t> patched(std::vector<std::uint8_t> bytes, std::size_t at, T value) {
-  std::memcpy(bytes.data() + at, &value, sizeof(value));
-  const std::uint64_t sum = fnv1a64(bytes.data() + 40, bytes.size() - 40);
-  std::memcpy(bytes.data() + 32, &sum, sizeof(sum));
-  return bytes;
+  EXPECT_THROW(sweep_artifact{file}, std::invalid_argument);
 }
 
 TEST(Artifact, GraphNodeCountIsBoundedByTheEdgeList) {
@@ -500,14 +593,17 @@ TEST(Artifact, GraphNodeCountIsBoundedByTheEdgeList) {
   const tuned_fixture fx;
   const auto good = artifact_bytes(fx.artifact());
   // The GRPH payload starts with the node count, then the edges.
-  const std::size_t nodes_at = payload_of(good, 0x48505247);  // 'GRPH'
+  const std::size_t nodes_at = payload_of(good, kGraph);
   ASSERT_LT(nodes_at, good.size());
   ASSERT_EQ(u32_at(good, nodes_at), 200u);
-  auto with_nodes = [&](std::uint32_t n) { return patched(good, nodes_at, n); };
-  EXPECT_NO_THROW(artifact_from_bytes(with_nodes(200)));
-  EXPECT_THROW(artifact_from_bytes(with_nodes(1'543'504'072u)), std::invalid_argument);
-  EXPECT_THROW(artifact_from_bytes(with_nodes(202)), std::invalid_argument);  // m + 2
-  EXPECT_THROW(artifact_from_bytes(with_nodes(0)), std::invalid_argument);
+  auto parses_with_nodes = [&](std::uint32_t n) {
+    const auto bytes = patched(good, nodes_at, n);
+    return rejection([&] { sweep_artifact{bytes}; }).empty();
+  };
+  EXPECT_TRUE(parses_with_nodes(200));
+  EXPECT_FALSE(parses_with_nodes(1'543'504'072u));
+  EXPECT_FALSE(parses_with_nodes(202));  // m + 2
+  EXPECT_FALSE(parses_with_nodes(0));
 }
 
 TEST(Artifact, ProtocolParamsThatDoNotFitTheirFieldsAreRejected) {
@@ -517,11 +613,12 @@ TEST(Artifact, ProtocolParamsThatDoNotFitTheirFieldsAreRejected) {
   const tuned_fixture fx;
   const auto good = artifact_bytes(fx.artifact());
   // META: family (u32 length + bytes), u32 kind, u32 count, then u64 params.
-  const std::size_t meta_at = payload_of(good, 0x4154454d);  // 'META'
+  const std::size_t meta_at = payload_of(good, kMeta);
   ASSERT_LT(meta_at, good.size());
   const std::size_t h_at = meta_at + 4 + u32_at(good, meta_at) + 8;
   auto loaded_h = [&](std::uint64_t h) {
-    return artifact_from_bytes(patched(good, h_at, h)).protocol;
+    const auto bytes = patched(good, h_at, h);
+    return sweep_artifact(bytes).protocol;
   };
   const int h = fx.proto.params().h;
   EXPECT_EQ(fast_params_of(loaded_h(static_cast<std::uint64_t>(h))).h, h);
@@ -548,7 +645,7 @@ TEST(Artifact, WellmixedClassCountsMustSumToThePopulation) {
   const auto good = artifact_bytes(make_wellmixed_artifact(
       wellmixed_sweep<fast_protocol>(proto, n), "clique", fast_desc(proto.params())));
   // WMIX: u64 population, u64 class count, then (u64 code, u64 count) pairs.
-  const std::size_t wmix_at = payload_of(good, 0x58494d57);  // 'WMIX'
+  const std::size_t wmix_at = payload_of(good, kWellmixed);
   ASSERT_LT(wmix_at, good.size());
   ASSERT_EQ(u64_at(good, wmix_at), n);
   ASSERT_EQ(u64_at(good, wmix_at + 8), 1u);
@@ -558,7 +655,7 @@ TEST(Artifact, WellmixedClassCountsMustSumToThePopulation) {
       "artifact: well-mixed class counts do not sum to the population";
   const std::string excess = "artifact: well-mixed class counts exceed the population";
   const auto parse = [](const std::vector<std::uint8_t>& b) {
-    return rejection([&] { artifact_from_bytes(b); });
+    return rejection([&] { sweep_artifact{b}; });
   };
   EXPECT_EQ(parse(good), "");
   EXPECT_EQ(parse(patched(good, wmix_at, std::uint64_t{2'147'483'647})), short_mass);
@@ -569,7 +666,7 @@ TEST(Artifact, WellmixedClassCountsMustSumToThePopulation) {
   // A consistent change describes another valid sweep: it parses, and a
   // rebuild validates against it at its own population only.
   const auto smaller = patched(patched(good, wmix_at, n - 1), count_at, n - 1);
-  const sweep_artifact loaded = artifact_from_bytes(smaller);
+  const sweep_artifact loaded(smaller);
   EXPECT_EQ(loaded.wellmixed->population, n - 1);
   EXPECT_NO_THROW(
       validate_wellmixed_artifact(loaded, wellmixed_sweep<fast_protocol>(proto, n - 1)));
@@ -588,16 +685,9 @@ TEST(Artifact, WellmixedArtifactWithoutItsTableIsRejected) {
   ASSERT_TRUE(sweep.shared());
   const auto good =
       artifact_bytes(make_wellmixed_artifact(sweep, "clique", fast_desc(proto.params())));
-  const std::size_t tabl_at = payload_of(good, 0x4c424154) - 16;  // 'TABL' record
-  ASSERT_LT(tabl_at + 16, good.size());
-  auto stripped = good;
-  stripped.erase(stripped.begin() + static_cast<std::ptrdiff_t>(tabl_at),
-                 stripped.begin() + static_cast<std::ptrdiff_t>(tabl_at + 16 +
-                                                                u64_at(good, tabl_at + 8)));
-  stripped = patched(stripped, 16, u32_at(good, 16) - 1);
-  stripped = patched(stripped, 24, std::uint64_t{stripped.size() - 40});
-  const sweep_artifact a = artifact_from_bytes(stripped);
-  ASSERT_FALSE(a.table.has_value());
+  const auto stripped = without_section(good, kTable);
+  EXPECT_NO_THROW(sweep_artifact{stripped});
+  ASSERT_TRUE(section_of(stripped, kTable).empty());
   const auto open = [](const std::vector<std::uint8_t>& bytes) {
     return rejection([&] { open_sweep(std::span(bytes), [](const auto&) {}); });
   };
@@ -619,7 +709,7 @@ TEST(Artifact, PackedWidthAndSizeAreCheckedOnParse) {
   const auto good = artifact_bytes(make_tuned_artifact(runner, g, "cycle",
                                                        fast_desc(proto.params())));
   // PACK: u32 width, u64 num_states, u64 byte count, then the bytes.
-  const std::size_t pack_at = payload_of(good, 0x4b434150);  // 'PACK'
+  const std::size_t pack_at = payload_of(good, kPacked);
   ASSERT_LT(pack_at, good.size());
   ASSERT_EQ(u32_at(good, pack_at), 8u);
   ASSERT_EQ(u64_at(good, pack_at + 4), k);
@@ -627,7 +717,7 @@ TEST(Artifact, PackedWidthAndSizeAreCheckedOnParse) {
   const std::string bad_width = "artifact: packed section has an invalid word width";
   const std::string bad_size = "artifact: packed section size is not num_states² entries";
   const auto parse = [](const std::vector<std::uint8_t>& b) {
-    return rejection([&] { artifact_from_bytes(b); });
+    return rejection([&] { sweep_artifact{b}; });
   };
   EXPECT_EQ(parse(good), "");
   for (const std::uint32_t width : {0u, 7u, 9u, 24u, 64u, 0xFFFFFFFFu}) {
@@ -660,7 +750,7 @@ TEST(Artifact, BytesMatchTheParentWriter) {
     EXPECT_EQ(fnv1a64(bytes.data(), bytes.size()), want.fnv) << want.name;
     const std::string path = testing::TempDir() + "/artifact_parent_bytes.ppaf";
     save_artifact(a, path);
-    EXPECT_TRUE(read_artifact_file(path) == bytes) << want.name << ": file != bytes";
+    EXPECT_TRUE(file_bytes(path) == bytes) << want.name << ": file != bytes";
     std::remove(path.c_str());
   };
   check({"natural fast", 26'697'320, 0xc1bbd3dfa55afc30ull}, tuned_fixture().artifact());
@@ -801,16 +891,16 @@ TEST(Artifact, SeededMutationsAreRejectedOrRoundTrip) {
   rng gen(2024);
   for (const fixture& fx : fixtures) {
     const auto& valid = fx.bytes;
-    const sweep_artifact original = artifact_from_bytes(valid);
+    const sweep_artifact original(valid);
     ASSERT_LT(valid.size(), 16'384u) << fx.name << ": keep the fixtures small";
     std::size_t rejected = 0;
     std::size_t accepted = 0;
     std::size_t validated = 0;
     for (int i = 0; i < 2500; ++i) {
       const auto bytes = mutated(valid, i, gen);
-      sweep_artifact parsed;
+      std::optional<sweep_artifact> parsed;
       try {
-        parsed = artifact_from_bytes(bytes);
+        parsed.emplace(bytes);
       } catch (const std::invalid_argument&) {
         ++rejected;
         continue;
@@ -820,14 +910,14 @@ TEST(Artifact, SeededMutationsAreRejectedOrRoundTrip) {
       // added the optional EDGE section), so the writer answers with 2.
       auto expected = bytes;
       if (u32_at(expected, 8) == 1) expected[8] = static_cast<std::uint8_t>(kArtifactVersion);
-      ASSERT_TRUE(artifact_bytes(parsed) == expected) << fx.name << ", mutation " << i;
+      ASSERT_TRUE(artifact_bytes(*parsed) == expected) << fx.name << ", mutation " << i;
 
-      const bool same_meta = parsed.family == original.family &&
-                             parsed.protocol == original.protocol &&
-                             parsed.pack_bits == original.pack_bits;
+      const bool same_meta = parsed->family == original.family &&
+                             parsed->protocol == original.protocol &&
+                             parsed->pack_bits == original.pack_bits;
       // A consistent WMIX far past the fixture's population is a valid but
       // large sweep; its O(population) initial multiset adds nothing here.
-      const bool small = !parsed.wellmixed || parsed.wellmixed->population <= 4096;
+      const bool small = !parsed->wellmixed || parsed->wellmixed->population <= 4096;
       if (!same_meta || !small) continue;
       try {
         open_sweep(std::span(bytes), [](const auto&) {});
@@ -838,8 +928,9 @@ TEST(Artifact, SeededMutationsAreRejectedOrRoundTrip) {
       // The tables are a function of META, and every fixture's closure
       // closes, so a mutant that opens carries exactly the original's:
       // a dropped TABL, PACK or EDGE is a stripped file.
-      EXPECT_TRUE(parsed.table == original.table && parsed.packed == original.packed &&
-                  parsed.edge == original.edge)
+      EXPECT_TRUE(section_of(bytes, kTable) == section_of(valid, kTable) &&
+                  section_of(bytes, kPacked) == section_of(valid, kPacked) &&
+                  section_of(bytes, kEdge) == section_of(valid, kEdge))
           << fx.name << ", mutation " << i << " validated with other tables";
     }
     // Every outcome occurs, so no branch is vacuous.

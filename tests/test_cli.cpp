@@ -27,14 +27,15 @@ namespace {
 
 // Runs `popsim <args>`, returning {exit code, stdout}.  stderr is routed to
 // /dev/null: these tests assert *codes*, the messages are for humans.
+// `wrapper` prefixes the command (e.g. "timeout 5 ").
 struct cli_result {
   int code = -1;
   std::string out;
 };
 
-cli_result run_cli(const std::string& args) {
+cli_result run_cli(const std::string& args, const std::string& wrapper = "") {
   const std::string command =
-      std::string(PP_POPSIM_CLI) + " " + args + " 2>/dev/null";
+      wrapper + std::string(PP_POPSIM_CLI) + " " + args + " 2>/dev/null";
   std::FILE* pipe = popen(command.c_str(), "r");
   EXPECT_NE(pipe, nullptr);
   cli_result r;
@@ -150,6 +151,16 @@ TEST(CliExitCodes, InvalidInvocationsExitNonzero) {
     const cli_result r = run_cli(args);
     EXPECT_GT(r.code, 0) << "popsim " << args
                          << " should exit nonzero but exited " << r.code;
+  }
+  // --serve takes only --cache-mb and --log-level: sweep flags are usage
+  // errors before the daemon binds.  A daemon that accepted them would
+  // serve forever, so the timeout turns that into a failing exit (124)
+  // instead of a hung suite.
+  for (const char* args : {"--serve 0 --trials 5", "--serve 0 --seed 3"}) {
+    const cli_result r = run_cli(args, "timeout 5 ");
+    EXPECT_EQ(r.code, 2) << "popsim " << args << " should be a usage error but exited "
+                         << r.code;
+    EXPECT_EQ(r.out, "") << "popsim " << args;
   }
 }
 
@@ -390,6 +401,30 @@ TEST(CliFleet, ProgressLeavesStdoutUntouched) {
   EXPECT_NE(err.out.find("6/6 trials"), std::string::npos)
       << "stderr was: " << err.out;
   EXPECT_NE(err.out.find("done"), std::string::npos);
+}
+
+// popsim names the deal the supervisor opens with on stderr, before any
+// worker starts (perfbench's rr8-fleet2 ends setup_s at the `fleet sweep`
+// line): never more workers than the supervisor starts, nor a block size it
+// does not deal.
+TEST(CliFleet, SweepLineNamesTheOpeningDeal) {
+  const struct {
+    const char* flags;
+    const char* line;
+  } cases[] = {
+      {"--trials 1 --jobs 2", "popsim: fleet sweep, 1 worker x 1-trial block\n"},
+      {"--trials 3 --jobs 2", "popsim: fleet sweep, 2 workers x 2-trial blocks, the last of 1\n"},
+      {"--trials 8 --jobs 2", "popsim: fleet sweep, 2 workers x 4-trial blocks\n"},
+      // Nothing listens on port 1: the slot fails and the trial runs inline.
+      {"--trials 1 --hosts 127.0.0.1:1,127.0.0.1:1",
+       "popsim: distributed sweep, 1 worker x 1-trial block across 2 host(s)\n"},
+  };
+  for (const auto& c : cases) {
+    const std::string args = std::string("rr8 500 fast --seed 1 ") + c.flags;
+    const cli_result err = run_cli_stderr(args);
+    EXPECT_EQ(err.code, 0) << args;
+    EXPECT_NE(err.out.find(c.line), std::string::npos) << args << ": " << err.out;
+  }
 }
 
 // `sample leader:` is trial 0's leader, computed the way popsim seeds it:

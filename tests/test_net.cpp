@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <fstream>
 #include <optional>
 #include <string>
 #include <thread>
@@ -95,12 +96,19 @@ TEST(NetHandshake, SweepRequestRoundTrips) {
   EXPECT_EQ(decoded, request);
 }
 
-// The ARTIFACT_DATA frame is written from the artifact where it lies; on
-// the wire it must be exactly the frame of the concatenated payload.
+// The ARTIFACT_DATA frame is streamed from the artifact file a chunk at a
+// time; on the wire it must be exactly the frame of the concatenated
+// payload.
 TEST(NetHandshake, ArtifactFrameIsTheFrameOfTheConcatenatedPayload) {
-  std::vector<std::uint8_t> artifact(300'000);
+  std::vector<std::uint8_t> artifact(300'000);  // several read chunks
   for (std::size_t i = 0; i < artifact.size(); ++i) {
     artifact[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  const std::string path = testing::TempDir() + "/net_frame.bin";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(artifact.data()),
+              static_cast<std::streamsize>(artifact.size()));
   }
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
@@ -112,10 +120,11 @@ TEST(NetHandshake, ArtifactFrameIsTheFrameOfTheConcatenatedPayload) {
       received.insert(received.end(), buf, buf + n);
     }
   });
-  net::send_artifact_frame(fds[0], artifact, 10'000);
+  net::send_artifact_frame(fds[0], artifact_file(path), 10'000);
   ::close(fds[0]);
   reader.join();
   ::close(fds[1]);
+  std::remove(path.c_str());
 
   std::vector<std::uint8_t> payload{static_cast<std::uint8_t>(net::msg_type::artifact_data)};
   payload.insert(payload.end(), artifact.begin(), artifact.end());
