@@ -18,6 +18,7 @@
 #include "core/fast_election.h"
 #include "core/majority.h"
 #include "engine/wellmixed/sampling.h"
+#include "fleet/sweep.h"
 #include "graph/generators.h"
 #include "stat_gate.h"
 
@@ -217,6 +218,49 @@ TEST(WellMixed, AgreesWithEngineMajorityProtocol) {
   rng votes_gen(29);
   const auto votes = random_vote_assignment(static_cast<node_id>(n), 320, votes_gen);
   expect_agreement(majority_protocol(votes), n, 32, 2002);
+}
+
+// Exact seeded trajectories (steps, leader, distinct states with the census
+// on).  A change that only regroups the same draws must keep every value; a
+// change of draws re-records them, with the 3σ gates above as the law's
+// specification.
+TEST(WellMixed, SeededTrajectoriesArePinned) {
+  struct pinned {
+    std::uint64_t steps;
+    std::uint64_t distinct;
+  };
+  const auto expect_pinned = [](const election_result& r, pinned want,
+                                const char* what) {
+    EXPECT_TRUE(r.stabilized) << what;
+    EXPECT_EQ(r.leader, 0) << what;
+    EXPECT_EQ(r.steps, want.steps) << what;
+    EXPECT_EQ(r.distinct_states_used, want.distinct) << what;
+  };
+  const sim_options census{.state_census = true};
+  {
+    // popsim's `clique 5000 fast --engine wellmixed --trials 1 --seed s`.
+    // More than 64 states are occupied there, so each row of the
+    // occupied-state bitmap spans two words.
+    const fast_protocol proto(fast_params::practical_clique(5000));
+    const wellmixed_sweep<fast_protocol> sweep(proto, 5000);
+    expect_pinned(sweep.run(fleet::sweep_seed_gen(1).fork(0), census),
+                  {6361631, 185}, "fast n=5000 seed 1");
+    expect_pinned(sweep.run(fleet::sweep_seed_gen(2).fork(0), census),
+                  {7208703, 185}, "fast n=5000 seed 2");
+  }
+  {
+    const std::uint64_t n = 1024;
+    const fast_protocol proto(fast_params::practical_clique(n));
+    sim_options fixed = census;
+    fixed.wellmixed_batch = 16;
+    expect_pinned(run_wellmixed(proto, n, rng(5), fixed), {575991, 129},
+                  "fast n=1024 B=16");
+  }
+  {
+    const beauquier_protocol proto(2000);
+    expect_pinned(run_wellmixed(proto, 2000, rng(6), census), {2913479, 5},
+                  "six n=2000");
+  }
 }
 
 TEST(WellMixed, FullElectionAtSixtyFourThousand) {
