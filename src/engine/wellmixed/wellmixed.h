@@ -48,6 +48,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <unordered_map>
@@ -395,8 +396,11 @@ election_result run_wellmixed(compiled_protocol<P>& compiled,
   // Pick-count matrix over occupied-index pairs: kmat[i * occ + j] is the
   // number of the batch's interactions whose ordered state pair is
   // (occupied[i], occupied[j]).  Chains add in bulk, alias picks increment —
-  // no per-pick allocation — and one sweep turns it into pair classes.
+  // no per-pick allocation.  kbits marks the written cells, one row of
+  // ⌈occ/64⌉ words per initiator, so the sweep into pair classes visits only
+  // those cells instead of all occ² (a batch fills a few percent of them).
   std::vector<std::uint32_t> kmat;
+  std::vector<std::uint64_t> kbits;
 
   // A conditional-binomial chain is worth running for a class only while it
   // expects at least this many picks; below that, O(1) alias draws are
@@ -428,9 +432,12 @@ election_result run_wellmixed(compiled_protocol<P>& compiled,
     build_alias(full_alias, 0, occ);
     if (heavy < occ) build_alias(tail_alias, heavy, occ);
     ka.assign(occ, 0);
-    // The matrix is all-zero here: the sweep below clears every cell it
-    // emits, so only growth needs a fill — no O(occ²) zeroing per batch.
+    // The matrix and its bitmap are all-zero here: the sweep below clears
+    // every cell and word it visits, so only growth needs a fill — no
+    // O(occ²) zeroing per batch.
     if (kmat.size() < occ * occ) kmat.resize(occ * occ, 0);
+    const std::size_t words = (occ + 63) / 64;
+    if (kbits.size() < occ * words) kbits.resize(occ * words, 0);
 
     // ---- initiator marginals ----
     std::uint64_t rem = B;
@@ -458,6 +465,11 @@ election_result run_wellmixed(compiled_protocol<P>& compiled,
       const std::uint64_t ca = counts[a];
       std::uint64_t rem2 = ka[ia];
       std::uint32_t* const row = kmat.data() + ia * occ;
+      std::uint64_t* const bits = kbits.data() + ia * words;
+      const auto add = [&](std::size_t j, std::uint64_t k) {
+        row[j] += static_cast<std::uint32_t>(k);
+        bits[j / 64] |= std::uint64_t{1} << (j % 64);
+      };
       if (rem2 >= chain_min) {
         // Heavy prefix by conditional binomials over the leave-one-out
         // weights; one agent of state a is excluded wherever a sits.
@@ -465,13 +477,13 @@ election_result run_wellmixed(compiled_protocol<P>& compiled,
           const std::uint64_t mass2 = (n - 1) - (cum[j] - (ia < j ? 1 : 0));
           const std::uint64_t w = counts[occupied[j]] - (j == ia ? 1 : 0);
           if (w >= mass2) {
-            row[j] += static_cast<std::uint32_t>(rem2);
+            add(j, rem2);
             rem2 = 0;
             break;
           }
           const std::uint64_t kab = sample_binomial(
               draw, rem2, static_cast<double>(w) / static_cast<double>(mass2));
-          row[j] += static_cast<std::uint32_t>(kab);
+          add(j, kab);
           rem2 -= kab;
         }
         // Remainder goes to the tail classes.
@@ -480,7 +492,7 @@ election_result run_wellmixed(compiled_protocol<P>& compiled,
           do {
             j = alias_draw(tail_alias);
           } while (j == ia && draw.uniform_below(ca) == 0);
-          ++row[j];
+          add(j, 1);
         }
       } else {
         // Light class: every pick through the full-distribution alias.
@@ -489,20 +501,27 @@ election_result run_wellmixed(compiled_protocol<P>& compiled,
           do {
             j = alias_draw(full_alias);
           } while (j == ia && draw.uniform_below(ca) == 0);
-          ++row[j];
+          add(j, 1);
         }
       }
     }
 
-    // ---- sweep the matrix into pair classes (clearing as it goes) ----
+    // ---- sweep the marked cells into pair classes (clearing as it goes),
+    // in ascending j per row; a chain's zero draw marks a cell it left 0 ----
     for (std::size_t ia = 0; ia < occ; ++ia) {
       if (ka[ia] == 0) continue;
       std::uint32_t* const row = kmat.data() + ia * occ;
-      for (std::size_t j = 0; j < occ; ++j) {
-        if (row[j] > 0) {
-          classes.push_back({occupied[ia], occupied[j], row[j]});
-          row[j] = 0;
+      std::uint64_t* const bits = kbits.data() + ia * words;
+      for (std::size_t w = 0; w < words; ++w) {
+        for (std::uint64_t m = bits[w]; m != 0; m &= m - 1) {
+          const std::size_t j =
+              w * 64 + static_cast<std::size_t>(std::countr_zero(m));
+          if (row[j] > 0) {
+            classes.push_back({occupied[ia], occupied[j], row[j]});
+            row[j] = 0;
+          }
         }
+        bits[w] = 0;
       }
     }
   };
