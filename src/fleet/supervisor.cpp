@@ -481,9 +481,14 @@ std::vector<election_result> supervise(std::uint64_t trials, rng seed_gen,
         eof = true;
         break;
       }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      fail_slot(i, "pipe read error");
+      const int err = errno;
+      if (err == EINTR) continue;
+      if (err == EAGAIN || err == EWOULDBLOCK) break;
+      // A remote slot (pid < 0, net.h) reads a socket, whose failures (a
+      // peer's reset) differ from a dead child's pipe; name both.
+      const std::string why = std::string(s.pid >= 0 ? "pipe" : "socket") +
+                              " read error: " + std::strerror(err);
+      fail_slot(i, why.c_str());
       return;
     }
     if (!parse_buffer(i)) {

@@ -8,11 +8,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/beauquier.h"
@@ -29,6 +32,7 @@
 #include "graph/generators.h"
 #include "mutation.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace pp::fleet {
 namespace {
@@ -286,20 +290,31 @@ TEST_F(RemoteSweep, RecoversFromConnectionFaultsByteIdentically) {
   // drop severs the socket with an RST mid-stream, torn leaves half a frame,
   // garbage delivers a well-framed record whose checksum cannot match.  In
   // every case the replacement connection re-runs the slot's remaining
-  // trials and the merged sweep is indistinguishable from an unfaulted one.
-  for (const fault_kind kind :
-       {fault_kind::drop, fault_kind::torn, fault_kind::garbage}) {
+  // trials and the merged sweep is indistinguishable from an unfaulted one,
+  // and the slot's failure names what the supervisor saw on the socket.
+  const std::pair<fault_kind, std::string> faults[] = {
+      {fault_kind::drop,
+       std::string("socket read error: ") + std::strerror(ECONNRESET)},
+      {fault_kind::torn, "stream ended early"},
+      {fault_kind::garbage, "record protocol violation"}};
+  for (const auto& [kind, reason] : faults) {
     const service_process daemon(service_options{});
     obs::metrics_registry metrics;
+    obs::trace_writer trace;
     supervise_options options;
     options.faults = {{kind, 0, 1}};
     options.metrics = &metrics;
+    options.trace = &trace;
     const auto results = net::supervised_remote_sweep(
         loopback(daemon.port(), 1), 2, manifest_, options);
     expect_serial(results);
-    EXPECT_GE(metrics.counter("fleet.net.reconnects"), 1u)
-        << to_string(fault_spec{kind, 0, 1});
+    const std::string what = to_string(fault_spec{kind, 0, 1});
+    EXPECT_GE(metrics.counter("fleet.net.reconnects"), 1u) << what;
     EXPECT_EQ(metrics.counter("fleet.records_received"), manifest_.trials);
+    const std::string events = trace.json();
+    EXPECT_NE(events.find("\"worker_kill\""), std::string::npos) << what;
+    EXPECT_NE(events.find("\"reason\": \"" + reason + "\""), std::string::npos)
+        << what << ": " << events;
   }
 }
 
