@@ -22,10 +22,15 @@
 //      multivariate hypergeometric draws (the composition of a uniformly
 //      ordered prefix), test the predicate on each half, and recurse.
 //
-// The per-batch cost is O(occupied pair classes + |Λ|), independent of n, so
-// the step rate decouples from the graph size: cliques at n = 10⁷–10⁸ —
-// whose edge lists (Θ(n²)) cannot even be materialised — simulate billions
-// of interactions per second on one core.
+// A batch pays for its picks, not for n.  With occ occupied states it costs
+// O(occ log occ) to re-sort them, O(occ) for the alias tables, one alias
+// draw per light pick, `heavy` binomials per chained responder row (see
+// kChainCost), an O(occ·⌈occ/64⌉) bitmap sweep of the rows that hold picks
+// and O(pair classes) to apply them (README.md, "Per-batch cost").  Alias
+// draws are bounded by B and chains by occ·heavy, so once B ≫ occ² the step
+// rate decouples from the graph size: cliques at n = 10⁷–10⁸ — whose edge
+// lists (Θ(n²)) cannot even be materialised — simulate billions of
+// interactions per second on one core.
 //
 // Approximation caveat (why this is opt-in): within one batch every draw is
 // taken from the *pre-batch* counts, i.e. the composition is multinomial
@@ -407,15 +412,25 @@ election_result run_wellmixed(compiled_protocol<P>& compiled,
   // cheaper.  Chains and individual draws are exact regroupings of the same
   // iid multinomial draws — only the grouping adapts, never the law.
   constexpr double kChainCutoff = 10.0;
+  // A responder row chains through the heavy prefix only when it holds at
+  // least kChainCost picks per heavy class; a sparser row draws every pick
+  // from the alias table.  A chain link is a binomial (an inversion pays a
+  // log per success), so it pays off only where it replaces many alias
+  // picks.  The bound grows with `heavy`, so rows that spread few picks
+  // over many heavy classes stop chaining while the large rows of large-n
+  // batches keep their chains.  Fitted in README.md ("Per-batch cost").
+  constexpr std::uint64_t kChainCost = 8;
 
   // Samples the composition of the next B interactions from the current
   // counts: initiator-state marginals are a multinomial over counts/n, and
   // responder states within each initiator class follow the conditional
-  // leave-one-out weights (count[b] − [b = a])/(n − 1).  Heavy classes
-  // (expecting >= kChainCutoff picks) are drawn with conditional binomials;
-  // everything else is drawn pick-by-pick through the alias tables, with a
-  // proposal b = a re-drawn with probability 1/count[a] (rejection makes the
-  // accepted law exactly the leave-one-out distribution).
+  // leave-one-out weights (count[b] − [b = a])/(n − 1).  Heavy initiator
+  // classes (expecting >= kChainCutoff picks), and the heavy responders of
+  // rows that pass the kChainCost rule, are drawn with conditional
+  // binomials; everything else is drawn pick-by-pick through the alias
+  // tables, with a proposal b = a re-drawn with probability 1/count[a]
+  // (rejection makes the accepted law exactly the leave-one-out
+  // distribution).
   auto sample_batch = [&](std::uint64_t B) {
     classes.clear();
     compact_occupied();
@@ -457,8 +472,6 @@ election_result run_wellmixed(compiled_protocol<P>& compiled,
     for (; rem > 0; --rem) ++ka[alias_draw(tail_alias)];
 
     // ---- responders within each initiator class ----
-    const std::uint64_t chain_min = std::max<std::uint64_t>(
-        static_cast<std::uint64_t>(kChainCutoff), 2 * heavy);
     for (std::size_t ia = 0; ia < occ; ++ia) {
       if (ka[ia] == 0) continue;
       const std::uint32_t a = occupied[ia];
@@ -470,9 +483,10 @@ election_result run_wellmixed(compiled_protocol<P>& compiled,
         row[j] += static_cast<std::uint32_t>(k);
         bits[j / 64] |= std::uint64_t{1} << (j % 64);
       };
-      if (rem2 >= chain_min) {
+      if (rem2 >= kChainCost * heavy) {
         // Heavy prefix by conditional binomials over the leave-one-out
-        // weights; one agent of state a is excluded wherever a sits.
+        // weights; one agent of state a is excluded wherever a sits.  With
+        // no heavy class the tail table is the full one.
         for (std::size_t j = 0; j < heavy && rem2 > 0; ++j) {
           const std::uint64_t mass2 = (n - 1) - (cum[j] - (ia < j ? 1 : 0));
           const std::uint64_t w = counts[occupied[j]] - (j == ia ? 1 : 0);

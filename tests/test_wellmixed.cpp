@@ -244,21 +244,21 @@ TEST(WellMixed, SeededTrajectoriesArePinned) {
     const fast_protocol proto(fast_params::practical_clique(5000));
     const wellmixed_sweep<fast_protocol> sweep(proto, 5000);
     expect_pinned(sweep.run(fleet::sweep_seed_gen(1).fork(0), census),
-                  {6361631, 185}, "fast n=5000 seed 1");
+                  {7167601, 185}, "fast n=5000 seed 1");
     expect_pinned(sweep.run(fleet::sweep_seed_gen(2).fork(0), census),
-                  {7208703, 185}, "fast n=5000 seed 2");
+                  {7095522, 187}, "fast n=5000 seed 2");
   }
   {
     const std::uint64_t n = 1024;
     const fast_protocol proto(fast_params::practical_clique(n));
     sim_options fixed = census;
     fixed.wellmixed_batch = 16;
-    expect_pinned(run_wellmixed(proto, n, rng(5), fixed), {575991, 129},
+    expect_pinned(run_wellmixed(proto, n, rng(5), fixed), {446542, 130},
                   "fast n=1024 B=16");
   }
   {
     const beauquier_protocol proto(2000);
-    expect_pinned(run_wellmixed(proto, 2000, rng(6), census), {2913479, 5},
+    expect_pinned(run_wellmixed(proto, 2000, rng(6), census), {3494189, 5},
                   "six n=2000");
   }
 }
