@@ -24,13 +24,13 @@
 //
 // A batch pays for its picks, not for n.  With occ occupied states it costs
 // O(occ log occ) to re-sort them, O(occ) for the alias tables, one alias
-// draw per light pick, `heavy` binomials per chained responder row (see
-// kChainCost), an O(occ·⌈occ/64⌉) bitmap sweep of the rows that hold picks
-// and O(pair classes) to apply them (README.md, "Per-batch cost").  Alias
-// draws are bounded by B and chains by occ·heavy, so once B ≫ occ² the step
-// rate decouples from the graph size: cliques at n = 10⁷–10⁸ — whose edge
-// lists (Θ(n²)) cannot even be materialised — simulate billions of
-// interactions per second on one core.
+// draw per pick no chain covers, `heavy` binomials per chained responder row
+// (see kChainCost), an O(occ·⌈occ/64⌉) bitmap sweep of the rows that hold
+// picks and O(pair classes) to apply them (README.md, "Per-batch cost").
+// Once B ≫ occ², chains cover all but O(occ·heavy) picks per batch, so a
+// batch's cost stops growing with B and the step rate decouples from the
+// graph size: cliques at n = 10⁷–10⁸ — whose edge lists (Θ(n²)) cannot even be
+// materialised — simulate billions of interactions per second on one core.
 //
 // Approximation caveat (why this is opt-in): within one batch every draw is
 // taken from the *pre-batch* counts, i.e. the composition is multinomial
