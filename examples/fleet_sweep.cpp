@@ -6,7 +6,7 @@
 //      (tuned_runner: closed table, packed snapshot, reorder permutation);
 //   2. save its artifact, written straight from the runner, and open the
 //      file (fleet::open_sweep) — the opener rebuilds the sweep and
-//      compares it byte-for-byte with the stored sections, so
+//      compares its tables' prints with the stored ones, so
 //      version-skewed workers fail loudly instead of silently diverging;
 //   3. run the same seed list serially and through two supervised forked
 //      workers and check the summaries match *exactly* (seed-partition

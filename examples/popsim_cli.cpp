@@ -42,12 +42,13 @@
 //             src/fleet/).  Trial t keeps its serial seed, records are
 //             merged by trial index, so the printed summary is identical to
 //             the --jobs 1 run — worker bookkeeping goes to stderr
-//   --save-artifact  write the prepared sweep (closed table, packed
-//             snapshot, graph + reorder permutation or well-mixed multiset)
-//             as a versioned, checksummed binary artifact (src/fleet/)
+//   --save-artifact  write the prepared sweep (resolved protocol params,
+//             graph + reorder permutation or well-mixed multiset, and
+//             prints of the closed and packed tables) as a versioned,
+//             checksummed binary artifact (src/fleet/)
 //   --load-artifact  rebuild the sweep from an artifact instead of the
-//             positional arguments; the rebuild is validated byte-for-byte
-//             against the stored sections before anything runs
+//             positional arguments; the rebuilt tables are checked against
+//             the stored prints before anything runs
 //   --journal  spool every completed trial of the sweep to a crash-safe
 //             .ppaj journal (src/fleet/journal.h) as it streams in
 //   --resume  replay the --journal file first and run only the trials it
@@ -833,7 +834,7 @@ int worker_main(int argc, char** argv) {
 }
 
 // popsim --load-artifact FILE ...: open the sweep the artifact describes
-// (rebuilt and validated against the stored sections) and run it.
+// (rebuilt and validated against the stored prints) and run it.
 int artifact_main(const cli_config& cfg, const char* argv0) {
   const pp::fleet::sweep_artifact stored(cfg.load_path);
   if (stored.engine == pp::fleet::artifact_engine::wellmixed &&
@@ -846,9 +847,9 @@ int artifact_main(const cli_config& cfg, const char* argv0) {
   return pp::fleet::open_sweep(
       stored, [&]<typename S>(const std::shared_ptr<const S>& sweep) {
         if (!cfg.save_path.empty()) {
-          // Re-save from the opened runner: it validated byte for byte
-          // against the input, so the file is the input again (the CI
-          // round-trip gate `cmp`s the two).
+          // Re-save from the opened runner: its tables matched the input's
+          // prints, so the file is the input again (the CI round-trip gate
+          // `cmp`s the two).
           pp::fleet::save_artifact(sweep->view(), cfg.save_path);
         }
         const pp::fleet::artifact_meta& meta = sweep->meta;

@@ -491,7 +491,7 @@ class packed_table {
   void mark(std::vector<std::uint8_t>& seen, std::size_t id) const { seen[id] = 1; }
   std::uint64_t lazy_fills() const { return 0; }
   // Raw row-major entries (k² of them, padding-free per the static_asserts
-  // above) — the bytes the fleet artifact snapshots and byte-compares.
+  // above) — the bytes the fleet artifact's PACK print covers.
   std::span<const packed_entry<W>> entries() const { return entries_; }
 
  private:

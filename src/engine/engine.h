@@ -693,8 +693,8 @@ class tuned_runner {
   // Maps run-graph node ids back to original ids; empty for natural order.
   const std::vector<node_id>& old_of_new() const { return old_of_new_; }
   // The packed table's raw row-major entries at the resolved width (empty
-  // on the lazy fallback): the bytes the fleet artifact's PACK section
-  // stores and a rebuilt worker's validation compares.
+  // on the lazy fallback): the bytes the fleet artifact's PACK print covers
+  // and a rebuilt worker's validation hashes again.
   std::span<const std::uint8_t> packed_bytes() const {
     return std::visit(
         [](const auto& t) -> std::span<const std::uint8_t> {

@@ -782,8 +782,8 @@ class wellmixed_sweep {
   std::uint64_t population() const { return n_; }
   // True iff the reachable space closed and the table is shared read-only.
   bool shared() const { return shared_; }
-  // The prepared table (closed iff shared()) — what the fleet artifact
-  // snapshots and validates.
+  // The prepared table (closed iff shared()) — what the fleet artifact's
+  // TABL print covers and validation hashes again.
   const compiled_protocol<P>& compiled() const { return compiled_; }
 
  private:

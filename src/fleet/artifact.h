@@ -1,9 +1,9 @@
-// Serializable protocol artefacts: a prepared sweep — its closed
-// compiled_protocol table, the packed_table the hot loop reads, the graph
-// (with its reorder permutation) and the well-mixed initial multiset — in a
-// versioned, endianness-tagged, checksummed binary container, so worker
-// processes (and other hosts) can share one prepared sweep instead of each
-// re-deriving it.
+// Serializable protocol artefacts: a prepared sweep — the graph (with its
+// reorder permutation), the protocol's resolved parameters, the well-mixed
+// initial multiset, and fingerprints of the closed compiled_protocol table,
+// the packed_table the hot loop reads and the edge classes — in a versioned,
+// endianness-tagged, checksummed binary container, so worker processes (and
+// other hosts) can share one prepared sweep instead of each re-deriving it.
 //
 // Container layout (all integers native-endian; the header's endianness tag
 // makes a foreign-endian reader fail loudly instead of mis-reading):
@@ -22,54 +22,42 @@
 // Sections come in one fixed order: META, GRPH, TABL, PACK, EDGE, WMIX.
 //
 // Versioning policy: any change to the header or a section layout bumps
-// kArtifactVersion; loaders accept the versions whose layout they can parse
-// exactly (currently {1, 2} — v2 only *added* the optional EDGE section) and
-// reject everything else (artifacts are cheap to regenerate — the closed
-// table is O(|Λ|²) — so there is no migration machinery).
+// kArtifactVersion, and a build reads its own version only; any other is
+// rejected with both versions named (artifacts are cheap to re-save, so
+// there is no migration machinery).
 //
-// The artifact is a serialization of the runner: no process holds a second
-// copy of the runner's tables.
+// The runner's tables are never stored.  The reachability closure is
+// deterministic, so every opener rebuilds the closed and packed tables from
+// META and GRPH; TABL, PACK and EDGE each hold only a table_print of the
+// table as the runner serializes it, the bytes a version-2 file stored there
+// (layouts below).  The rebuilt runner must serialize to the same prints:
+// this is the version-skew gate of the fleet protocol (src/fleet/README.md),
+// and a divergence slips through only on a 64-bit FNV-1a collision.
 //   * Save.  make_tuned_artifact / make_wellmixed_artifact return an
-//     artifact_view that borrows the runner: save_artifact writes TABL from
+//     artifact_view that borrows the runner: save_artifact hashes TABL from
 //     the runner's closed table (each row is already k contiguous 12-byte
 //     wire entries), PACK from its packed_bytes() and EDGE from its edge
-//     classes, through a 64 KiB stage with a running FNV-1a, and writes the
-//     40-byte header last (a save that dies midway leaves a zero header,
-//     which no open accepts).  Only O(|Λ|) per-state arrays are built.
-//   * Open.  open_sweep(path | bytes, fn) reads the artifact in two passes
-//     of fixed kChunkBytes (64 KiB) chunks:
-//       pass 1 (sweep_artifact) streams every payload byte through FNV-1a
-//       and checks the checksum before any section is parsed.  As the bytes
-//       stream past it indexes the sections and keeps META, GRPH, EDGE and
-//       WMIX whole and the first bytes of TABL and PACK.  Then it parses
-//       META, GRPH and WMIX and checks the layout of TABL, PACK and EDGE,
-//       from those kept bytes only, so a file changed after the checksum
-//       cannot slip in; TABL, PACK and EDGE stay where they are stored.
-//       pass 2 (validate_*_artifact) builds the runner (protocol, graph,
-//       closure, pack — the closure is deterministic), then compares TABL,
-//       PACK and EDGE against the runner's own serialization, reading the
-//       stored bytes again chunk by chunk at their indexed offsets.  WMIX
-//       follows TABL in the section order but a well-mixed runner is built
-//       from it, so it has to be parsed before TABL can be compared: hence
-//       the index.
-//     A process therefore holds its runner, the small sections and one
-//     chunk.  popsimd opens the ARTIFACT_DATA frame it received in place
-//     (open_sweep over its bytes); that frame is its one extra copy, and
-//     the only whole artifact any process holds.  popsim's --worker and
-//     --load-artifact modes open the file.  A build that compiles a
-//     different table than the artifact's producer fails loudly instead of
-//     silently computing a different sweep; this is the version-skew gate
-//     of the fleet protocol (src/fleet/README.md).
+//     classes, then streams the sections to the file through a 64 KiB stage
+//     with a running FNV-1a and writes the 40-byte header last (a save that
+//     dies midway leaves a zero header, which no open accepts).  Only
+//     O(|Λ|) per-state arrays are built, and no table byte is written.
+//   * Open.  open_sweep(path | bytes, fn) parses the artifact (a
+//     sweep_artifact: the header, the payload checksum, then every section;
+//     none holds a table), rebuilds the runner (protocol, graph, closure,
+//     pack) and compares its prints with the stored ones.  A build that
+//     compiles a different table than the artifact's producer fails loudly
+//     instead of silently computing a different sweep.  popsimd opens the
+//     ARTIFACT_DATA frame it received in place; popsim's --worker and
+//     --load-artifact modes open the file.
 //   * Inspect.  A sweep_artifact (load_artifact(path), or over bytes the
-//     caller holds) is pass 1 on its own: the outline, for tools and tests.
-//     validate_*_artifact runs pass 2 against a runner the caller built,
-//     and artifact_bytes writes it back byte for byte — META, GRPH and WMIX
-//     from their parsed fields, TABL, PACK and EDGE streamed from where they
-//     are stored — so it is also the oracle that the parse is canonical.
+//     caller holds) is the parse on its own, for tools and tests.
+//     validate_*_artifact compares it with a runner the caller built, and
+//     artifact_bytes writes it back byte for byte, so it is also the oracle
+//     that the parse is canonical.
 //   * Ship.  A --hosts supervisor (net.h) reads its file through
-//     artifact_file, the same chunked reader: one pass for the REQ_SWEEP
-//     checksum, then one per daemon that misses its cache, straight into
-//     the ARTIFACT_DATA frame.
+//     artifact_file, a chunked reader: one pass for the REQ_SWEEP checksum,
+//     then one per daemon that misses its cache, straight into the
+//     ARTIFACT_DATA frame.
 #pragma once
 
 #include <array>
@@ -99,10 +87,9 @@ namespace pp::fleet {
 inline constexpr std::uint32_t kArtifactMagic = 0x46415050;  // "PPAF"
 inline constexpr std::uint32_t kArtifactEndianTag = 0x01020304;
 // Version 2 added the EDGE section (per-state edge classes) and the star
-// protocol kind; version-1 readers reject such artifacts loudly.  Because
-// nothing in the v1 layout changed, this build still reads v1 files
-// (load accepts {1, 2}, save always writes 2).
-inline constexpr std::uint32_t kArtifactVersion = 2;
+// protocol kind.  Version 3 replaced the tables in TABL, PACK and EDGE with
+// their table_prints.
+inline constexpr std::uint32_t kArtifactVersion = 3;
 
 // Which engine the artifact's sweep runs on.
 enum class artifact_engine : std::uint32_t { tuned = 0, wellmixed = 1 };
@@ -162,16 +149,9 @@ struct wellmixed_section {
   friend bool operator==(const wellmixed_section&, const wellmixed_section&) = default;
 };
 
-// What an open parses of an artifact: META, GRPH (tuned engine) and WMIX
-// (well-mixed engine).  TABL, PACK and EDGE are compared, never parsed.
-struct artifact_outline : artifact_meta {
-  std::optional<graph_section> graph;
-  std::optional<wellmixed_section> wellmixed;
-};
-
 // A runner's closed table as TABL and EDGE serialize it: O(|Λ|) per-state
-// arrays and a pointer to each row of the runner's own table, which the
-// writer and the comparer read in place.  `packed` is the tuned runner's
+// arrays and a pointer to each row of the runner's own table, which its
+// table_print reads in place.  `packed` is the tuned runner's
 // packed_bytes() (empty on the well-mixed engine, which has no PACK).
 struct runner_tables {
   std::uint32_t counters = 0;
@@ -193,7 +173,7 @@ struct graph_view {
 };
 
 // A prepared sweep as its artifact: what save_artifact writes and what a
-// stored artifact is validated against.  It borrows the runner (and the
+// parsed artifact is checked against.  It borrows the runner (and the
 // graph), which must outlive it.  `tables` is empty when the runner's
 // reachable space did not close within the closure budget.
 struct artifact_view : artifact_meta {
@@ -202,44 +182,50 @@ struct artifact_view : artifact_meta {
   std::optional<wellmixed_section> wellmixed;  // well-mixed engine
 };
 
-// Pass 1 of an open (see the header comment): the artifact checksummed,
-// indexed and outlined, its TABL, PACK and EDGE left where they are stored —
-// in the file, or in the caller's buffer, which must outlive this object.
-// Their payloads, as the writer lays them out:
+// What TABL, PACK and EDGE hold: the length and FNV-1a 64 of the table as
+// the runner serializes it, the payload a version-2 writer stored there:
 //   TABL: u64 k, u32 counters, k u64 codes, k u8 roles,
 //         k × kMaxCensusCounters contributions, k² 12-byte entries
 //         {u32 a2, u32 b2, i8 delta[kMaxCensusCounters]}, row-major;
 //   PACK: u32 width, u64 num_states, u64 byte count, then num_states²
 //         packed_entry<W> bytes;
 //   EDGE: u32 class count, u64 k, then one class byte per state.
-// Throws std::invalid_argument on a file it cannot read or a payload that
-// fails the checksum or does not parse.  A file-backed one keeps the file
-// open and one chunk buffer.
-class sweep_artifact : public artifact_outline {
- public:
-  explicit sweep_artifact(const std::string& path);
-  explicit sweep_artifact(std::span<const std::uint8_t> bytes);
-  // The reader keeps pointing into the buffer: a temporary would dangle.
-  explicit sweep_artifact(std::vector<std::uint8_t>&&) = delete;
-  sweep_artifact(sweep_artifact&&) noexcept;
-  sweep_artifact& operator=(sweep_artifact&&) noexcept;
-  ~sweep_artifact();
+// On the wire a print is its two u64s, so each of these sections is 16 bytes.
+struct table_print {
+  std::uint64_t length = 0;
+  std::uint64_t fnv = 0;
 
-  // Pass 2's comparison: throws std::invalid_argument naming the first
-  // divergence between the stored sections and the rebuilt runner's view
-  // (validate_*_artifact below build the view).
-  void check(const artifact_view& rebuilt) const;
-
- private:
-  struct stored;
-  friend std::vector<std::uint8_t> artifact_bytes(const sweep_artifact& artifact);
-  std::unique_ptr<stored> stored_;
+  friend bool operator==(const table_print&, const table_print&) = default;
 };
 
-// FNV-1a 64-bit hash (the header checksum).
+// A section is present exactly when its print is.
+struct table_prints {
+  std::optional<table_print> table, packed, edge;
+};
+
+// A parsed artifact (see the header comment): its header checked, its
+// payload checksummed, and every section parsed, from a file or from bytes
+// the caller holds.  Throws std::invalid_argument on a file it cannot read,
+// another format version, or a payload that fails the checksum or does not
+// parse.
+struct sweep_artifact : artifact_meta {
+  explicit sweep_artifact(const std::string& path);
+  explicit sweep_artifact(std::span<const std::uint8_t> bytes);
+
+  // Throws std::invalid_argument naming the first divergence between this
+  // artifact and a rebuilt runner's view (validate_*_artifact below build
+  // the view).
+  void check(const artifact_view& rebuilt) const;
+
+  std::optional<graph_section> graph;          // tuned engine
+  table_prints prints;
+  std::optional<wellmixed_section> wellmixed;  // well-mixed engine
+};
+
+// FNV-1a 64-bit hash (the header checksum and the table prints).
 std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size);
 
-// Serialization is deterministic: a runner's view and a stored artifact of
+// Serialization is deterministic: a runner's view and a parsed artifact of
 // it produce the same bytes, so save → load → save round-trips
 // byte-identically (the CI round-trip gate), and save_artifact's file
 // equals artifact_bytes.
@@ -248,30 +234,34 @@ std::vector<std::uint8_t> artifact_bytes(const sweep_artifact& artifact);
 void save_artifact(const artifact_view& artifact, const std::string& path);
 sweep_artifact load_artifact(const std::string& path);
 
-// An artifact file read front to back, a chunk at a time, by the reader an
-// open uses: what a --hosts supervisor checksums and ships (net.h) without
-// holding the file.  The size is the file's when it was opened.  Throws
-// std::invalid_argument on a file it cannot open, or read to that size.
+// An artifact file read front to back, kChunkBytes (64 KiB) at a time: what
+// an open reads and what a --hosts supervisor checksums and ships (net.h)
+// without holding the file.  The size is the file's when it was opened.
+// Throws std::invalid_argument on a file it cannot open, or read to that
+// size.
 class artifact_file {
  public:
   explicit artifact_file(const std::string& path);
   ~artifact_file();
+  artifact_file(const artifact_file&) = delete;
+  artifact_file& operator=(const artifact_file&) = delete;
 
-  std::uint64_t size() const;
+  std::uint64_t size() const { return size_; }
   // Calls fn(chunk) for every chunk in file order; a chunk is valid only
   // during its call.
   void for_each_chunk(const std::function<void(std::span<const std::uint8_t>)>& fn) const;
 
  private:
-  struct source;
-  std::unique_ptr<source> source_;
+  int fd_ = -1;
+  std::string path_;
+  std::uint64_t size_ = 0;
 };
 
 graph rebuild_graph(const graph_section& section);
 
 // The engine_tuning a worker rebuilds the runner with: the stored order plus
 // the *resolved* width, forced so the rebuild cannot re-resolve differently.
-engine_tuning tuning_of(const artifact_outline& artifact);
+engine_tuning tuning_of(const sweep_artifact& artifact);
 
 // ---------------------------------------------------------------------------
 // Views of prepared sweeps.
@@ -386,19 +376,19 @@ artifact_view make_wellmixed_artifact(const wellmixed_sweep<P>& sweep,
   return view_of(sweep, std::move(family), std::move(protocol));
 }
 
-// Pass 2 on the tuned engine: validates a rebuilt runner against a stored
-// artifact — same resolved layout, same reorder permutation, byte-identical
-// closed and packed tables and edge classes, each compared chunk by chunk
-// against the runner's own serialization.
+// Validates a rebuilt runner against a parsed tuned-engine artifact: the
+// same resolved layout, the same reorder permutation, and the runner's
+// closed table, packed table and edge classes serialize to the stored
+// prints.
 template <compilable_protocol P>
 void validate_tuned_artifact(const sweep_artifact& artifact,
                              const tuned_runner<P>& runner) {
   artifact.check(view_of(runner, nullptr, {}, {}));
 }
 
-// Pass 2 on the well-mixed engine: validates a rebuilt sweep against a
-// stored artifact — the same initial multiset, and TABL present exactly
-// when this build's closure closes, then equal to its closed table.  A
+// Validates a rebuilt sweep against a parsed well-mixed artifact: the same
+// initial multiset, and TABL present exactly when this build's closure
+// closes, then the print of its closed table.  A
 // producer omits TABL only past the closure budget, so a missing one on a
 // sweep that closes is a stripped file, not a large sweep.
 template <node_census_protocol P>
@@ -466,32 +456,31 @@ struct opened_wellmixed_sweep {
 // protocol descriptor name.  fn must return the same type for every S; a
 // caller that keeps the shared_ptr keeps the sweep.  Throws
 // std::invalid_argument when a section is missing, the descriptor does not
-// fit the engine, or the rebuild diverges from the stored sections.
+// fit the engine, or the rebuild diverges from the stored prints.
 template <typename Fn>
-auto open_sweep(const sweep_artifact& stored, Fn&& fn) {
-  const artifact_outline& a = stored;
+auto open_sweep(const sweep_artifact& a, Fn&& fn) {
   if (a.engine == artifact_engine::tuned) {
     expects(a.graph.has_value(), "artifact: tuned artifact without a graph section");
     if (a.protocol.kind == protocol_kind::star) {
       expect_star_desc(a.protocol);
       return fn(std::make_shared<const opened_tuned_sweep<star_protocol>>(
-          stored, star_protocol{}));
+          a, star_protocol{}));
     }
     return fn(std::make_shared<const opened_tuned_sweep<fast_protocol>>(
-        stored, fast_protocol(fast_params_of(a.protocol))));
+        a, fast_protocol(fast_params_of(a.protocol))));
   }
   expects(a.wellmixed.has_value(),
           "artifact: well-mixed artifact without a multiset section");
   if (a.protocol.kind == protocol_kind::six) {
     return fn(std::make_shared<const opened_wellmixed_sweep<beauquier_protocol>>(
-        stored, beauquier_protocol(six_population_of(a.protocol))));
+        a, beauquier_protocol(six_population_of(a.protocol))));
   }
   return fn(std::make_shared<const opened_wellmixed_sweep<fast_protocol>>(
-      stored, fast_protocol(fast_params_of(a.protocol))));
+      a, fast_protocol(fast_params_of(a.protocol))));
 }
 
 // open_sweep over an artifact file, or over artifact bytes already in
-// memory (popsimd's received frame), which are read in place.
+// memory (popsimd's received frame), which are parsed in place.
 template <typename Fn>
 auto open_sweep(const std::string& path, Fn&& fn) {
   const sweep_artifact stored(path);

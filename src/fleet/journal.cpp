@@ -83,18 +83,7 @@ void write_header(int fd, const journal_header& header, const std::string& path)
   put_u32(buf + 12, 0);
   put_u64(buf + 16, header.tag);
   put_u64(buf + 24, header.trials);
-  const std::uint8_t* p = buf;
-  std::size_t left = sizeof(buf);
-  while (left > 0) {
-    const ssize_t n = ::write(fd, p, left);
-    expects(n >= 0 || errno == EINTR,
-            "journal: header write failed for " + path + ": " +
-                std::strerror(errno));
-    if (n > 0) {
-      p += n;
-      left -= static_cast<std::size_t>(n);
-    }
-  }
+  write_all(fd, buf, sizeof(buf), "journal: header write failed for " + path);
 }
 
 }  // namespace
@@ -176,17 +165,7 @@ void journal_writer::append(const trial_record& record) {
   encode_trial_record(record, payload);
   std::uint8_t buf[kRecordBytes];
   wire::encode_frame(payload, kTrialRecordPayload, buf);
-  const std::uint8_t* p = buf;
-  std::size_t left = sizeof(buf);
-  while (left > 0) {
-    const ssize_t n = ::write(fd_, p, left);
-    ensure(n >= 0 || errno == EINTR,
-           std::string("journal: append failed: ") + std::strerror(errno));
-    if (n > 0) {
-      p += n;
-      left -= static_cast<std::size_t>(n);
-    }
-  }
+  write_all(fd_, buf, sizeof(buf), "journal: append failed");
 }
 
 }  // namespace pp::fleet

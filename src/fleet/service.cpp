@@ -42,10 +42,25 @@ using trial_runner = std::function<election_result(rng, const sim_options&)>;
 // the entry is cached.
 struct cached_sweep {
   std::uint64_t checksum = 0;
-  std::uint64_t bytes = 0;      // artifact file size (the cache currency)
+  std::uint64_t bytes = 0;      // artifact file size
+  std::uint64_t charge = 0;     // the cache currency (charge_of)
   std::uint64_t last_used = 0;  // LRU tick
   trial_runner run_trial;
 };
+
+// What a cached sweep is charged against the budget: the size its file had
+// when TABL, PACK and EDGE stored the tables themselves (artifact format
+// version 2), that is the file plus each print's recorded length less the
+// 16 bytes in its place.  A cached sweep holds its runner's tables, so this
+// tracks what it holds, and --cache-mb evicts what it evicted when the file
+// carried the tables.  Charged only after the open validated the prints, so
+// the lengths are the rebuilt runner's own.
+std::uint64_t charge_of(const sweep_artifact& stored, std::uint64_t bytes) {
+  for (const auto& print : {stored.prints.table, stored.prints.packed, stored.prints.edge}) {
+    if (print) bytes += print->length - 16;
+  }
+  return bytes;
+}
 
 // One in-handshake connection.
 struct connection {
@@ -72,7 +87,7 @@ struct sweep_service::state {
 
   std::uint64_t cache_bytes() const {
     std::uint64_t total = 0;
-    for (const auto& entry : cache) total += entry->bytes;
+    for (const auto& entry : cache) total += entry->charge;
     return total;
   }
 
@@ -117,10 +132,10 @@ struct sweep_service::state {
       }
       if (victim == cache.size()) break;
       obs::logf(obs::log_level::info,
-                "popsimd: evicting artifact %016llx (%llu bytes) from the "
-                "cache (LRU, budget %llu MB)",
+                "popsimd: evicting artifact %016llx (charged %llu bytes) "
+                "from the cache (LRU, budget %llu MB)",
                 static_cast<unsigned long long>(cache[victim]->checksum),
-                static_cast<unsigned long long>(cache[victim]->bytes),
+                static_cast<unsigned long long>(cache[victim]->charge),
                 static_cast<unsigned long long>(options.cache_mb));
       metrics.add("fleet.cache.evictions");
       cache.erase(cache.begin() + static_cast<std::ptrdiff_t>(victim));
@@ -382,7 +397,7 @@ bool valid_request(const net::sweep_request& r, std::string& why) {
     }
     // ARTIFACT_DATA: verify the declared checksum over the raw bytes, then
     // open the sweep over the frame in place (artifact.h: checksum, parse,
-    // rebuild, compare) before anything is cached or served.
+    // rebuild, compare the prints) before anything is cached or served.
     if (frame.payload_length < 1 ||
         frame.payload[0] != static_cast<std::uint8_t>(net::msg_type::artifact_data)) {
       return reject(conn, "expected ARTIFACT_DATA");
@@ -410,25 +425,27 @@ bool valid_request(const net::sweep_request& r, std::string& why) {
     std::shared_ptr<cached_sweep> entry = st.lookup(checksum);
     if (entry == nullptr) {
       try {
+        const sweep_artifact stored(
+            std::span<const std::uint8_t>(data, static_cast<std::size_t>(size)));
         entry = std::make_shared<cached_sweep>();
         entry->checksum = checksum;
         entry->bytes = size;
-        entry->run_trial = open_sweep(
-            std::span<const std::uint8_t>(data, static_cast<std::size_t>(size)),
-            [](auto sweep) -> trial_runner {
-              return [sweep](rng gen, const sim_options& options) {
-                return sweep->runner.run(gen, options);
-              };
-            });
+        entry->run_trial = open_sweep(stored, [](auto sweep) -> trial_runner {
+          return [sweep](rng gen, const sim_options& options) {
+            return sweep->runner.run(gen, options);
+          };
+        });
+        entry->charge = charge_of(stored, size);
       } catch (const std::exception& e) {
         return reject(conn, std::string("artifact rejected: ") + e.what());
       }
       st.insert(entry);
       obs::logf(obs::log_level::info,
-                "popsimd: cached artifact %016llx (%llu bytes; cache now "
-                "%llu/%llu MB across %zu artifact(s))",
+                "popsimd: cached artifact %016llx (%llu bytes, charged %llu; "
+                "cache now %llu/%llu MB across %zu artifact(s))",
                 static_cast<unsigned long long>(checksum),
                 static_cast<unsigned long long>(size),
+                static_cast<unsigned long long>(entry->charge),
                 static_cast<unsigned long long>(st.cache_bytes() >> 20),
                 static_cast<unsigned long long>(st.options.cache_mb),
                 st.cache.size());

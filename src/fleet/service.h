@@ -9,9 +9,9 @@
 //     hit  ─► OK_CACHED ─► fork a runner child streaming the chunk
 //     miss ─► NEED_ARTIFACT ─► ARTIFACT_DATA ─► fnv1a64(bytes) == declared
 //             checksum? open the sweep over the frame in place: parse,
-//             rebuild, compare byte-for-byte against the stored sections
-//             (artifact.h's version-skew gate) ─► cache ─► OK_CACHED ─►
-//             fork a runner child
+//             rebuild, compare the rebuilt tables' prints with the stored
+//             ones (artifact.h's version-skew gate) ─► cache ─► OK_CACHED
+//             ─► fork a runner child
 //     any failure (version skew, checksum mismatch, malformed request,
 //     validation divergence) ─► ERR {message} + stderr log, then close:
 //     rejections are loud, never silent.
@@ -25,11 +25,12 @@
 // connection with it — the client's supervisor treats it like any dead
 // worker.
 //
-// Cache policy: entries are keyed by the artifact file checksum; total
-// cached artifact bytes are capped by `cache_mb`, evicting least-recently-
-// used entries first (the entry serving the current request is never
-// evicted).  A re-request of an evicted artifact is just a cache miss: the
-// client ships the bytes again.
+// Cache policy: entries are keyed by the artifact file checksum.  Each is
+// charged what its runner's tables weigh, the size its artifact had when
+// the file stored them (format version 2), and the charges are capped by
+// `cache_mb`, evicting least-recently-used entries first (the entry serving
+// the current request is never evicted).  A re-request of an evicted
+// artifact is just a cache miss: the client ships the bytes again.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +41,7 @@ namespace pp::fleet {
 
 struct service_options {
   std::uint16_t port = 0;       // 0 = kernel-assigned ephemeral port
-  std::uint64_t cache_mb = 256; // artifact cache budget
+  std::uint64_t cache_mb = 256; // cache budget (cached sweeps' charges)
   int backlog = 128;            // listen(2) backlog
 };
 

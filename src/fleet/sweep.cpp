@@ -20,22 +20,6 @@ namespace {
 // is not one.
 constexpr std::size_t kMaxManifestBytes = 64 * 1024;
 
-void write_all(int fd, const void* data, std::size_t size) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  while (size > 0) {
-    const ssize_t n = ::write(fd, p, size);
-    if (n < 0) {
-      // EINTR/EAGAIN are transient; everything else (notably EPIPE once the
-      // reader died and SIGPIPE is ignored) is fatal and named precisely.
-      ensure(errno == EINTR || errno == EAGAIN,
-             std::string("fleet: pipe write failed: ") + std::strerror(errno));
-      continue;
-    }
-    p += n;
-    size -= static_cast<std::size_t>(n);
-  }
-}
-
 template <typename T>
 void pack(std::uint8_t*& p, T v) {
   std::memcpy(p, &v, sizeof(T));
@@ -51,6 +35,20 @@ T unpack(const std::uint8_t*& p) {
 }
 
 }  // namespace
+
+void write_all(int fd, const void* data, std::size_t size, std::string_view what) {
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  while (size > 0) {
+    const ssize_t n = ::write(fd, p, size);
+    if (n < 0 && (errno == EINTR || errno == EAGAIN)) continue;
+    if (n <= 0) {
+      ensure(false, std::string(what) + ": " +
+                        (n < 0 ? std::strerror(errno) : "no bytes written"));
+    }
+    p += n;
+    size -= static_cast<std::size_t>(n);
+  }
+}
 
 void ignore_sigpipe() { std::signal(SIGPIPE, SIG_IGN); }
 
@@ -80,7 +78,7 @@ void write_trial_record(int fd, const trial_record& record) {
   encode_trial_record(record, payload);
   std::uint8_t buf[wire::framed_size(kTrialRecordPayload)];
   wire::encode_frame(payload, kTrialRecordPayload, buf);
-  write_all(fd, buf, sizeof(buf));
+  write_all(fd, buf, sizeof(buf), "fleet: pipe write failed");
 }
 
 void write_manifest(const worker_manifest& manifest, const std::string& path) {

@@ -9,7 +9,8 @@
 // torn writes, bit rot and in-flight corruption detectable at every reader
 // instead of only in the journal.
 //
-// Two decode shapes cover every consumer:
+// Every consumer decodes with decode_frame, and the blocking producers
+// write with write_all:
 //   * decode_frame — incremental, for buffered readers (the supervisor's
 //     per-slot buffers, popsimd's handshake buffers): given whatever bytes
 //     have arrived so far it either yields a validated frame, asks for more,
@@ -18,14 +19,15 @@
 //     frame by skipping framed_size(limits.min) bytes — the journal replay
 //     does exactly that; variable-size streams must treat any bad status as
 //     loss of framing.
-//   * read_frame_payload / write_frame — blocking fd IO for the simple
-//     producer/consumer loops (workers streaming records, manifest-style
-//     handshakes on freshly dialed sockets).
+//   * write_all — blocking fd output for the simple producers (workers
+//     streaming records, the journal, the artifact writer); the socket
+//     transport writes against a deadline instead (net.cpp).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <string_view>
 #include <vector>
 
 namespace pp::fleet {
@@ -38,6 +40,12 @@ std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size);
 inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 std::uint64_t fnv1a64_from(std::uint64_t hash, const std::uint8_t* data,
                            std::size_t size);
+
+// Writes all `size` bytes to `fd` (defined in sweep.cpp), retrying short
+// writes, EINTR and EAGAIN.  Any other failure throws std::logic_error with
+// "<what>: <strerror>" (notably EPIPE once a pipe's reader died and SIGPIPE
+// is ignored).
+void write_all(int fd, const void* data, std::size_t size, std::string_view what);
 
 namespace wire {
 

@@ -1,17 +1,21 @@
 // Fleet artifact container (src/fleet/artifact.h): byte-stable round trips,
 // header/checksum rejection, and save/open/validate over the compiled
-// engine, the stored sections compared against the runner's own.
+// engine, the stored table prints compared against the runner's own.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iterator>
 #include <optional>
 #include <span>
 #include <string>
+#include <typeinfo>
 #include <utility>
 #include <vector>
 
@@ -52,8 +56,8 @@ constexpr std::uint32_t kWellmixed = 0x58494d57;  // 'WMIX'
 
 const artifact_meta& meta_of(const artifact_meta& a) { return a; }
 
-// Offsets into a stored TABL payload (layout in artifact.h): u64 k, u32
-// counters, then per-state codes, roles and contributions, then the k²
+// Offsets into the table a TABL print covers (layout in artifact.h): u64 k,
+// u32 counters, then per-state codes, roles and contributions, then the k²
 // 12-byte entries {a2, b2, delta} row-major.
 struct table_layout {
   std::size_t k;
@@ -151,6 +155,112 @@ std::vector<std::uint8_t> without_section(std::vector<std::uint8_t> bytes, std::
   return resealed(std::move(bytes));
 }
 
+// A field appended in native byte order.
+template <typename T>
+void append(std::vector<std::uint8_t>& out, T value) {
+  const auto* p = reinterpret_cast<const std::uint8_t*>(&value);
+  out.insert(out.end(), p, p + sizeof(value));
+}
+
+// The tables TABL, PACK and EDGE stored whole in a version-2 file, written
+// field by field from a closed table (layouts in artifact.h): the bytes a
+// version-3 print stands for.  `packed` is empty off the tuned engine and
+// `edge` on counter-shaped protocols.
+struct v2_tables {
+  std::vector<std::uint8_t> table, packed, edge;
+};
+
+template <typename P>
+std::vector<std::uint8_t> v2_table(const compiled_protocol<P>& c) {
+  using id = typename compiled_protocol<P>::state_id;
+  const std::size_t k = c.num_states();
+  std::vector<std::uint8_t> t;
+  append(t, std::uint64_t{k});
+  append(t, static_cast<std::uint32_t>(compiled_protocol<P>::kCounters));
+  for (std::size_t s = 0; s < k; ++s) {
+    append(t, static_cast<std::uint64_t>(c.protocol().encode(c.decode(static_cast<id>(s)))));
+  }
+  for (std::size_t s = 0; s < k; ++s) {
+    append(t, static_cast<std::uint8_t>(c.output(static_cast<id>(s))));
+  }
+  for (std::size_t s = 0; s < k; ++s) {
+    for (const std::int8_t v : c.contribution(static_cast<id>(s))) append(t, v);
+  }
+  for (std::size_t a = 0; a < k; ++a) {
+    for (std::size_t b = 0; b < k; ++b) {
+      const auto& e = c.closed_transition(static_cast<id>(a), static_cast<id>(b));
+      append(t, std::uint32_t{e.a2});
+      append(t, std::uint32_t{e.b2});
+      for (const std::int8_t d : e.delta) append(t, d);
+    }
+  }
+  return t;
+}
+
+template <typename W, typename P>
+std::vector<std::uint8_t> v2_packed(const compiled_protocol<P>& c) {
+  const packed_table<W, P> table(c);
+  const auto entries = std::as_bytes(table.entries());
+  std::vector<std::uint8_t> p;
+  append(p, std::uint32_t{8 * sizeof(W)});
+  append(p, std::uint64_t{c.num_states()});
+  append(p, std::uint64_t{entries.size()});
+  for (const std::byte b : entries) p.push_back(static_cast<std::uint8_t>(b));
+  return p;
+}
+
+template <typename P>
+v2_tables v2_of(const tuned_runner<P>& runner) {
+  const auto& c = runner.compiled();
+  v2_tables t;
+  t.table = v2_table(c);
+  switch (runner.pack_bits()) {
+    case 8: t.packed = v2_packed<std::uint8_t>(c); break;
+    case 16: t.packed = v2_packed<std::uint16_t>(c); break;
+    default: t.packed = v2_packed<std::uint32_t>(c); break;
+  }
+  if constexpr (edge_census_protocol<P>) {
+    append(t.edge, static_cast<std::uint32_t>(edge_census_traits<P>::kClasses));
+    append(t.edge, std::uint64_t{c.num_states()});
+    for (std::size_t s = 0; s < c.num_states(); ++s) {
+      t.edge.push_back(c.state_class(static_cast<typename compiled_protocol<P>::state_id>(s)));
+    }
+  }
+  return t;
+}
+
+template <typename P>
+v2_tables v2_of(const wellmixed_sweep<P>& sweep) {
+  return {v2_table(sweep.compiled()), {}, {}};
+}
+
+// The print a section stores: {u64 length, u64 fnv1a64}.
+std::vector<std::uint8_t> print_bytes(const std::vector<std::uint8_t>& table) {
+  std::vector<std::uint8_t> print;
+  append(print, std::uint64_t{table.size()});
+  append(print, fnv1a64(table.data(), table.size()));
+  return print;
+}
+
+// `bytes` with the print of `table` in its section tagged `tag`, resealed.
+std::vector<std::uint8_t> with_print_of(const std::vector<std::uint8_t>& bytes,
+                                        std::uint32_t tag,
+                                        const std::vector<std::uint8_t>& table) {
+  return with_section(bytes, tag, [&](auto& s) { s = print_bytes(table); });
+}
+
+// The version-2 file of a version-3 artifact: the same header and sections,
+// TABL, PACK and EDGE holding the tables their prints stand for.
+std::vector<std::uint8_t> as_v2(std::vector<std::uint8_t> bytes, const v2_tables& t) {
+  const std::pair<std::uint32_t, const std::vector<std::uint8_t>*> tables[] = {
+      {kTable, &t.table}, {kPacked, &t.packed}, {kEdge, &t.edge}};
+  for (const auto& [tag, table] : tables) {
+    if (!table->empty()) bytes = with_section(bytes, tag, [&](auto& s) { s = *table; });
+  }
+  put_at(bytes, 8, std::uint32_t{2});  // the version lies outside the payload
+  return bytes;
+}
+
 // The whole file at `path`.
 std::vector<std::uint8_t> file_bytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -193,11 +303,11 @@ TEST(Artifact, FileRoundTrip) {
   sweep_artifact b = load_artifact(path);
   EXPECT_TRUE(meta_of(a) == meta_of(b));
   EXPECT_EQ(artifact_bytes(b), artifact_bytes(a));
-  // Moving a reader keeps it reading the same file.
+  // A parsed artifact is a plain value: it outlives its file.
+  std::remove(path.c_str());
   const sweep_artifact moved = std::move(b);
   EXPECT_EQ(artifact_bytes(moved), artifact_bytes(a));
   EXPECT_NO_THROW(validate_tuned_artifact(moved, fx.runner));
-  std::remove(path.c_str());
 }
 
 TEST(Artifact, ChecksumDetectsPayloadCorruption) {
@@ -223,16 +333,19 @@ TEST(Artifact, RejectsBadMagicVersionAndEndianness) {
   std::swap(bad_endian[5], bad_endian[6]);
   EXPECT_THROW(sweep_artifact{bad_endian}, std::invalid_argument);
 
-  auto bad_version = good;
-  bad_version[8] = static_cast<std::uint8_t>(kArtifactVersion + 1);
-  EXPECT_THROW(sweep_artifact{bad_version}, std::invalid_argument);
-
-  // v1 files stay loadable: v2 only added the optional EDGE section, so a
-  // version-1 header over the same layout parses (the version byte is
-  // outside the checksummed payload).
-  auto v1 = good;
-  v1[8] = 1;
-  EXPECT_NO_THROW(sweep_artifact{v1});
+  // Any other version is rejected, naming both: a version-2 file stored
+  // the tables these prints stand for (the version byte is outside the
+  // checksummed payload).
+  static_assert(kArtifactVersion == 3);
+  const auto parse_as = [&](std::uint32_t version) {
+    return rejection([&] { sweep_artifact{patched(good, 8, version)}; });
+  };
+  EXPECT_EQ(parse_as(3), "");
+  EXPECT_EQ(parse_as(2),
+            "artifact: format version 2; this build reads version 3 — re-save the sweep");
+  EXPECT_EQ(parse_as(4),
+            "artifact: format version 4; this build reads version 3 — re-save the sweep");
+  EXPECT_NE(parse_as(1), "");
 
   auto truncated = good;
   truncated.resize(truncated.size() - 1);
@@ -242,54 +355,52 @@ TEST(Artifact, RejectsBadMagicVersionAndEndianness) {
   EXPECT_THROW(sweep_artifact{empty}, std::invalid_argument);
 }
 
-TEST(Artifact, TableSnapshotValidatesAndDetectsSkew) {
+const std::string kTableSkew =
+    "artifact: this build's closed table diverges from the stored one "
+    "(producer/worker version skew)";
+const std::string kPackedSkew =
+    "artifact: this build's packed table diverges from the stored one";
+const std::string kEdgeSkew =
+    "artifact: this build's edge classes diverge from the stored ones "
+    "(producer/worker version skew)";
+
+// A TABL or PACK print spliced in from a runner with other fast params — a
+// producer whose closure differs — is rejected with its section's message.
+TEST(Artifact, PrintsFromOtherParamsAreRejected) {
   const tuned_fixture fx;
-  const auto& compiled = fx.runner.compiled();
-  const auto bytes = artifact_bytes(fx.artifact());
-  EXPECT_EQ(open_rejection(bytes, fx.runner), "");
-  const auto table = section_of(bytes, kTable);
-  const table_layout at{compiled.num_states()};
-  EXPECT_EQ(u64_at(table, 0), compiled.num_states());
-  EXPECT_EQ(table.size(), at.size());
+  const auto good = artifact_bytes(fx.artifact());
+  EXPECT_EQ(open_rejection(good, fx.runner), "");
+  ASSERT_EQ(section_of(good, kTable).size(), 16u);
+  ASSERT_EQ(section_of(good, kPacked).size(), 16u);
 
-  // A producer whose states encode differently.
-  const auto skewed = with_section(bytes, kTable, [&](auto& t) { t[at.code(0)] ^= 1; });
-  EXPECT_THROW(validate_tuned_artifact(sweep_artifact(skewed), fx.runner),
-               std::invalid_argument);
-
-  const auto wrong_entry = with_section(bytes, kTable, [&](auto& t) { t[at.a2(1)] ^= 1; });
-  EXPECT_THROW(validate_tuned_artifact(sweep_artifact(wrong_entry), fx.runner),
-               std::invalid_argument);
+  const fast_protocol other_proto(fast_params{1, 2, 4});
+  const tuned_runner<fast_protocol> other(other_proto, fx.g);
+  const auto theirs =
+      artifact_bytes(make_tuned_artifact(other, fx.g, "cycle", fast_desc(other_proto.params())));
+  ASSERT_NE(section_of(theirs, kTable), section_of(good, kTable));
+  ASSERT_NE(section_of(theirs, kPacked), section_of(good, kPacked));
+  const auto splice = [&](std::uint32_t tag) {
+    return with_section(good, tag, [&](auto& s) { s = section_of(theirs, tag); });
+  };
+  EXPECT_EQ(open_rejection(splice(kTable), fx.runner), kTableSkew);
+  EXPECT_EQ(open_rejection(splice(kPacked), fx.runner), kPackedSkew);
 }
 
-TEST(Artifact, PackedSnapshotMatchesResolvedWidth) {
+// PACK's print covers exactly a packed_table at the resolved width.
+TEST(Artifact, PackedPrintMatchesResolvedWidth) {
   const tuned_fixture fx;
-  const auto& compiled = fx.runner.compiled();
-  const int width = fx.runner.pack_bits();
   const auto bytes = artifact_bytes(fx.artifact());
-  // PACK: u32 width, u64 num_states, u64 byte count, then the bytes.
-  const std::vector<std::uint8_t> p = section_of(bytes, kPacked);
-  ASSERT_FALSE(p.empty());
-  EXPECT_EQ(u32_at(p, 0), static_cast<std::uint32_t>(width));
-  EXPECT_EQ(u64_at(p, 4), compiled.num_states());
-  // The section holds exactly a packed_table at the resolved width.
-  const auto expect_table = [&]<typename W>() {
-    const packed_table<W, fast_protocol> table(compiled);
-    const auto entries = table.entries();
-    ASSERT_EQ(u64_at(p, 12), entries.size_bytes());
-    ASSERT_EQ(p.size(), 20 + entries.size_bytes());
-    EXPECT_EQ(std::memcmp(p.data() + 20, entries.data(), entries.size_bytes()), 0);
-  };
-  switch (width) {
-    case 8: expect_table.template operator()<std::uint8_t>(); break;
-    case 16: expect_table.template operator()<std::uint16_t>(); break;
-    default: expect_table.template operator()<std::uint32_t>(); break;
-  }
+  const v2_tables v2 = v2_of(fx.runner);
+  EXPECT_EQ(u32_at(v2.packed, 0), static_cast<std::uint32_t>(fx.runner.pack_bits()));
+  EXPECT_EQ(section_of(bytes, kPacked), print_bytes(v2.packed));
   EXPECT_EQ(open_rejection(bytes, fx.runner), "");
 
-  const auto corrupt = with_section(bytes, kPacked, [](auto& q) { q[20] ^= 1; });
-  EXPECT_THROW(validate_tuned_artifact(sweep_artifact(corrupt), fx.runner),
-               std::invalid_argument);
+  // The same table at another width is another print.
+  const auto other_width = fx.runner.pack_bits() == 32
+                               ? v2_packed<std::uint16_t>(fx.runner.compiled())
+                               : v2_packed<std::uint32_t>(fx.runner.compiled());
+  EXPECT_EQ(open_rejection(with_print_of(bytes, kPacked, other_width), fx.runner),
+            kPackedSkew);
 }
 
 TEST(Artifact, GraphSectionRoundTripsWithPermutation) {
@@ -358,8 +469,8 @@ TEST(Artifact, StarArtifactCarriesTheEdgeSectionAndRoundTrips) {
   const artifact_view a = fx.artifact();
   const auto bytes = artifact_bytes(a);
   const sweep_artifact b(bytes);
-  const std::vector<std::uint8_t> edge = section_of(bytes, kEdge);
-  ASSERT_FALSE(edge.empty());
+  const std::vector<std::uint8_t> edge = v2_of(fx.runner).edge;
+  EXPECT_EQ(section_of(bytes, kEdge), print_bytes(edge));
   EXPECT_EQ(u32_at(edge, 0), 2u);
   // Reachable states: undecided (class 0), leader and follower (class 1).
   const std::size_t k = fx.runner.compiled().num_states();
@@ -388,8 +499,9 @@ TEST(Artifact, StarArtifactValidatesAgainstFreshRebuildAndDetectsSkew) {
   EXPECT_NO_THROW(validate_tuned_artifact(a, rebuilt));
 
   // A producer whose build assigns different edge classes must fail loudly.
-  const auto skewed = with_section(bytes, kEdge, [](auto& e) { e[kEdgeClassesAt] ^= 1; });
-  EXPECT_THROW(validate_tuned_artifact(sweep_artifact(skewed), rebuilt), std::invalid_argument);
+  auto edge = v2_of(fx.runner).edge;
+  edge[kEdgeClassesAt] ^= 1;
+  EXPECT_EQ(open_rejection(with_print_of(bytes, kEdge, edge), rebuilt), kEdgeSkew);
 
   // A star artifact stripped of its EDGE section is rejected outright.
   const auto stripped = without_section(bytes, kEdge);
@@ -397,20 +509,12 @@ TEST(Artifact, StarArtifactValidatesAgainstFreshRebuildAndDetectsSkew) {
             "artifact: edge-census protocol without an EDGE section");
 }
 
-// Validation compares the stored bytes with the runner's serialization:
-// every single-field skew of a stored section must still be rejected, with
-// the message each check has always thrown.  Each skew edits the file's own
-// bytes and reseals it.  A skew that would leave a section inconsistent with
-// itself (a shorter table, a PACK whose size no longer fits its width or
-// state count, a partial permutation) is written as a whole section that
-// pass 1 accepts, so it reaches the comparison; only the invalid PACK width
-// is caught by pass 1, which throws pass 2's message.
+// Validation compares the stored prints with the prints of the runner's
+// serialization: every single-field skew of a table must still be rejected,
+// with the message each check has always thrown.  Each skew edits the table
+// a print stands for (as a version-2 file stored it) and stores the edited
+// table's print, or edits the file's own GRPH or META, and reseals the file.
 TEST(Artifact, EverySingleFieldSkewIsRejectedWithItsMessage) {
-  const std::string table_skew =
-      "artifact: this build's closed table diverges from the stored one "
-      "(producer/worker version skew)";
-  const std::string packed_skew =
-      "artifact: this build's packed table diverges from the stored one";
   using section = std::vector<std::uint8_t>;
   struct skew_case {
     const char* what;
@@ -420,11 +524,12 @@ TEST(Artifact, EverySingleFieldSkewIsRejectedWithItsMessage) {
   };
   const tuned_fixture fx;
   const auto good = artifact_bytes(fx.artifact());
-  const std::size_t k = u64_at(section_of(good, kTable), 0);
+  const v2_tables v2 = v2_of(fx.runner);
+  const std::size_t k = u64_at(v2.table, 0);
   const table_layout at{k};
   // PACK: u32 width at 0, u64 num_states at 4, u64 byte count at 12, then
   // num_states² entries of 4, 8 or 12 bytes.  A PACK for `states` states at
-  // `width` bits, laid out as pass 1 requires.
+  // `width` bits.
   const auto reshape_pack = [](section& p, std::uint32_t width, std::uint64_t states) {
     const std::uint64_t size = states * states * (width == 8 ? 4 : width == 16 ? 8 : 12);
     p.resize(20 + size);
@@ -434,54 +539,63 @@ TEST(Artifact, EverySingleFieldSkewIsRejectedWithItsMessage) {
   };
   const skew_case skews[] = {
       {"none", "", kTable, [](section&) {}},
-      {"code", table_skew, kTable, [&](section& t) { t[at.code(3)] ^= 1; }},
-      {"role", table_skew, kTable, [&](section& t) { t[at.role(1)] ^= 1; }},
-      {"contrib", table_skew, kTable, [&](section& t) { t[at.contrib(2, 0)] ^= 1; }},
-      {"counters", table_skew, kTable, [](section& t) { put_at(t, 8, u32_at(t, 8) + 1); }},
-      {"a2", table_skew, kTable, [&](section& t) { t[at.a2(5)] ^= 1; }},
-      {"b2", table_skew, kTable, [&](section& t) { t[at.b2(7)] ^= 1; }},
-      {"delta", table_skew, kTable, [&](section& t) { t[at.delta(9, 1)] ^= 1; }},
-      {"last entry", table_skew, kTable, [&](section& t) { t[at.b2(k * k - 1)] ^= 1; }},
-      {"table for k - 1 states", table_skew, kTable,
+      {"code", kTableSkew, kTable, [&](section& t) { t[at.code(3)] ^= 1; }},
+      {"role", kTableSkew, kTable, [&](section& t) { t[at.role(1)] ^= 1; }},
+      {"contrib", kTableSkew, kTable, [&](section& t) { t[at.contrib(2, 0)] ^= 1; }},
+      {"counters", kTableSkew, kTable, [](section& t) { put_at(t, 8, u32_at(t, 8) + 1); }},
+      {"a2", kTableSkew, kTable, [&](section& t) { t[at.a2(5)] ^= 1; }},
+      {"b2", kTableSkew, kTable, [&](section& t) { t[at.b2(7)] ^= 1; }},
+      {"delta", kTableSkew, kTable, [&](section& t) { t[at.delta(9, 1)] ^= 1; }},
+      {"last entry", kTableSkew, kTable, [&](section& t) { t[at.b2(k * k - 1)] ^= 1; }},
+      {"table for k - 1 states", kTableSkew, kTable,
        [&](section& t) {
          t.resize(table_layout{k - 1}.size());
          put_at(t, 0, std::uint64_t{k - 1});
        }},
-      {"PACK width", packed_skew, kPacked,
+      {"table one byte short", kTableSkew, kTable, [](section& t) { t.pop_back(); }},
+      {"PACK width", kPackedSkew, kPacked,
        [&](section& p) { reshape_pack(p, u32_at(p, 0) == 32 ? 16u : 32u, k); }},
-      {"PACK invalid width", "artifact: packed section has an invalid word width", kPacked,
+      {"PACK invalid width", kPackedSkew, kPacked,
        [](section& p) { put_at(p, 0, std::uint32_t{7}); }},
-      {"PACK for k + 1 states", packed_skew, kPacked,
+      {"PACK for k + 1 states", kPackedSkew, kPacked,
        [&](section& p) { reshape_pack(p, u32_at(p, 0), k + 1); }},
-      {"PACK bytes", packed_skew, kPacked, [](section& p) { p.back() ^= 0x10; }},
-      {"PACK for k - 1 states", packed_skew, kPacked,
+      {"PACK bytes", kPackedSkew, kPacked, [](section& p) { p.back() ^= 0x10; }},
+      {"PACK for k - 1 states", kPackedSkew, kPacked,
        [&](section& p) { reshape_pack(p, u32_at(p, 0), k - 1); }},
-      {"pack_bits", "artifact: rebuilt runner resolved a different config word width", kMeta,
-       swap_pack_bits},
   };
   for (const auto& s : skews) {
-    EXPECT_EQ(open_rejection(with_section(good, s.tag, s.skew), fx.runner), s.message)
+    section table = s.tag == kTable ? v2.table : v2.packed;
+    s.skew(table);
+    EXPECT_EQ(open_rejection(with_print_of(good, s.tag, table), fx.runner), s.message)
         << s.what;
   }
+  EXPECT_EQ(open_rejection(with_section(good, kMeta, swap_pack_bits), fx.runner),
+            "artifact: rebuilt runner resolved a different config word width");
 
   const star_fixture star({.order = vertex_order::rcm});
   const auto star_good = artifact_bytes(star.artifact());
-  const std::string edge_skew =
-      "artifact: this build's edge classes diverge from the stored ones "
-      "(producer/worker version skew)";
-  // GRPH: u32 nodes, u64 m, m (u, v) pairs, u32 order, u64 permutation
-  // size, then the permutation.
-  const std::size_t order_at = 12 + 8 * static_cast<std::size_t>(star.g.num_edges());
-  const std::size_t perm_at = order_at + 12;
-  const skew_case star_skews[] = {
+  const section edge = v2_of(star.runner).edge;
+  const skew_case edge_skews[] = {
       {"none", "", kEdge, [](section&) {}},
-      {"EDGE class", edge_skew, kEdge, [](section& e) { e[kEdgeClassesAt] ^= 1; }},
-      {"EDGE class count", edge_skew, kEdge, [](section& e) { put_at(e, 0, std::uint32_t{3}); }},
-      {"EDGE length", edge_skew, kEdge,
+      {"EDGE class", kEdgeSkew, kEdge, [](section& e) { e[kEdgeClassesAt] ^= 1; }},
+      {"EDGE class count", kEdgeSkew, kEdge, [](section& e) { put_at(e, 0, std::uint32_t{3}); }},
+      {"EDGE length", kEdgeSkew, kEdge,
        [](section& e) {
          e.push_back(0);
          put_at(e, 4, u64_at(e, 4) + 1);
        }},
+  };
+  for (const auto& s : edge_skews) {
+    section classes = edge;
+    s.skew(classes);
+    EXPECT_EQ(open_rejection(with_print_of(star_good, kEdge, classes), star.runner), s.message)
+        << s.what;
+  }
+  // GRPH: u32 nodes, u64 m, m (u, v) pairs, u32 order, u64 permutation
+  // size, then the permutation.
+  const std::size_t order_at = 12 + 8 * static_cast<std::size_t>(star.g.num_edges());
+  const std::size_t perm_at = order_at + 12;
+  const skew_case graph_skews[] = {
       {"permutation", "artifact: reorder permutation diverges from this build", kGraph,
        [&](section& g) {
          const std::uint32_t first = u32_at(g, perm_at);
@@ -497,17 +611,54 @@ TEST(Artifact, EverySingleFieldSkewIsRejectedWithItsMessage) {
       {"order", "artifact: rebuilt runner uses a different vertex order", kGraph,
        [&](section& g) { put_at(g, order_at, std::uint32_t{0}); }},
   };
-  for (const auto& s : star_skews) {
+  for (const auto& s : graph_skews) {
     EXPECT_EQ(open_rejection(with_section(star_good, s.tag, s.skew), star.runner), s.message)
         << s.what;
   }
 }
 
-TEST(Artifact, EdgeSectionClassBoundsAreEnforcedOnParse) {
+// A TABL, PACK or EDGE section holds a print: 16 bytes, no more, no less.
+TEST(Artifact, PrintSectionsMustBe16Bytes) {
   const star_fixture fx;
-  const auto bytes = with_section(artifact_bytes(fx.artifact()), kEdge,
-                                  [](auto& e) { e[kEdgeClassesAt] = 7; });  // beyond 2 classes
-  EXPECT_THROW(sweep_artifact{bytes}, std::invalid_argument);
+  const auto good = artifact_bytes(fx.artifact());
+  const auto parse = [](const std::vector<std::uint8_t>& b) {
+    return rejection([&] { sweep_artifact{b}; });
+  };
+  EXPECT_EQ(parse(good), "");
+  for (const std::uint32_t tag : {kTable, kPacked, kEdge}) {
+    ASSERT_EQ(section_of(good, tag).size(), 16u) << tag;
+    for (const std::size_t size : {0u, 8u, 15u, 17u, 24u, 32u}) {
+      const auto resized = with_section(good, tag, [&](auto& s) { s.resize(size); });
+      EXPECT_EQ(parse(resized), "artifact: a table print section is not 16 bytes")
+          << tag << " at " << size << " bytes";
+    }
+  }
+}
+
+// File descriptors this process holds open.
+std::size_t open_fds() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& fd : std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+// A save whose writes fail throws std::logic_error naming the file, and
+// closes it: no way out of save_artifact leaks its descriptor.
+TEST(Artifact, FailedSaveThrowsAndClosesItsFile) {
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  const star_fixture fx;
+  const std::size_t before = open_fds();
+  try {
+    save_artifact(fx.artifact(), "/dev/full");
+    ADD_FAILURE() << "a save to /dev/full returned";
+  } catch (const std::logic_error& e) {
+    EXPECT_EQ(typeid(e), typeid(std::logic_error));
+    EXPECT_EQ(std::string(e.what()).rfind("save_artifact: short write to /dev/full: ", 0), 0u)
+        << e.what();
+  }
+  EXPECT_EQ(open_fds(), before);
 }
 
 TEST(Artifact, ProtocolDescriptorsRoundTrip) {
@@ -696,77 +847,56 @@ TEST(Artifact, WellmixedArtifactWithoutItsTableIsRejected) {
             "artifact: no stored table, but this build's closure closes within the budget");
 }
 
-TEST(Artifact, PackedWidthAndSizeAreCheckedOnParse) {
-  // The in-place PACK check compares bytes with the runner's table, so the
-  // parser pins what those bytes must be: a word width in {8, 16, 32} and
-  // exactly num_states² entries of that width's size.
-  const std::size_t k = 14;  // fast {1, 2, 4} on a cycle: u8, 4-byte entries
-  const graph g = make_cycle(40);
-  const fast_protocol proto(fast_params{1, 2, 4});
-  const tuned_runner<fast_protocol> runner(proto, g);
-  ASSERT_EQ(runner.compiled().num_states(), k);
-  ASSERT_EQ(runner.pack_bits(), 8);
-  const auto good = artifact_bytes(make_tuned_artifact(runner, g, "cycle",
-                                                       fast_desc(proto.params())));
-  // PACK: u32 width, u64 num_states, u64 byte count, then the bytes.
-  const std::size_t pack_at = payload_of(good, kPacked);
-  ASSERT_LT(pack_at, good.size());
-  ASSERT_EQ(u32_at(good, pack_at), 8u);
-  ASSERT_EQ(u64_at(good, pack_at + 4), k);
-  ASSERT_EQ(u64_at(good, pack_at + 12), k * k * 4);
-  const std::string bad_width = "artifact: packed section has an invalid word width";
-  const std::string bad_size = "artifact: packed section size is not num_states² entries";
-  const auto parse = [](const std::vector<std::uint8_t>& b) {
-    return rejection([&] { sweep_artifact{b}; });
-  };
-  EXPECT_EQ(parse(good), "");
-  for (const std::uint32_t width : {0u, 7u, 9u, 24u, 64u, 0xFFFFFFFFu}) {
-    EXPECT_EQ(parse(patched(good, pack_at, width)), bad_width) << width;
-  }
-  // k² × 4 bytes is no square count of 8- or 12-byte entries here.
-  EXPECT_EQ(parse(patched(good, pack_at, std::uint32_t{16})), bad_size);
-  EXPECT_EQ(parse(patched(good, pack_at, std::uint32_t{32})), bad_size);
-  EXPECT_EQ(parse(patched(good, pack_at + 4, std::uint64_t{k + 1})), bad_size);
-  EXPECT_EQ(parse(patched(good, pack_at + 4, std::uint64_t{0})), bad_size);
-  EXPECT_EQ(parse(patched(good, pack_at + 4, std::uint64_t{1} << 32)), bad_size);
-  EXPECT_EQ(parse(patched(good, pack_at + 4, ~std::uint64_t{0})), bad_size);
-  // Twice the states need four times the bytes; half need a quarter.
-  EXPECT_EQ(parse(patched(good, pack_at + 4, std::uint64_t{2 * k})), bad_size);
-  EXPECT_EQ(parse(patched(good, pack_at + 4, std::uint64_t{k / 2})), bad_size);
-}
-
-// Size and fnv1a64 of each fixture's bytes as the field-by-field writer
-// before the streaming one produced them: the format is fixed, so the
-// streaming writer must reproduce every byte.
+// Size and fnv1a64 of each fixture's version-2 bytes, as the field-by-field
+// writer before the streaming one produced them.  A version-3 file with its
+// prints replaced by the tables they stand for (v2_of, written field by
+// field from the runner's table) must be exactly that file, and each print
+// the length and fnv1a64 of its table: so the prints cover exactly the bytes
+// a version-2 open compared.
 TEST(Artifact, BytesMatchTheParentWriter) {
   struct golden {
     const char* name;
     std::size_t size;
     std::uint64_t fnv;
   };
-  const auto check = [](const golden& want, const artifact_view& a) {
+  const auto print_or_none = [](const std::vector<std::uint8_t>& table) {
+    return table.empty() ? table : print_bytes(table);
+  };
+  const auto check = [&](const golden& want, const artifact_view& a, const v2_tables& v2) {
     const auto bytes = artifact_bytes(a);
-    EXPECT_EQ(bytes.size(), want.size) << want.name;
-    EXPECT_EQ(fnv1a64(bytes.data(), bytes.size()), want.fnv) << want.name;
+    EXPECT_EQ(section_of(bytes, kTable), print_bytes(v2.table)) << want.name;
+    EXPECT_EQ(section_of(bytes, kPacked), print_or_none(v2.packed)) << want.name;
+    EXPECT_EQ(section_of(bytes, kEdge), print_or_none(v2.edge)) << want.name;
+    const auto parent = as_v2(bytes, v2);
+    EXPECT_EQ(parent.size(), want.size) << want.name;
+    EXPECT_EQ(fnv1a64(parent.data(), parent.size()), want.fnv) << want.name;
     const std::string path = testing::TempDir() + "/artifact_parent_bytes.ppaf";
     save_artifact(a, path);
     EXPECT_TRUE(file_bytes(path) == bytes) << want.name << ": file != bytes";
     std::remove(path.c_str());
   };
-  check({"natural fast", 26'697'320, 0xc1bbd3dfa55afc30ull}, tuned_fixture().artifact());
-  check({"rcm fast", 26'698'120, 0xa24b5ee71c559cbcull},
-        tuned_fixture({.order = vertex_order::rcm}).artifact());
-  check({"star", 1'835, 0x40d9728f4d4580efull},
-        star_fixture({.order = vertex_order::rcm}).artifact());
+  {
+    const tuned_fixture fx;
+    check({"natural fast", 26'697'320, 0xc1bbd3dfa55afc30ull}, fx.artifact(), v2_of(fx.runner));
+  }
+  {
+    const tuned_fixture fx({.order = vertex_order::rcm});
+    check({"rcm fast", 26'698'120, 0xa24b5ee71c559cbcull}, fx.artifact(), v2_of(fx.runner));
+  }
+  {
+    const star_fixture fx({.order = vertex_order::rcm});
+    check({"star", 1'835, 0x40d9728f4d4580efull}, fx.artifact(), v2_of(fx.runner));
+  }
   const std::uint64_t n = 300;
   const fast_protocol fast(fast_params::practical_clique(n));
+  const wellmixed_sweep<fast_protocol> fast_sweep(fast, n);
   check({"wellmixed fast", 6'527'787, 0x72a874a61b7e7f6dull},
-        make_wellmixed_artifact(wellmixed_sweep<fast_protocol>(fast, n), "clique",
-                                fast_desc(fast.params())));
+        make_wellmixed_artifact(fast_sweep, "clique", fast_desc(fast.params())),
+        v2_of(fast_sweep));
   const beauquier_protocol six(500);
+  const wellmixed_sweep<beauquier_protocol> six_sweep(six, 500);
   check({"wellmixed six", 527, 0xfec5cc5592ca90dfull},
-        make_wellmixed_artifact(wellmixed_sweep<beauquier_protocol>(six, 500), "clique",
-                                six_desc(500)));
+        make_wellmixed_artifact(six_sweep, "clique", six_desc(500)), v2_of(six_sweep));
 }
 
 // (offset, length) of every section record, header included, in file order.
@@ -858,7 +988,7 @@ std::vector<std::uint8_t> mutated(const std::vector<std::uint8_t>& valid, int i,
 // writer cannot reproduce.  When META survives, the mutated bytes are also
 // opened as a worker would (open_sweep over them): that must throw
 // std::invalid_argument or pass, and it may pass only with the original's
-// tables (they are a function of META).  A mutated META is not opened: its
+// prints (the tables are a function of META).  A mutated META is not opened: its
 // params could drive a closure up to the engine budget.
 TEST(Artifact, SeededMutationsAreRejectedOrRoundTrip) {
   struct fixture {
@@ -906,11 +1036,7 @@ TEST(Artifact, SeededMutationsAreRejectedOrRoundTrip) {
         continue;
       }
       ++accepted;
-      // A version-1 header parses as its version-2 equivalent (v2 only
-      // added the optional EDGE section), so the writer answers with 2.
-      auto expected = bytes;
-      if (u32_at(expected, 8) == 1) expected[8] = static_cast<std::uint8_t>(kArtifactVersion);
-      ASSERT_TRUE(artifact_bytes(*parsed) == expected) << fx.name << ", mutation " << i;
+      ASSERT_TRUE(artifact_bytes(*parsed) == bytes) << fx.name << ", mutation " << i;
 
       const bool same_meta = parsed->family == original.family &&
                              parsed->protocol == original.protocol &&
@@ -926,12 +1052,12 @@ TEST(Artifact, SeededMutationsAreRejectedOrRoundTrip) {
       }
       ++validated;
       // The tables are a function of META, and every fixture's closure
-      // closes, so a mutant that opens carries exactly the original's:
-      // a dropped TABL, PACK or EDGE is a stripped file.
+      // closes, so a mutant that opens carries exactly the original's
+      // prints: a dropped TABL, PACK or EDGE is a stripped file.
       EXPECT_TRUE(section_of(bytes, kTable) == section_of(valid, kTable) &&
                   section_of(bytes, kPacked) == section_of(valid, kPacked) &&
                   section_of(bytes, kEdge) == section_of(valid, kEdge))
-          << fx.name << ", mutation " << i << " validated with other tables";
+          << fx.name << ", mutation " << i << " validated with other prints";
     }
     // Every outcome occurs, so no branch is vacuous.
     EXPECT_GT(rejected, 0u) << fx.name;

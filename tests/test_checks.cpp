@@ -8,6 +8,8 @@
 // is counted.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdio>
 #include <cstdint>
@@ -152,12 +154,12 @@ TEST(Checks, TunedSetupAndArtifactAllocateNotPerEntry) {
             64u);
 }
 
-// No process holds a second copy of the runner's tables: save writes them
-// from the runner through a fixed stage, loading reads the file in chunks
-// and keeps only the small sections, and opening it rebuilds the runner and
-// compares the stored sections with it chunk by chunk.  At rr8 n = 1000
-// with popsim's resolved fast params the file is ~20 MB, so a whole-file
-// buffer or a copy of TABL or PACK on any path breaks its bound.
+// No process holds a second copy of the runner's tables: save hashes them
+// from the runner in place into the 16-byte prints it writes, loading parses
+// the small file, and opening it rebuilds the runner and hashes its tables
+// in place to compare the prints.  At rr8 n = 1000 with popsim's resolved
+// fast params the runner's tables are ~20 MB and the file under 1 MiB, so a
+// copy of a table on any path breaks its bound.
 TEST(Checks, ArtifactSaveValidateAndLoadAllocateWithinTheirBounds) {
   rng gen(3);
   const graph g = make_random_regular(1000, 8, gen);
@@ -195,13 +197,28 @@ TEST(Checks, ArtifactSaveValidateAndLoadAllocateWithinTheirBounds) {
       bytes_in([&] { fleet::validate_tuned_artifact(*loaded, runner); });
   EXPECT_LT(validate, std::uint64_t{64} << 10);
   const std::uint64_t file = fleet::artifact_bytes(*loaded).size();
-  EXPECT_GT(file, std::uint64_t{16} << 20);
+  EXPECT_LT(file, std::uint64_t{1} << 20);
   std::printf(
       "file %llu B: save %llu B, load %llu B, open %llu B (graph + runner %llu B), "
       "validate %llu B\n",
       static_cast<unsigned long long>(file), static_cast<unsigned long long>(save),
       static_cast<unsigned long long>(load), static_cast<unsigned long long>(open),
       static_cast<unsigned long long>(rebuild), static_cast<unsigned long long>(validate));
+  std::remove(path.c_str());
+}
+
+// A file that is no artifact of this build is rejected on its header, before
+// its size sizes any allocation: here a 16 MiB file of zeros (sparse).
+TEST(Checks, ArtifactHeaderIsCheckedBeforeTheFileIsRead) {
+  const std::string path = testing::TempDir() + "/checks_not_an_artifact.ppaf";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(::ftruncate(::fileno(f), off_t{16} << 20), 0);
+  std::fclose(f);
+  const std::uint64_t load = bytes_in([&] {
+    EXPECT_THROW(fleet::load_artifact(path), std::invalid_argument);
+  });
+  EXPECT_LT(load, std::uint64_t{1} << 20);
   std::remove(path.c_str());
 }
 

@@ -9,10 +9,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
 #include "analysis/experiment.h"
@@ -520,6 +524,36 @@ TEST(Journal, NonJournalFilesAndHeaderMismatchesAreRejected) {
   EXPECT_THROW(journal_writer(path, journal_header{5, 11}, /*resume=*/true),
                std::invalid_argument);
   std::remove(path.c_str());
+}
+
+// Every fleet byte stream writes through one write_all: a failed write
+// throws std::logic_error naming the stream and errno, for the journal's
+// header as for its appends and a worker's records.
+TEST(Journal, FailedWritesThrowTheOneWriteError) {
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  try {
+    journal_writer writer("/dev/full", journal_header{5, 10}, /*resume=*/false);
+    ADD_FAILURE() << "a journal header write to /dev/full returned";
+  } catch (const std::logic_error& e) {
+    EXPECT_EQ(typeid(e), typeid(std::logic_error));
+    EXPECT_EQ(std::string(e.what()),
+              std::string("journal: header write failed for /dev/full: ") +
+                  std::strerror(ENOSPC));
+  }
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  ::close(fds[0]);
+  const auto old = std::signal(SIGPIPE, SIG_IGN);
+  try {
+    write_trial_record(fds[1], {0, election_result{}});
+    ADD_FAILURE() << "a record write to a closed pipe returned";
+  } catch (const std::logic_error& e) {
+    EXPECT_EQ(typeid(e), typeid(std::logic_error));
+    EXPECT_EQ(std::string(e.what()),
+              std::string("fleet: pipe write failed: ") + std::strerror(EPIPE));
+  }
+  std::signal(SIGPIPE, old);
+  ::close(fds[1]);
 }
 
 // ---------------------------------------------------------------------------

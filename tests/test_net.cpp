@@ -286,6 +286,34 @@ TEST_F(RemoteSweep, SecondSweepHitsTheArtifactCache) {
   EXPECT_EQ(warm.counter("fleet.net.connects"), 2u);
 }
 
+// popsimd's cache evicts the least recently used sweep once the entries'
+// charges pass --cache-mb.  An entry is charged the size its artifact had
+// when TABL and PACK stored the tables themselves: 26,697,320 B for this
+// fixture, so a 40 MB budget holds one.  Serving A, B, A evicts A for B, and
+// A ships again.
+TEST_F(RemoteSweep, LeastRecentlyUsedArtifactIsEvictedAndShippedAgain) {
+  service_options budget;
+  budget.cache_mb = 40;
+  const service_process daemon(budget);
+  const auto hosts = loopback(daemon.port(), 1);
+  // B: the same sweep under another family name, so another checksum.
+  worker_manifest b = manifest_;
+  b.artifact_path = testing::TempDir() + "/net_sweep_b.ppaf";
+  save_artifact(make_tuned_artifact(*runner_, *g_, "ring", fast_desc(proto_->params())),
+                b.artifact_path);
+  const auto shipped = [&](const worker_manifest& manifest) {
+    obs::metrics_registry metrics;
+    supervise_options options;
+    options.metrics = &metrics;
+    expect_serial(net::supervised_remote_sweep(hosts, 1, manifest, options));
+    return metrics.counter("fleet.net.artifacts_shipped");
+  };
+  EXPECT_EQ(shipped(manifest_), 1u);
+  EXPECT_EQ(shipped(b), 1u);
+  EXPECT_EQ(shipped(manifest_), 1u);  // evicted for B: shipped again
+  std::remove(b.artifact_path.c_str());
+}
+
 TEST_F(RemoteSweep, RecoversFromConnectionFaultsByteIdentically) {
   // drop severs the socket with an RST mid-stream, torn leaves half a frame,
   // garbage delivers a well-framed record whose checksum cannot match.  In
