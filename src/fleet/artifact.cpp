@@ -620,6 +620,10 @@ void sweep_artifact::check(const artifact_view& rebuilt) const {
   }
   expects(engine == artifact_engine::wellmixed && wellmixed.has_value(),
           "artifact: not a well-mixed sweep artifact");
+  // No well-mixed producer writes them, and nothing here would check their
+  // prints (popsimd charges a cached sweep by the recorded lengths).
+  expects(!prints.packed && !prints.edge,
+          "artifact: PACK or EDGE section on a well-mixed artifact");
   expects(*rebuilt.wellmixed == *wellmixed,
           "artifact: this build's initial multiset diverges from the stored one");
   const bool shared = rebuilt.tables.has_value();

@@ -386,9 +386,9 @@ void validate_tuned_artifact(const sweep_artifact& artifact,
   artifact.check(view_of(runner, nullptr, {}, {}));
 }
 
-// Validates a rebuilt sweep against a parsed well-mixed artifact: the same
-// initial multiset, and TABL present exactly when this build's closure
-// closes, then the print of its closed table.  A
+// Validates a rebuilt sweep against a parsed well-mixed artifact: no PACK or
+// EDGE, the same initial multiset, and TABL present exactly when this
+// build's closure closes, then the print of its closed table.  A
 // producer omits TABL only past the closure budget, so a missing one on a
 // sweep that closes is a stripped file, not a large sweep.
 template <node_census_protocol P>

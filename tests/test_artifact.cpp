@@ -162,6 +162,25 @@ void append(std::vector<std::uint8_t>& out, T value) {
   out.insert(out.end(), p, p + sizeof(value));
 }
 
+// `bytes` with a section tagged `tag` holding `payload` inserted before its
+// section tagged `before` (section count, payload length and checksum fixed
+// up).
+std::vector<std::uint8_t> with_new_section(std::vector<std::uint8_t> bytes, std::uint32_t before,
+                                           std::uint32_t tag,
+                                           const std::vector<std::uint8_t>& payload) {
+  const std::size_t at = payload_of(bytes, before) - 16;
+  EXPECT_LT(at + 16, bytes.size()) << "no section " << before;
+  std::vector<std::uint8_t> record;
+  append(record, tag);
+  append(record, std::uint32_t{0});
+  append(record, std::uint64_t{payload.size()});
+  record.insert(record.end(), payload.begin(), payload.end());
+  bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at), record.begin(), record.end());
+  put_at(bytes, 16, u32_at(bytes, 16) + 1);
+  put_at(bytes, 24, std::uint64_t{bytes.size() - 40});
+  return resealed(std::move(bytes));
+}
+
 // The tables TABL, PACK and EDGE stored whole in a version-2 file, written
 // field by field from a closed table (layouts in artifact.h): the bytes a
 // version-3 print stands for.  `packed` is empty off the tuned engine and
@@ -278,8 +297,8 @@ std::string rejection(Fn&& fn) {
   return "";
 }
 
-// What opening `bytes` against `runner` throws — pass 1 (sweep_artifact),
-// then pass 2 (validate_tuned_artifact) — or "" if both pass.
+// What parsing `bytes` (sweep_artifact) and validating the parse against
+// `runner` (validate_tuned_artifact) throws, or "" if both pass.
 template <typename Runner>
 std::string open_rejection(const std::vector<std::uint8_t>& bytes, const Runner& runner) {
   return rejection([&] { validate_tuned_artifact(sweep_artifact(bytes), runner); });
@@ -845,6 +864,15 @@ TEST(Artifact, WellmixedArtifactWithoutItsTableIsRejected) {
   EXPECT_EQ(open(good), "");
   EXPECT_EQ(open(stripped),
             "artifact: no stored table, but this build's closure closes within the budget");
+
+  // Nor does a well-mixed producer write PACK or EDGE, and no open checks
+  // their prints: a file that carries one parses, but does not open.
+  const std::vector<std::uint8_t> print(16, 0);
+  for (const std::uint32_t tag : {kPacked, kEdge}) {
+    const auto added = with_new_section(good, kWellmixed, tag, print);
+    EXPECT_NO_THROW(sweep_artifact{added}) << tag;
+    EXPECT_EQ(open(added), "artifact: PACK or EDGE section on a well-mixed artifact") << tag;
+  }
 }
 
 // Size and fnv1a64 of each fixture's version-2 bytes, as the field-by-field
@@ -867,9 +895,9 @@ TEST(Artifact, BytesMatchTheParentWriter) {
     EXPECT_EQ(section_of(bytes, kTable), print_bytes(v2.table)) << want.name;
     EXPECT_EQ(section_of(bytes, kPacked), print_or_none(v2.packed)) << want.name;
     EXPECT_EQ(section_of(bytes, kEdge), print_or_none(v2.edge)) << want.name;
-    const auto parent = as_v2(bytes, v2);
-    EXPECT_EQ(parent.size(), want.size) << want.name;
-    EXPECT_EQ(fnv1a64(parent.data(), parent.size()), want.fnv) << want.name;
+    const auto v2_file = as_v2(bytes, v2);
+    EXPECT_EQ(v2_file.size(), want.size) << want.name;
+    EXPECT_EQ(fnv1a64(v2_file.data(), v2_file.size()), want.fnv) << want.name;
     const std::string path = testing::TempDir() + "/artifact_parent_bytes.ppaf";
     save_artifact(a, path);
     EXPECT_TRUE(file_bytes(path) == bytes) << want.name << ": file != bytes";
